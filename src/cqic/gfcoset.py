@@ -31,37 +31,6 @@ def _check_modulus(v: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """An element of the prime field F_v."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "modulus", _check_modulus(self.modulus))
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.modulus != self.modulus:
-                raise IncompatiblePair("field moduli differ")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return FieldElem(self.value + self._coerce(other), self.modulus)
-
-    def __sub__(self, other):
-        return FieldElem(self.value - self._coerce(other), self.modulus)
-
-    def __mul__(self, other):
-        return FieldElem(self.value * self._coerce(other), self.modulus)
-
-    def __neg__(self):
-        return FieldElem(-self.value, self.modulus)
-
-
 def _as_field_array(x, modulus, length, what) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=np.int64))
     if arr.ndim != 1 or arr.size != length:

@@ -1,10 +1,10 @@
 """Dense linear algebra for small Hermitian operators.
 
-The eigensolver is a cyclic Jacobi iteration with a fixed sweep order
-instead of a LAPACK call: every matrix in this package is tiny (a few
-dozen rows, a few hundred in the tilting experiments), and Jacobi gives
-bit-identical results across BLAS builds, which the reproducibility
-contract of the CLI relies on.
+Eigendecompositions and singular values come from LAPACK through
+``numpy.linalg``.  Eigenvalues are returned in descending order and
+eigenvector phases are canonicalized, so reruns on the same machine and
+numpy/BLAS build give identical bytes; different BLAS builds may differ
+in the last bits.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import numpy as np
 from .config import active_tolerances
 from .errors import DimensionMismatch, NotHermitian, NumericalFailure
 
-_MAX_SWEEPS = 100
-
 
 def _as_matrix(m) -> np.ndarray:
     arr = m.mat if hasattr(m, "mat") else m
     a = np.asarray(arr, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NotHermitian("matrix has non-finite entries")
     return a
 
 
@@ -34,49 +34,17 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     positive) so repeated runs agree exactly.
     """
     tol = active_tolerances()
-    a = _as_matrix(m).copy()
+    a = _as_matrix(m)
     n = a.shape[0]
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.conj().T).max()) > tol.herm * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigh did not converge: {exc}") from exc
 
-    for _ in range(_MAX_SWEEPS):
-        offm = a.copy()
-        np.fill_diagonal(offm, 0.0)
-        off = float(np.linalg.norm(offm))
-        if off <= 1e-14 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-18 * scale:
-                    continue
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                ph = apq / r
-                # A <- J† A J with J the (p,q)-plane rotation
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - (s * ph.conjugate()) * col_q
-                a[:, q] = (s * ph) * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - (s * ph) * row_q
-                a[q, :] = (s * ph.conjugate()) * row_p + c * row_q
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - (s * ph.conjugate()) * vcol_q
-                v[:, q] = (s * ph) * vcol_p + c * vcol_q
-    else:
-        raise NumericalFailure("Jacobi sweep did not converge")
-
-    w = np.diag(a).real.copy()
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -132,10 +100,11 @@ def partial_trace(rho, dims, keep):
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values (descending) via the Hermitian eigenproblem of a†a."""
-    arr = _as_matrix(a)
-    w, _ = eig_hermitian(arr.conj().T @ arr)
-    return np.sqrt(np.clip(w, 0.0, None))
+    """Singular values (descending)."""
+    try:
+        return np.linalg.svd(_as_matrix(a), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"svd did not converge: {exc}") from exc
 
 
 def trace_norm(a) -> float:

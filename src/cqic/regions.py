@@ -642,7 +642,6 @@ def _layered_rows(channel, fields, blocks, rates, theorem, drop_dont_care):
                                      - _src_entropy(t, a_set, c_set, True)))
 
     # --- channel (packing) bounds, one family per receiver ----------------
-    rx_states = {}
     for j in range(3):
         i, k = _OTHERS[j]
         atoms = []
@@ -679,9 +678,7 @@ def _layered_rows(channel, fields, blocks, rates, theorem, drop_dont_care):
                                    (f"B{t + 1}{j + 1}", f"N{t + 1}{j + 1}"),
                                    h_v[(t, j)], False, (t, j), is_cross=True))
 
-        state = _rx_cqstate(channel, blocks, fields, j, atoms)
-        rx_states[j] = state
-        ent = _RxEntropies(state)
+        ent = _RxEntropies(_rx_cqstate(channel, blocks, fields, j, atoms))
 
         for g in _subsets(atoms):
             if not g:
@@ -731,7 +728,7 @@ def _layered_rows(channel, fields, blocks, rates, theorem, drop_dont_care):
         rows.append((f"{prefix}.rate.j={t + 1}", "coupling", coeffs, "=",
                      rates[t]))
 
-    return names, col, rows, rx_states
+    return names, col, rows
 
 
 def _solve_rows(names, col, rows):
@@ -777,8 +774,8 @@ def _solve_rows(names, col, rows):
 def _layered_feasible(channel, cfg, rates, theorem, drop_dont_care):
     rates = _rate_triple(rates)
     fields, blocks = _normalized_blocks(channel, cfg, with_v=theorem == 3)
-    names, col, rows, _ = _layered_rows(channel, fields, blocks, rates,
-                                        theorem, drop_dont_care)
+    names, col, rows = _layered_rows(channel, fields, blocks, rates,
+                                     theorem, drop_dont_care)
     feasible, x, records = _solve_rows(names, col, rows)
     witness = None
     if feasible:

@@ -71,6 +71,8 @@ class DensityOperator:
         tol = active_tolerances()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidState(f"density operator must be square, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidState("density operator has non-finite entries")
         if float(np.abs(arr - arr.conj().T).max()) > tol.herm:
             raise InvalidState("density operator is not Hermitian within tolerance")
         if abs(float(np.trace(arr).real) - 1.0) > tol.trace:

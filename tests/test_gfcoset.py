@@ -1,32 +1,13 @@
 import numpy as np
 import pytest
 
-from cqic.errors import (IncompatiblePair, LengthMismatch, NotPrime, TooLarge)
-from cqic.gfcoset import (CodePair, FieldElem, NestedCosetCode, codeword,
-                          enumerate_coset, index_tuples, random_code_pair,
-                          random_nested_code, sum_code, sum_codeword,
-                          sum_message)
+from cqic.errors import IncompatiblePair, LengthMismatch, TooLarge
+from cqic.gfcoset import (CodePair, NestedCosetCode, codeword, enumerate_coset,
+                          index_tuples, random_code_pair, random_nested_code,
+                          sum_code, sum_codeword, sum_message)
 
 # chi-square upper critical values at the 1% level, by degrees of freedom
 CHI2_CRIT = {3: 11.345, 8: 20.090, 2: 9.210}
-
-
-class TestFieldElem:
-    def test_reduction(self):
-        assert FieldElem(7, 3).value == 1
-
-    def test_arithmetic(self):
-        a = FieldElem(2, 5)
-        assert (a + 4).value == 1
-        assert (a * 3).value == 1
-        assert (-a).value == 3
-        assert (a - 3).value == 4
-
-    def test_not_prime(self):
-        with pytest.raises(NotPrime):
-            FieldElem(0, 4)
-        with pytest.raises(NotPrime):
-            FieldElem(0, 11)  # prime, but outside the supported set
 
 
 class TestCodeword:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cqic.errors import DimensionMismatch, NotHermitian
+from cqic.errors import DimensionMismatch, InvalidState, NotHermitian
 from cqic.linalg import (eig_hermitian, operator_norm, partial_trace,
                          singular_values, tensor, tensor_all, trace_norm)
+from cqic.states import DensityOperator
 
 
 def random_hermitian(n, seed):
@@ -134,3 +135,24 @@ class TestNorms:
         w, _ = eig_hermitian(h)
         sv = singular_values(h)
         assert np.allclose(np.sort(np.abs(w)), np.sort(sv), atol=1e-9)
+
+    def test_tiny_eigenvalues_keep_full_precision(self):
+        # eigenvalues near 1e-8: the norms must be exact to rounding, far
+        # inside the 1e-9 tolerance family
+        rng = np.random.default_rng(2024)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        w = np.array([3e-8, -2e-8, 1.5e-8, -0.5e-8])
+        h = q @ np.diag(w) @ q.conj().T
+        h = (h + h.conj().T) / 2
+        assert abs(trace_norm(h) - np.abs(w).sum()) < 1e-15
+        assert abs(operator_norm(h) - np.abs(w).max()) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fn,exc", [(eig_hermitian, NotHermitian),
+                                    (trace_norm, NotHermitian),
+                                    (operator_norm, NotHermitian),
+                                    (DensityOperator, InvalidState)])
+def test_non_finite_entries_rejected(fn, exc, bad):
+    with pytest.raises(exc):
+        fn(np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex))
