@@ -118,6 +118,109 @@ def _rate_triple(rates):
 
 
 # ---------------------------------------------------------------------------
+# direct bounds: one table of rate rows per bound
+#
+# Each row reads  c1*R1 + c2*R2 + c3*R3 < (sum of the named bound values)
+# with 0/1 coefficients.  The checkers, the R1 supremum of the grid scans
+# and the refinement all read these tables.
+
+_THM1_ROWS = (
+    ("thm1.r1", (1, 0, 0), ("r1_rhs",)),
+    ("thm1.own.j=2", (0, 1, 0), ("own2",)),
+    ("thm1.own.j=3", (0, 0, 1), ("own3",)),
+    ("thm1.cross.j=2", (0, 1, 0), ("cross_rhs",)),
+    ("thm1.cross.j=3", (0, 0, 1), ("cross_rhs",)),
+    ("thm1.sum.j=2", (1, 1, 0), ("sum_rhs",)),
+    ("thm1.sum.j=3", (1, 0, 1), ("sum_rhs",)),
+)
+
+_UNSTR_ROWS = (
+    ("unstr.r1", (1, 0, 0), ("r1_rhs",)),
+    ("unstr.own.j=2", (0, 1, 0), ("own2",)),
+    ("unstr.own.j=3", (0, 0, 1), ("own3",)),
+    ("unstr.pair.j=2", (1, 1, 0), ("pair2", "refine2")),
+    ("unstr.pair.j=3", (1, 0, 1), ("pair3", "refine3")),
+    ("unstr.sum", (1, 1, 1), ("total1", "refine2", "refine3")),
+)
+
+
+def _add(terms):
+    """Left-to-right sum from the first term (``0 + -0.0`` would flip a sign)."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def _direct_report(channel: ChannelSpec, rows, b, rates,
+                   budget: CostVector | None) -> RegionReport:
+    """Evaluate a direct bound's rate rows plus one cost row per user."""
+    tol = active_tolerances()
+    records = []
+    ok = True
+    for label, coeffs, keys in rows:
+        lhs = _add([c * r for c, r in zip(coeffs, rates) if c])
+        rhs = _add([b[k] for k in keys])
+        slack = rhs - lhs
+        ok = ok and slack >= tol.rate
+        records.append(InequalityRecord(label, float(lhs), float(rhs),
+                                        float(slack), "rate"))
+    budget = channel.budget if budget is None else budget
+    if budget is not None:
+        prefix = rows[0][0].split(".")[0]
+        for j, cap in enumerate(budget.as_tuple()):
+            spent = b[f"e{j + 1}"]
+            slack = cap - spent
+            ok = ok and slack >= -tol.prob
+            records.append(InequalityRecord(f"{prefix}.cost.j={j + 1}",
+                                            float(spent), float(cap),
+                                            float(slack), "cost"))
+    witness = RateAllocation(tuple(rates), ()) if ok else None
+    return RegionReport(bool(ok), tuple(records), witness)
+
+
+def _r1_sup(rows, b, r2, r3, tol):
+    """Supremum of R1 the rows allow at fixed (R2, R3); ``-inf`` if none.
+
+    Bound values may be floats or arrays that broadcast together; the
+    result takes their broadcast shape.  Rows without R1 must hold with
+    the ``tol`` margin, as in the checkers.
+    """
+    sup, ok = math.inf, True
+    for _, (c1, c2, c3), keys in rows:
+        rhs = _add([b[k] for k in keys])
+        fixed = [(c, r) for c, r in ((c2, r2), (c3, r3)) if c]
+        if c1:
+            for c, r in fixed:
+                rhs = rhs - c * r
+            sup = np.minimum(sup, rhs)
+        else:
+            ok = ok & (_add([c * r for c, r in fixed]) <= rhs - tol)
+    return np.where(ok & (sup > 0.0), sup, -np.inf)
+
+
+def _receiver_state(channel: ChannelSpec, j: int, regs, points) -> CqState:
+    """cq state at receiver j over the classical registers ``regs``.
+
+    ``points`` yields (register values, mass, channel input) triples;
+    masses pool per register value, and each conditional state is the
+    mass-weighted average of the receiver's outputs there.  Zero-mass
+    points are skipped.
+    """
+    probs = np.zeros(tuple(size for _, size in regs))
+    acc = {}
+    for key, p, x in points:
+        if p == 0.0:
+            continue
+        probs[key] += p
+        mat = p * channel.reduced(j, x)
+        cur = acc.get(key)
+        acc[key] = mat if cur is None else cur + mat
+    return CqState(regs, probs.ravel(),
+                   {k: m / probs[k] for k, m in acc.items()})
+
+
+# ---------------------------------------------------------------------------
 # single-layer evaluator (sum of two coset layers decoded at receiver 1)
 
 
@@ -154,39 +257,16 @@ def _thm1_bounds(channel: ChannelSpec, cfg: Thm1Config):
         raise ConfigMismatch("symbol map value outside the channel input alphabet")
 
     p1, p2, p3 = px1.probs, pu2.probs, pu3.probs
-    probs1 = np.zeros((v, sizes[0]))
-    probs2 = np.zeros(v)
-    probs3 = np.zeros(v)
-    acc1, acc2, acc3 = {}, {}, {}
-
-    def _bump(acc, key, p, mat):
-        cur = acc.get(key)
-        acc[key] = p * mat if cur is None else cur + p * mat
-
-    for u2 in range(v):
-        for u3 in range(v):
-            pu = p2[u2] * p3[u3]
-            if pu == 0.0:
-                continue
-            u = (u2 + u3) % v
-            for x1 in range(sizes[0]):
-                p = pu * p1[x1]
-                if p == 0.0:
-                    continue
-                x = (x1, f2[u2], f3[u3])
-                probs1[u, x1] += p
-                probs2[u2] += p
-                probs3[u3] += p
-                _bump(acc1, (u, x1), p, channel.reduced(0, x))
-                _bump(acc2, (u2,), p, channel.reduced(1, x))
-                _bump(acc3, (u3,), p, channel.reduced(2, x))
-
-    st1 = CqState((("U", v), ("X1", sizes[0])), probs1.ravel(),
-                  {k: m / probs1[k] for k, m in acc1.items()})
-    st2 = CqState((("U2", v),), probs2,
-                  {k: m / probs2[k] for k, m in acc2.items()})
-    st3 = CqState((("U3", v),), probs3,
-                  {k: m / probs3[k] for k, m in acc3.items()})
+    points = [((u2, u3, x1), p2[u2] * p3[u3] * p1[x1], (x1, f2[u2], f3[u3]))
+              for u2 in range(v) for u3 in range(v)
+              for x1 in range(sizes[0])]
+    st1 = _receiver_state(channel, 0, (("U", v), ("X1", sizes[0])),
+                          [(((u2 + u3) % v, x1), p, x)
+                           for (u2, u3, x1), p, x in points])
+    st2 = _receiver_state(channel, 1, (("U2", v),),
+                          [(key[:1], p, x) for key, p, x in points])
+    st3 = _receiver_state(channel, 2, (("U3", v),),
+                          [(key[1:2], p, x) for key, p, x in points])
 
     p_u = np.zeros(v)
     for u2 in range(v):
@@ -210,24 +290,6 @@ def _thm1_bounds(channel: ChannelSpec, cfg: Thm1Config):
     }
 
 
-def _finish_direct_report(rate_rows, cost_rows, rates):
-    tol = active_tolerances()
-    records = []
-    ok = True
-    for label, lhs, rhs in rate_rows:
-        slack = rhs - lhs
-        ok = ok and slack >= tol.rate
-        records.append(InequalityRecord(label, float(lhs), float(rhs),
-                                        float(slack), "rate"))
-    for label, spent, cap in cost_rows:
-        slack = cap - spent
-        ok = ok and slack >= -tol.prob
-        records.append(InequalityRecord(label, float(spent), float(cap),
-                                        float(slack), "cost"))
-    witness = RateAllocation(tuple(rates), ()) if ok else None
-    return RegionReport(bool(ok), tuple(records), witness)
-
-
 def thm1_check(channel: ChannelSpec, cfg: Thm1Config, rates,
                budget: CostVector | None = None) -> RegionReport:
     """Evaluate the single-layer sum-decoding inner bound at one config.
@@ -235,24 +297,9 @@ def thm1_check(channel: ChannelSpec, cfg: Thm1Config, rates,
     Seven rate inequalities (strict, closed with the rate tolerance)
     plus one closed cost constraint per user when a budget is present.
     """
-    r1, r2, r3 = _rate_triple(rates)
-    b = _thm1_bounds(channel, cfg)
-    rate_rows = [
-        ("thm1.r1", r1, b["r1_rhs"]),
-        ("thm1.own.j=2", r2, b["own2"]),
-        ("thm1.own.j=3", r3, b["own3"]),
-        ("thm1.cross.j=2", r2, b["cross_rhs"]),
-        ("thm1.cross.j=3", r3, b["cross_rhs"]),
-        ("thm1.sum.j=2", r1 + r2, b["sum_rhs"]),
-        ("thm1.sum.j=3", r1 + r3, b["sum_rhs"]),
-    ]
-    budget = channel.budget if budget is None else budget
-    cost_rows = []
-    if budget is not None:
-        taus = budget.as_tuple()
-        for j, spent in enumerate((b["e1"], b["e2"], b["e3"])):
-            cost_rows.append((f"thm1.cost.j={j + 1}", spent, taus[j]))
-    return _finish_direct_report(rate_rows, cost_rows, (r1, r2, r3))
+    rates = _rate_triple(rates)
+    return _direct_report(channel, _THM1_ROWS, _thm1_bounds(channel, cfg),
+                          rates, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -310,37 +357,21 @@ def _unstructured_bounds(channel: ChannelSpec, cfg: UnstructuredConfig):
     pu2, pu3 = j2.sum(axis=1), j3.sum(axis=1)
     p1 = px1.probs
 
+    points = [((u2, x2, u3, x3, x1), j2[u2, x2] * j3[u3, x3] * p1[x1],
+               (x1, x2, x3))
+              for u2, x2 in np.ndindex(m2, sizes[1])
+              for u3, x3 in np.ndindex(m3, sizes[2])
+              for x1 in range(sizes[0])]
     # receiver 1: registers (U2, U3, X1), inputs of users 2/3 averaged out
-    probs1 = np.zeros((m2, m3, sizes[0]))
-    acc1 = {}
+    st1 = _receiver_state(channel, 0,
+                          (("U2", m2), ("U3", m3), ("X1", sizes[0])),
+                          [((u2, u3, x1), p, x)
+                           for (u2, _, u3, _, x1), p, x in points])
     # receivers 2/3: registers (U_j, X_j)
-    acc2, acc3 = {}, {}
-    for u2, x2 in np.ndindex(m2, sizes[1]):
-        for u3, x3 in np.ndindex(m3, sizes[2]):
-            pw = j2[u2, x2] * j3[u3, x3]
-            if pw == 0.0:
-                continue
-            for x1 in range(sizes[0]):
-                p = pw * p1[x1]
-                if p == 0.0:
-                    continue
-                x = (x1, x2, x3)
-                probs1[u2, u3, x1] += p
-                key1 = (u2, u3, x1)
-                m = acc1.get(key1)
-                acc1[key1] = (p * channel.reduced(0, x) if m is None
-                              else m + p * channel.reduced(0, x))
-                for acc, key, rj in ((acc2, (u2, x2), 1), (acc3, (u3, x3), 2)):
-                    cur = acc.get(key)
-                    add = p * channel.reduced(rj, x)
-                    acc[key] = add if cur is None else cur + add
-
-    st1 = CqState((("U2", m2), ("U3", m3), ("X1", sizes[0])), probs1.ravel(),
-                  {k: m / probs1[k] for k, m in acc1.items()})
-    st2 = CqState((("U2", m2), ("X2", sizes[1])), j2.ravel(),
-                  {k: m / j2[k] for k, m in acc2.items()})
-    st3 = CqState((("U3", m3), ("X3", sizes[2])), j3.ravel(),
-                  {k: m / j3[k] for k, m in acc3.items()})
+    st2 = _receiver_state(channel, 1, (("U2", m2), ("X2", sizes[1])),
+                          [(key[:2], p, x) for key, p, x in points])
+    st3 = _receiver_state(channel, 2, (("U3", m3), ("X3", sizes[2])),
+                          [(key[2:4], p, x) for key, p, x in points])
 
     k1, k2, k3 = channel.costs
     return {
@@ -366,25 +397,10 @@ def unstructured_3to1_check(channel: ChannelSpec, cfg: UnstructuredConfig,
     Raises :class:`Not3to1` when receiver 2 or 3 sees any input other
     than its own.
     """
-    r1, r2, r3 = _rate_triple(rates)
+    rates = _rate_triple(rates)
     _require_3to1(channel)
-    b = _unstructured_bounds(channel, cfg)
-    rate_rows = [
-        ("unstr.r1", r1, b["r1_rhs"]),
-        ("unstr.own.j=2", r2, b["own2"]),
-        ("unstr.own.j=3", r3, b["own3"]),
-        ("unstr.pair.j=2", r1 + r2, b["pair2"] + b["refine2"]),
-        ("unstr.pair.j=3", r1 + r3, b["pair3"] + b["refine3"]),
-        ("unstr.sum", r1 + r2 + r3,
-         b["total1"] + b["refine2"] + b["refine3"]),
-    ]
-    budget = channel.budget if budget is None else budget
-    cost_rows = []
-    if budget is not None:
-        taus = budget.as_tuple()
-        for j, spent in enumerate((b["e1"], b["e2"], b["e3"])):
-            cost_rows.append((f"unstr.cost.j={j + 1}", spent, taus[j]))
-    return _finish_direct_report(rate_rows, cost_rows, (r1, r2, r3))
+    return _direct_report(channel, _UNSTR_ROWS,
+                          _unstructured_bounds(channel, cfg), rates, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -512,54 +528,30 @@ class _RxEntropies:
 
 def _rx_cqstate(channel: ChannelSpec, blocks, fields, j, atoms):
     """Joint cq state at receiver j over the decoded-content registers."""
-    regs = tuple((a.reg, a.size) for a in atoms)
-    shape = tuple(a.size for a in atoms)
     i, k = _OTHERS[j]
-
     extractors = []
     for a in atoms:
         if a.is_sum:
             vj = fields[j]
             ai, ak = _u_axis(i, j), _u_axis(k, j)
-            extractors.append(lambda idx, ai=ai, ak=ak, vj=vj, i=i, k=k:
+            extractors.append(lambda idx, ai=ai, ak=ak, vj=vj:
                               (idx[i][ai] + idx[k][ak]) % vj)
-        elif a.pair is not None and a.reg.startswith("U"):
+        elif a.pair is None:  # X_j
+            extractors.append(lambda idx: idx[j][4])
+        else:
             t, r = a.pair
-            ax = _u_axis(t, r)
+            ax = _u_axis(t, r) if a.reg.startswith("U") else _v_axis(t, r)
             extractors.append(lambda idx, t=t, ax=ax: idx[t][ax])
-        elif a.pair is not None:
-            t, r = a.pair
-            ax = _v_axis(t, r)
-            extractors.append(lambda idx, t=t, ax=ax: idx[t][ax])
-        else:  # X_j
-            extractors.append(lambda idx, j=j: idx[j][4])
 
-    supports = []
-    for t in range(3):
-        pts = [(tuple(int(v) for v in key), float(blocks[t][tuple(key)]))
-               for key in np.argwhere(blocks[t] > 0.0)]
-        supports.append(pts)
-
-    probs = np.zeros(shape if shape else (1,))
-    acc = {}
-    for i0, p0 in supports[0]:
-        for i1, p1 in supports[1]:
-            for i2, p2 in supports[2]:
-                p = p0 * p1 * p2
-                idx = (i0, i1, i2)
-                x = (i0[4], i1[4], i2[4])
-                key = tuple(ex(idx) for ex in extractors)
-                probs[key if shape else 0] += p
-                mat = channel.reduced(j, x)
-                cur = acc.get(key)
-                acc[key] = p * mat if cur is None else cur + p * mat
-
-    if not shape:
-        # no decodable content at this receiver: single dummy register
-        return CqState((("Z", 1),), np.ones(1),
-                       {(0,): next(iter(acc.values())) / probs[0]})
-    smap = {key: m / probs[key] for key, m in acc.items()}
-    return CqState(regs, probs.ravel(), smap)
+    supports = [[(tuple(int(v) for v in key), float(blocks[t][tuple(key)]))
+                 for key in np.argwhere(blocks[t] > 0.0)] for t in range(3)]
+    points = []
+    for (i0, p0), (i1, p1), (i2, p2) in itertools.product(*supports):
+        idx = (i0, i1, i2)
+        points.append((tuple(ex(idx) for ex in extractors), p0 * p1 * p2,
+                       (i0[4], i1[4], i2[4])))
+    return _receiver_state(channel, j, tuple((a.reg, a.size) for a in atoms),
+                           points)
 
 
 def _layered_rows(channel, fields, blocks, rates, theorem, drop_dont_care):
@@ -678,6 +670,8 @@ def _layered_rows(channel, fields, blocks, rates, theorem, drop_dont_care):
                                    (f"B{t + 1}{j + 1}", f"N{t + 1}{j + 1}"),
                                    h_v[(t, j)], False, (t, j), is_cross=True))
 
+        if not atoms:
+            continue
         ent = _RxEntropies(_rx_cqstate(channel, blocks, fields, j, atoms))
 
         for g in _subsets(atoms):
@@ -976,23 +970,65 @@ def _binary_user_grid(channel, j, n_sym, denominator):
     return cfgs
 
 
-def _sup_from_bounds_unstructured(b, r2, r3, tol_rate):
-    if (r2 > b["own2"] - tol_rate) or (r3 > b["own3"] - tol_rate):
-        return -math.inf
-    sup = min(b["r1_rhs"],
-              b["pair2"] + b["refine2"] - r2,
-              b["pair3"] + b["refine3"] - r3,
-              b["total1"] + b["refine2"] + b["refine3"] - r2 - r3)
-    return sup if sup > 0.0 else -math.inf
+def _closed_bounds(form, evaluator, p1v, g2, g3):
+    """Rate-bound values of the plane-rotation/flip family in closed form.
+
+    ``form`` is ``(phi, (d2, d3))`` from :func:`_parity_gamma_form`,
+    ``p1v`` the user-1 'on' probabilities and ``g2``/``g3`` user grid
+    entries with deterministic maps.  Returns the rate keys of
+    :func:`_unstructured_bounds` / :func:`_thm1_bounds` as arrays that
+    broadcast to ``(len(p1v), len(g2), len(g3))``.
+    """
+    phi, (d2, d3) = form
+    p1 = np.asarray(p1v, dtype=float)[:, None, None]
+    q2 = np.array([c[2] for c in g2])[None, :, None]
+    q3 = np.array([c[2] for c in g3])[None, None, :]
+    b = {"own2": _hb_arr(_conv_arr(q2, d2)) - _hb_arr(np.full_like(q2, d2)),
+         "own3": _hb_arr(_conv_arr(q3, d3)) - _hb_arr(np.full_like(q3, d3))}
+
+    if evaluator == "unstructured":
+        # deterministic maps make the private refinement terms vanish
+        b.update(r1_rhs=_haf_arr(p1, phi),
+                 pair2=_haf_arr(_conv_arr(p1, q2), phi),
+                 pair3=_haf_arr(_conv_arr(p1, q3), phi),
+                 total1=_haf_arr(_conv_arr(_conv_arr(p1, q2), q3), phi),
+                 refine2=0.0, refine3=0.0)
+        return b
+
+    p2 = np.array([c[0] for c in g2])[:, None, :]     # (m2, 1, 2)
+    f2 = np.array([c[1] for c in g2])[:, None, :]
+    p3 = np.array([c[0] for c in g3])[None, :, :]     # (1, m3, 2)
+    f3 = np.array([c[1] for c in g3])[None, :, :]
+    pu0 = p2[..., 0] * p3[..., 0] + p2[..., 1] * p3[..., 1]
+    pu1 = p2[..., 0] * p3[..., 1] + p2[..., 1] * p3[..., 0]
+    n0 = (p2[..., 0] * p3[..., 0] * ((f2[..., 0] + f3[..., 0]) % 2)
+          + p2[..., 1] * p3[..., 1] * ((f2[..., 1] + f3[..., 1]) % 2))
+    n1 = (p2[..., 0] * p3[..., 1] * ((f2[..., 0] + f3[..., 1]) % 2)
+          + p2[..., 1] * p3[..., 0] * ((f2[..., 1] + f3[..., 0]) % 2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w0 = np.where(pu0 > 0.0, n0 / np.where(pu0 > 0, pu0, 1.0), 0.0)
+        w1 = np.where(pu1 > 0.0, n1 / np.where(pu1 > 0, pu1, 1.0), 0.0)
+    w_tot = n0 + n1
+    base = pu0 * _haf_arr(w0, phi) + pu1 * _haf_arr(w1, phi)
+    hu = _hb_arr(pu1)
+    hmin = np.minimum(_hb_arr(p2[..., 1]), _hb_arr(p3[..., 1]))
+    b.update(r1_rhs=(pu0 * _haf_arr(_conv_arr(p1, w0), phi)
+                     + pu1 * _haf_arr(_conv_arr(p1, w1), phi) - base),
+             cross_rhs=(_haf_arr(w_tot, phi) - base - hu + hmin)[None],
+             sum_rhs=_haf_arr(_conv_arr(p1, w_tot), phi) - base - hu + hmin)
+    return b
 
 
-def _sup_from_bounds_thm1(b, r2, r3, tol_rate):
-    if (r2 > b["own2"] - tol_rate) or (r3 > b["own3"] - tol_rate):
-        return -math.inf
-    if (r2 > b["cross_rhs"] - tol_rate) or (r3 > b["cross_rhs"] - tol_rate):
-        return -math.inf
-    sup = min(b["r1_rhs"], b["sum_rhs"] - max(r2, r3))
-    return sup if sup > 0.0 else -math.inf
+def _grid_bounds(channel, evaluator, field_size, p1s, g2, g3):
+    """Direct bound values over the config product, one array per key."""
+    bounds = (_unstructured_bounds if evaluator == "unstructured"
+              else _thm1_bounds)
+    vals = [bounds(channel, _materialize(evaluator, channel, field_size,
+                                         p1, c2, c3))
+            for p1 in p1s for c2 in g2 for c3 in g3]
+    shape = (len(p1s), len(g2), len(g3))
+    return {k: np.array([v[k] for v in vals]).reshape(shape)
+            for k in vals[0]}
 
 
 def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
@@ -1003,12 +1039,12 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     """Grid-scan input configs and report the largest feasible R1.
 
     For each config the supremum of R1 compatible with the fixed
-    (R2, R3) follows in closed form from the bound values; the scan
-    keeps the best config (first in enumeration order on ties) and then
-    zooms the user-1 input probability around it.  Channels in the
-    plane-rotation/flip family evaluate through vectorized closed
-    forms; everything else walks the generic entropy engine (identical
-    values, sampled in the tests).
+    (R2, R3) follows from the bound values through the evaluator's rate
+    rows; the scan keeps the best config (first in enumeration order on
+    ties) and then zooms the user-1 input probability around it.
+    Channels in the plane-rotation/flip family take their bound values
+    from vectorized closed forms; everything else from the generic
+    entropy engine (identical values, sampled in the tests).
     """
     tol = active_tolerances()
     r2, r3 = float(r2), float(r3)
@@ -1025,14 +1061,14 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     p1s = _lattice_pmfs(sizes[0], denominator)
 
     if evaluator == "unstructured":
+        rows = _UNSTR_ROWS
         n2, n3 = int(u_sizes[0]), int(u_sizes[1])
-        grid2 = _binary_user_grid(channel, 1, n2, denominator)
-        grid3 = _binary_user_grid(channel, 2, n3, denominator)
     else:
-        v = int(field_size)
-        _check_modulus(v)
-        grid2 = _binary_user_grid(channel, 1, v, denominator)
-        grid3 = _binary_user_grid(channel, 2, v, denominator)
+        rows = _THM1_ROWS
+        n2 = n3 = int(field_size)
+        _check_modulus(n2)
+    grid2 = _binary_user_grid(channel, 1, n2, denominator)
+    grid3 = _binary_user_grid(channel, 2, n3, denominator)
 
     total = len(p1s) * len(grid2) * len(grid3)
     if total > scan_cap:
@@ -1044,42 +1080,47 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     g3_ok = [c for c in grid3 if c[3] <= taus[2] + tol.prob]
 
     form = _parity_gamma_form(channel)
-    fast = form is not None and sizes == (2, 2, 2) and \
-        (evaluator == "unstructured" or field_size == 2)
+    if evaluator == "thm1" and field_size != 2:
+        form = None
 
-    best_val, best_idx = -math.inf, None
-    if fast and p1_ok and g2_ok and g3_ok:
-        best_val, best_idx = _fast_scan(form, evaluator, p1_ok, g2_ok, g3_ok,
-                                        r2, r3, tol.rate)
-    elif p1_ok and g2_ok and g3_ok:
-        for i1, p1 in enumerate(p1_ok):
-            for a2, c2 in enumerate(g2_ok):
-                for a3, c3 in enumerate(g3_ok):
-                    cfg = _materialize(evaluator, channel, field_size,
-                                       p1, c2, c3)
-                    b = (_unstructured_bounds(channel, cfg)
-                         if evaluator == "unstructured"
-                         else _thm1_bounds(channel, cfg))
-                    sup = (_sup_from_bounds_unstructured(b, r2, r3, tol.rate)
-                           if evaluator == "unstructured"
-                           else _sup_from_bounds_thm1(b, r2, r3, tol.rate))
-                    if sup > best_val:
-                        best_val, best_idx = sup, (i1, a2, a3)
+    def sup_at(p1_list, g2_list, g3_list):
+        if form is not None:
+            b = _closed_bounds(form, evaluator, [p[1] for p in p1_list],
+                               g2_list, g3_list)
+        else:
+            b = _grid_bounds(channel, evaluator, field_size, p1_list,
+                             g2_list, g3_list)
+        return _r1_sup(rows, b, r2, r3, tol.rate)
 
-    grid_value = best_val
+    best_val, best_cfg = -math.inf, None
     evaluations = len(p1_ok) * len(g2_ok) * len(g3_ok)
-    best_cfg = None
-    if best_idx is not None and best_val > -math.inf:
-        i1, a2, a3 = best_idx
-        best_cfg = _materialize(evaluator, channel, field_size,
-                                p1_ok[i1], g2_ok[a2], g3_ok[a3])
+    if evaluations:
+        sup = sup_at(p1_ok, g2_ok, g3_ok)
+        i1, a2, a3 = np.unravel_index(int(np.argmax(sup)), sup.shape)
+        best_val = float(sup[i1, a2, a3])
+    grid_value = best_val
+    if best_val > -math.inf:
+        c2, c3, best_p1 = g2_ok[a2], g3_ok[a3], p1_ok[i1]
         if refine and sizes[0] == 2:
-            (best_val, best_cfg), extra = _refine_p1(
-                channel, evaluator, field_size, best_cfg,
-                g2_ok[a2], g3_ok[a3], r2, r3, best_val,
-                float(p1_ok[i1][1]), 1.0 / denominator, taus[0],
-                form if fast else None)
-            evaluations += extra
+            # zoom the user-1 'on' probability around the grid argmax:
+            # eight levels of 17 points, the window shrinking eightfold
+            center, width = float(best_p1[1]), 1.0 / denominator
+            for _ in range(8):
+                pts = np.linspace(max(0.0, center - width),
+                                  min(1.0, center + width), 17)
+                evaluations += len(pts)
+                cands = [np.array([1.0 - p, p]) for p in map(float, pts)]
+                cands = [p1 for p1 in cands
+                         if float(p1 @ kappa1) <= taus[0] + tol.prob]
+                if cands:
+                    vals = sup_at(cands, [c2], [c3]).ravel()
+                    k = int(np.argmax(vals))
+                    if vals[k] > best_val:
+                        best_val, best_p1 = float(vals[k]), cands[k]
+                        center = float(best_p1[1])
+                width /= 8.0
+        best_cfg = _materialize(evaluator, channel, field_size,
+                                best_p1, c2, c3)
     return ScanResult(float(best_val), best_cfg, evaluations,
                       float(grid_value))
 
@@ -1096,171 +1137,6 @@ def _materialize(evaluator, channel, field_size, p1, c2, c3):
         return UnstructuredConfig(np.asarray(p1, dtype=float), tabs[0], tabs[1])
     return Thm1Config(field_size, tuple(np.asarray(p1, dtype=float)),
                       tuple(c2[0]), tuple(c3[0]), tuple(c2[1]), tuple(c3[1]))
-
-
-def _fast_scan(form, evaluator, p1_ok, g2_ok, g3_ok, r2, r3, tol_rate):
-    phi, (d2, d3) = form
-    p1v = np.array([p[1] for p in p1_ok])
-    q2 = np.array([c[2] for c in g2_ok])
-    q3 = np.array([c[2] for c in g3_ok])
-    own2 = _hb_arr(_conv_arr(q2, d2)) - _hb_arr(np.full_like(q2, d2))
-    own3 = _hb_arr(_conv_arr(q3, d3)) - _hb_arr(np.full_like(q3, d3))
-    m2 = r2 <= own2 - tol_rate
-    m3 = r3 <= own3 - tol_rate
-
-    if evaluator == "unstructured":
-        # deterministic maps make the private refinement terms vanish
-        b1 = _haf_arr(p1v, phi)[:, None, None]
-        pair2 = _haf_arr(_conv_arr(p1v[:, None], q2[None, :]), phi)[:, :, None]
-        pair3 = _haf_arr(_conv_arr(p1v[:, None], q3[None, :]), phi)[:, None, :]
-        tot = _haf_arr(_conv_arr(_conv_arr(p1v[:, None, None],
-                                           q2[None, :, None]),
-                                 q3[None, None, :]), phi)
-        sup = np.minimum(np.minimum(b1, pair2 - r2),
-                         np.minimum(pair3 - r3, tot - r2 - r3))
-        sup[:, ~m2, :] = -np.inf
-        sup[:, :, ~m3] = -np.inf
-        sup[sup <= 0.0] = -np.inf
-    else:
-        p2 = np.array([c[0] for c in g2_ok])          # (m2, 2)
-        f2 = np.array([c[1] for c in g2_ok])          # (m2, 2)
-        p3 = np.array([c[0] for c in g3_ok])
-        f3 = np.array([c[1] for c in g3_ok])
-        pu0 = (p2[:, 0][:, None] * p3[None, :, 0]
-               + p2[:, 1][:, None] * p3[None, :, 1])
-        pu1 = (p2[:, 0][:, None] * p3[None, :, 1]
-               + p2[:, 1][:, None] * p3[None, :, 0])
-        xor = lambda a, b: (a + b) % 2
-        n0 = (p2[:, 0][:, None] * p3[None, :, 0]
-              * xor(f2[:, 0][:, None], f3[None, :, 0])
-              + p2[:, 1][:, None] * p3[None, :, 1]
-              * xor(f2[:, 1][:, None], f3[None, :, 1]))
-        n1 = (p2[:, 0][:, None] * p3[None, :, 1]
-              * xor(f2[:, 0][:, None], f3[None, :, 1])
-              + p2[:, 1][:, None] * p3[None, :, 0]
-              * xor(f2[:, 1][:, None], f3[None, :, 0]))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w0 = np.where(pu0 > 0.0, n0 / np.where(pu0 > 0, pu0, 1.0), 0.0)
-            w1 = np.where(pu1 > 0.0, n1 / np.where(pu1 > 0, pu1, 1.0), 0.0)
-        w_tot = n0 + n1
-        base = pu0 * _haf_arr(w0, phi) + pu1 * _haf_arr(w1, phi)
-        hu = _hb_arr(pu1)
-        h2 = _hb_arr(p2[:, 1])[:, None]
-        h3 = _hb_arr(p3[:, 1])[None, :]
-        hmin = np.minimum(h2, h3)
-        cross = _haf_arr(w_tot, phi) - base - hu + hmin
-        p1b = p1v[:, None, None]
-        i1 = (pu0[None] * (_haf_arr(_conv_arr(p1b, w0[None]), phi))
-              + pu1[None] * (_haf_arr(_conv_arr(p1b, w1[None]), phi))
-              - base[None])
-        sum_rhs = (_haf_arr(_conv_arr(p1b, w_tot[None]), phi)
-                   - base[None] - hu[None] + hmin[None])
-        sup = np.minimum(i1, sum_rhs - max(r2, r3))
-        bad = (r2 > cross - tol_rate) | (r3 > cross - tol_rate)
-        sup[:, bad] = -np.inf
-        sup[:, ~m2, :] = -np.inf
-        sup[:, :, ~m3] = -np.inf
-        sup[sup <= 0.0] = -np.inf
-
-    flat = int(np.argmax(sup))
-    idx = np.unravel_index(flat, sup.shape)
-    return float(sup[idx]), tuple(int(i) for i in idx)
-
-
-def _refine_p1(channel, evaluator, field_size, cfg, c2, c3, r2, r3,
-               start_val, center, step, tau1, form):
-    """Zoom the user-1 'on' probability around the grid argmax."""
-    tol = active_tolerances()
-    kappa1 = channel.costs[0]
-
-    def value(p_on):
-        if not 0.0 <= p_on <= 1.0:
-            return -math.inf, None
-        p1 = np.array([1.0 - p_on, p_on])
-        if float(p1 @ kappa1) > tau1 + tol.prob:
-            return -math.inf, None
-        cand = _replace_p1(evaluator, cfg, p1, field_size)
-        if form is not None:
-            phi, (d2, d3) = form
-            if evaluator == "unstructured":
-                b = _fast_point_unstructured(phi, d2, d3, p_on, c2, c3)
-                return _sup_from_bounds_unstructured(b, r2, r3, tol.rate), cand
-            b = _fast_point_thm1(phi, d2, d3, p_on, c2, c3)
-            return _sup_from_bounds_thm1(b, r2, r3, tol.rate), cand
-        if evaluator == "unstructured":
-            b = _unstructured_bounds(channel, cand)
-            return _sup_from_bounds_unstructured(b, r2, r3, tol.rate), cand
-        b = _thm1_bounds(channel, cand)
-        return _sup_from_bounds_thm1(b, r2, r3, tol.rate), cand
-
-    best_val, best_cfg = start_val, cfg
-    extra = 0
-    width = step
-    for _ in range(8):
-        lo = max(0.0, center - width)
-        hi = min(1.0, center + width)
-        pts = np.linspace(lo, hi, 17)
-        vals = []
-        for p in pts:
-            val, cand = value(float(p))
-            extra += 1
-            vals.append(val)
-            if val > best_val:
-                best_val, best_cfg, center = val, cand, float(p)
-        width /= 8.0
-    return (best_val, best_cfg), extra
-
-
-def _replace_p1(evaluator, cfg, p1, field_size):
-    if evaluator == "unstructured":
-        return UnstructuredConfig(p1, cfg.p_u2x2, cfg.p_u3x3)
-    return Thm1Config(field_size, tuple(float(v) for v in p1),
-                      cfg.p_u2, cfg.p_u3, cfg.f2, cfg.f3)
-
-
-def _fast_point_unstructured(phi, d2, d3, p_on, c2, c3):
-    q2, q3 = c2[2], c3[2]
-    hb = lambda t: float(_hb_arr(np.array([t]))[0])
-    haf = lambda t: float(_haf_arr(np.array([t]), phi)[0])
-    cv = lambda a, b: a + b - 2 * a * b
-    return {
-        "r1_rhs": haf(p_on),
-        "pair2": haf(cv(p_on, q2)), "pair3": haf(cv(p_on, q3)),
-        "total1": haf(cv(cv(p_on, q2), q3)),
-        "own2": hb(cv(q2, d2)) - hb(d2), "own3": hb(cv(q3, d3)) - hb(d3),
-        "refine2": 0.0, "refine3": 0.0,
-    }
-
-
-def _fast_point_thm1(phi, d2, d3, p_on, c2, c3):
-    p2, f2, q2, _ = c2
-    p3, f3, q3, _ = c3
-    hb = lambda t: float(_hb_arr(np.array([t]))[0])
-    haf = lambda t: float(_haf_arr(np.array([t]), phi)[0])
-    cv = lambda a, b: a + b - 2 * a * b
-    pu = [0.0, 0.0]
-    num = [0.0, 0.0]
-    for u2 in (0, 1):
-        for u3 in (0, 1):
-            w = float(p2[u2] * p3[u3])
-            u = (u2 + u3) % 2
-            pu[u] += w
-            if (f2[u2] + f3[u3]) % 2 == 1:
-                num[u] += w
-    w0 = num[0] / pu[0] if pu[0] > 0 else 0.0
-    w1 = num[1] / pu[1] if pu[1] > 0 else 0.0
-    w_tot = num[0] + num[1]
-    base = pu[0] * haf(w0) + pu[1] * haf(w1)
-    hu = hb(pu[1])
-    hmin = min(hb(float(p2[1])), hb(float(p3[1])))
-    return {
-        "r1_rhs": (pu[0] * haf(cv(p_on, w0)) + pu[1] * haf(cv(p_on, w1))
-                   - base),
-        "own2": hb(cv(q2, d2)) - hb(d2),
-        "own3": hb(cv(q3, d3)) - hb(d3),
-        "cross_rhs": haf(w_tot) - base - hu + hmin,
-        "sum_rhs": haf(cv(p_on, w_tot)) - base - hu + hmin,
-    }
 
 
 def boundary_slice(feasible_fn, r2_values, r3: float = 0.0,

@@ -448,19 +448,38 @@ class TestScan:
         assert res.best.p_u2 == (0.5, 0.5)
         assert res.best.f2 in ((0, 1), (1, 0))
 
-    def test_fast_and_generic_paths_agree(self, monkeypatch):
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_fast_and_generic_paths_agree(self, monkeypatch, refine):
         spec = ex2(0.5)
         fast_u = max_r1_scan(spec, 0.2, 0.1, evaluator="unstructured",
-                             denominator=4, refine=False)
+                             denominator=4, refine=refine)
         fast_t = max_r1_scan(spec, 0.2, 0.1, evaluator="thm1",
-                             denominator=4, refine=False)
+                             denominator=4, refine=refine)
         monkeypatch.setattr(rg, "_parity_gamma_form", lambda c: None)
         slow_u = max_r1_scan(spec, 0.2, 0.1, evaluator="unstructured",
-                             denominator=4, refine=False)
+                             denominator=4, refine=refine)
         slow_t = max_r1_scan(spec, 0.2, 0.1, evaluator="thm1",
-                             denominator=4, refine=False)
+                             denominator=4, refine=refine)
         assert abs(fast_u.r1_max - slow_u.r1_max) < 1e-9
         assert abs(fast_t.r1_max - slow_t.r1_max) < 1e-9
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    @pytest.mark.parametrize("evaluator", ["unstructured", "thm1"])
+    def test_scan_supremum_is_checker_boundary(self, monkeypatch, evaluator,
+                                               closed_form):
+        # the scan's R1 supremum and the checker read the same rate rows:
+        # the winning config is feasible just below r1_max, not above it
+        if not closed_form:
+            monkeypatch.setattr(rg, "_parity_gamma_form", lambda c: None)
+        spec = ex2(0.3)
+        check = (thm1_check if evaluator == "thm1"
+                 else unstructured_3to1_check)
+        res = max_r1_scan(spec, 0.2, 0.1, evaluator=evaluator,
+                          denominator=4)
+        assert math.isfinite(res.r1_max)
+        assert check(spec, res.best, (res.r1_max - 1e-7, 0.2, 0.1)).feasible
+        assert not check(spec, res.best,
+                         (res.r1_max + 1e-7, 0.2, 0.1)).feasible
 
     def test_refinement_reaches_off_grid_cost_cap(self):
         spec = ex2(0.3)
