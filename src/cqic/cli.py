@@ -155,6 +155,18 @@ class RunManifest:
         return d
 
 
+def _write_new(path: Path, text: str) -> None:
+    """Write ``text`` into a newly created file at ``path``.
+
+    An existing file is unlinked first instead of truncated: on ext4,
+    rewriting a truncated file forces its blocks out on close
+    (``auto_da_alloc``), which stalls repeated runs into one directory.
+    """
+    path.unlink(missing_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _emit(args, command: str, files: dict, t0: float, started: str) -> None:
     """Write the output files, then the single manifest describing them."""
     outdir = Path(args.out)
@@ -163,17 +175,14 @@ def _emit(args, command: str, files: dict, t0: float, started: str) -> None:
               if k != "func" and not k.startswith("_")}
     names = []
     for name, text in files.items():
-        with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_new(outdir / name, text)
         names.append(str(outdir / name))
     manifest = RunManifest(command=command, params=params,
                            seed=getattr(args, "seed", None),
                            tool_version=__version__, started_utc=started,
                            wall_clock_s=round(perf_counter() - t0, 6),
                            outputs=tuple(names))
-    with open(outdir / "manifest.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(_dump_json(manifest.to_json_dict()))
+    _write_new(outdir / "manifest.json", _dump_json(manifest.to_json_dict()))
 
 
 # ---------------------------------------------------------------------------
