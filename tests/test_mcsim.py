@@ -238,6 +238,20 @@ class TestRunEx1:
         again = run_ex1_sim(cfg, threads=1)
         assert one == four == again
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("decoder, err1", [("ml_joint", 4), ("sum_coset", 27)])
+    def test_blocklength_above_one_word_pinned(self, decoder, err1, threads):
+        # n = 70 spans two 64-bit words; counts and types were recorded
+        # with the int64 matmul decoder and must survive any repacking
+        cfg = SimConfig(n=70, coset_dims=(2, 1, 2), message_dims=(3, 3, 3),
+                        delta=(0.25, 0.38, 0.38), trials=30, rng_seed=70,
+                        decoder=decoder)
+        res = run_ex1_sim(cfg, threads=threads)
+        assert res.error_counts == (err1, 10, 13)
+        assert res.codeword_types == (0.5085714285714286, 0.5114285714285713,
+                                      0.4895238095238096)
+        assert res.bias_retries == 0
+
     def test_result_invariants_and_csv(self):
         cfg = SimConfig(n=10, coset_dims=(0, 0, 0), message_dims=(2, 3, 3),
                         delta=(0.05, 0.1, 0.1), trials=80, rng_seed=1)
