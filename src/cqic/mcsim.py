@@ -116,26 +116,50 @@ def _gf_rref(mat: np.ndarray, v: int):
 
 
 def _gf_rank(mat: np.ndarray, v: int) -> int:
-    return len(_gf_rref(mat, v)[1])
+    if v != 2:
+        return len(_gf_rref(mat, v)[1])
+    # XOR elimination on packed rows: each pivot is keyed by its leading bit
+    pivots = {}
+    for row in np.packbits(np.asarray(mat, dtype=np.int64) % 2, axis=1):
+        x = int.from_bytes(row.tobytes(), "big")
+        while x and x.bit_length() in pivots:
+            x ^= pivots[x.bit_length()]
+        if x:
+            pivots[x.bit_length()] = x
+    return len(pivots)
+
+
+def _coset_labels(g_i: np.ndarray, seqs: np.ndarray, v: int):
+    """Coset of rowspace(g_i) holding each row of the lex-ordered seqs.
+
+    A coset is numbered by its reduced form read at the non-pivot columns;
+    returns (labels, number of cosets).
+    """
+    n = seqs.shape[1]
+    rref, piv = _gf_rref(g_i, v)
+    rank = len(piv)
+    free = [c for c in range(n) if c not in set(piv)]
+    powers = v ** np.arange(len(free) - 1, -1, -1)
+
+    def label(x):
+        return ((x - x[:, piv] @ rref[:rank]) % v)[:, free] @ powers
+
+    if v != 2:
+        return label(seqs), v ** (n - rank)
+    # over F_2 the label is linear and seqs runs through F_2^n in lex
+    # order, so fold in one digit per step from the unit-vector labels
+    labels = np.zeros(1, dtype=np.int64)
+    for col in label(np.eye(n, dtype=np.int64)):
+        labels = (labels[:, None] ^ np.array([0, col])).reshape(-1)
+    return labels, 2 ** (n - rank)
 
 
 def _partition_tv(g_i: np.ndarray, seqs: np.ndarray, pn: np.ndarray, v: int) -> float:
     # Dither-averaged selected-codeword law: p^n conditioned on each coset
     # of rowspace(g_i), mixed uniformly over the positive-mass cosets (a
     # zero-mass coset triggers a dither resample, hence never appears).
-    n = seqs.shape[1]
-    rref, piv = _gf_rref(g_i, v)
-    rank = len(piv)
-    red = seqs
-    if rank:
-        red = (seqs - seqs[:, piv] @ rref[:rank]) % v
-    free = [c for c in range(n) if c not in set(piv)]
-    if free:
-        powers = v ** np.arange(len(free) - 1, -1, -1)
-        labels = red[:, free] @ powers
-    else:
-        labels = np.zeros(len(seqs), dtype=np.int64)
-    masses = np.bincount(labels, weights=pn, minlength=v ** (n - rank))
+    labels, cosets = _coset_labels(g_i, seqs, v)
+    masses = np.bincount(labels, weights=pn, minlength=cosets)
     shares = masses / masses.sum()
     pos = masses > 0.0
     return 0.5 * float(np.abs(shares[pos] - 1.0 / int(pos.sum())).sum())
@@ -306,10 +330,27 @@ def _draw_injective_pair(rng: np.random.Generator, n: int, dims) -> tuple[CodePa
     raise NumericalFailure("could not draw an injective code pair")
 
 
+def _pack(bits) -> np.ndarray:
+    """0/1 vectors along the last axis as zero-padded uint64 words."""
+    bits = np.asarray(bits)
+    words = -(-bits.shape[-1] // 64)
+    out = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
+    packed = np.packbits(bits, axis=-1)
+    out[..., :packed.shape[-1]] = packed
+    return out.view(np.uint64)
+
+
 def _all_codewords(code: NestedCosetCode) -> np.ndarray:
-    stack = np.vstack([code.g_i, code.g_oi])
-    t = _lex_tuples(code.modulus, code.k + code.l)
-    return (t @ stack + code.bias) % code.modulus
+    # binary codebook, packed, in lex order of (a, m) by XOR doubling: the
+    # last generator row flips the least significant index digit
+    rows = _pack(np.vstack([code.g_i, code.g_oi]))
+    out = np.empty((1 << len(rows), rows.shape[1]), dtype=np.uint64)
+    out[0] = _pack(code.bias)
+    h = 1
+    for g in rows[::-1]:
+        np.bitwise_xor(out[:h], g, out=out[h:2 * h])
+        h *= 2
+    return out
 
 
 def _digits_to_index(digits: np.ndarray, v: int) -> int:
@@ -319,16 +360,24 @@ def _digits_to_index(digits: np.ndarray, v: int) -> int:
     return out
 
 
+def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # bit distances between broadcast packed rows, one word at a time so
+    # the temporaries stay the size of the result
+    words = a.shape[-1]
+    dist = np.bitwise_count(a[..., 0] ^ b[..., 0]).astype(
+        np.min_scalar_type(64 * words), copy=False)
+    for w in range(1, words):
+        dist += np.bitwise_count(a[..., w] ^ b[..., w])
+    return dist
+
+
 def _ml_single(y: np.ndarray, codebook: np.ndarray) -> int:
-    return int(np.argmin(np.abs(codebook - y).sum(axis=1)))
+    return int(np.argmin(_hamming(codebook, y)))
 
 
 def _ml_joint_pair(y: np.ndarray, cb_own: np.ndarray, cb_sum: np.ndarray):
-    eff = (cb_own + y) % 2
-    dist = (eff.sum(axis=1)[:, None] + cb_sum.sum(axis=1)[None, :]
-            - 2 * (eff @ cb_sum.T))
-    flat = int(np.argmin(dist))
-    return flat // cb_sum.shape[0], flat % cb_sum.shape[0]
+    flat = int(np.argmin(_hamming((cb_own ^ y)[:, None], cb_sum[None])))
+    return divmod(flat, cb_sum.shape[0])
 
 
 def _shaped_dither(code: NestedCosetCode, m, p, rng: np.random.Generator):
@@ -371,9 +420,9 @@ def _ex1_trial(cfg: SimConfig, t: int):
     if not np.array_equal(s23, sum_codeword(pair, a2, m2, a3, m3)):
         raise NumericalFailure("sum of codewords left the predicted sum coset")
 
-    y1 = (x1 + s23 + (rng.random(n) < cfg.delta[0])) % 2
-    y2 = (x2 + (rng.random(n) < cfg.delta[1])) % 2
-    y3 = (x3 + (rng.random(n) < cfg.delta[2])) % 2
+    y1 = _pack((x1 + s23 + (rng.random(n) < cfg.delta[0])) % 2)
+    y2 = _pack((x2 + (rng.random(n) < cfg.delta[1])) % 2)
+    y3 = _pack((x3 + (rng.random(n) < cfg.delta[2])) % 2)
 
     cb1, cb2, cb3 = _all_codewords(code1), _all_codewords(pair.code2), _all_codewords(pair.code3)
     cbs = _all_codewords(sumc)
@@ -384,9 +433,9 @@ def _ex1_trial(cfg: SimConfig, t: int):
         i1, iw = _ml_joint_pair(y1, cb1, cbs)
     else:
         iw = _ml_single(y1, cbs)
-        i1 = _ml_single((y1 + cbs[iw]) % 2, cb1)
+        i1 = _ml_single(y1 ^ cbs[iw], cb1)
     err1 = (i1 % 2 ** l1 != _digits_to_index(m1, 2)
-            or not np.array_equal(cbs[iw], s23))
+            or not np.array_equal(cbs[iw], _pack(s23)))
 
     types = (float(x1.mean()), float(x2.mean()), float(x3.mean()))
     return (bool(err1), bool(err2), bool(err3)), types, retries

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cqic.errors import BudgetExceeded, DomainError, TooLarge, ZeroMassCoset
 from cqic.gfcoset import NestedCosetCode, index_tuples, random_nested_code
-from cqic.mcsim import (SimConfig, SimResult, likelihood_encode, run_ex1_sim,
-                        selection_probabilities, soft_covering_tv,
-                        wilson_interval)
+from cqic.mcsim import (SimConfig, SimResult, _all_codewords, _coset_labels,
+                        _gf_rank, _gf_rref, _ml_joint_pair, _ml_single, _pack,
+                        likelihood_encode, run_ex1_sim, selection_probabilities,
+                        soft_covering_tv, wilson_interval)
 
 
 def _f3_code():
@@ -105,29 +108,32 @@ class TestSoftCovering:
     def test_matches_every_dither_brute_force(self):
         # independent oracle: the same code draws, every dither b, and the
         # likelihood choice inside b + rowspace(G) enumerated message by
-        # message; full rank is judged by counting distinct codewords
-        n, p = 8, np.array([0.8, 0.2])
-        place = 2 ** np.arange(n - 1, -1, -1)
-        seqs = index_tuples(2, n)
-        target = np.zeros(2 ** n)
-        target[seqs @ place] = p[seqs].prod(axis=1)
-        for k in (1, 3, 5, 8):
-            master = np.random.default_rng(42)
-            total = 0.0
-            for _ in range(50):
-                while True:
-                    g = random_nested_code(n, k, 0, 2,
-                                           int(master.integers(0, 2 ** 63))).g_i
-                    words = (index_tuples(2, k) @ g) % 2
-                    if np.unique(words @ place).size == 2 ** k:
-                        break
-                cosets = (seqs[:, None, :] + words[None, :, :]) % 2
-                w = p[cosets].prod(axis=2)
-                law = np.zeros(2 ** n)
-                np.add.at(law, cosets @ place, w / w.sum(axis=1, keepdims=True))
-                total += 0.5 * np.abs(law / 2 ** n - target).sum()
-            got = soft_covering_tv(n, k, 2, tuple(p), 42, num_codes=50)
-            assert abs(got - total / 50) <= 1e-12
+        # message; full rank is judged by counting distinct codewords.
+        # Modulus 3 runs the label matmul, modulus 2 the label doubling.
+        for v, n, p, ks in ((2, 8, (0.8, 0.2), (1, 3, 5, 8)),
+                            (3, 5, (0.6, 0.3, 0.1), (1, 2, 4))):
+            p = np.array(p)
+            place = v ** np.arange(n - 1, -1, -1)
+            seqs = index_tuples(v, n)
+            target = np.zeros(v ** n)
+            target[seqs @ place] = p[seqs].prod(axis=1)
+            for k in ks:
+                master = np.random.default_rng(42)
+                total = 0.0
+                for _ in range(50):
+                    while True:
+                        g = random_nested_code(n, k, 0, v,
+                                               int(master.integers(0, 2 ** 63))).g_i
+                        words = (index_tuples(v, k) @ g) % v
+                        if np.unique(words @ place).size == v ** k:
+                            break
+                    cosets = (seqs[:, None, :] + words[None, :, :]) % v
+                    w = p[cosets].prod(axis=2)
+                    law = np.zeros(v ** n)
+                    np.add.at(law, cosets @ place, w / w.sum(axis=1, keepdims=True))
+                    total += 0.5 * np.abs(law / v ** n - target).sum()
+                got = soft_covering_tv(n, k, v, tuple(p), 42, num_codes=50)
+                assert abs(got - total / 50) <= 1e-12, (v, k)
 
     def test_enumeration_guard(self):
         with pytest.raises(TooLarge):
@@ -138,6 +144,85 @@ class TestSoftCovering:
             soft_covering_tv(4, 5, 2, (0.5, 0.5), 0)
         with pytest.raises(DomainError):
             soft_covering_tv(4, 2, 2, (0.5, 0.5), 0, num_codes=0)
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    bits = np.unpackbits(words.view(np.uint8), axis=-1).astype(np.int64)
+    assert not bits[..., n:].any()  # padding stays zero
+    return bits[..., :n]
+
+
+class TestPackedKernels:
+    """The packed GF(2) kernels against the int64 arithmetic they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 24), st.integers(1, 130), st.integers(0, 24),
+           st.integers(0, 2 ** 31 - 1))
+    @example(0, 5, 0, 0)
+    @example(24, 3, 24, 1)
+    @example(20, 130, 20, 2)
+    def test_rank_matches_rref(self, rows, cols, inner, seed):
+        # rank at most `inner`, plus a zero row and a repeated row
+        rng = np.random.default_rng(seed)
+        m = (rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols))) % 2
+        if rows >= 2:
+            m[rng.integers(rows)] = 0
+            m[rng.integers(rows)] = m[rng.integers(rows)]
+        assert _gf_rank(m, 2) == len(_gf_rref(m, 2)[1])
+
+    @pytest.mark.parametrize("n", [1, 12, 63, 64, 65, 130])
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 2 ** 31 - 1))
+    def test_codewords_match_matmul(self, n, k, l, seed):
+        code = random_nested_code(n, k, l, 2, seed)
+        stack = np.vstack([code.g_i, code.g_oi])
+        want = (index_tuples(2, k + l) @ stack + code.bias) % 2
+        assert np.array_equal(_unpack(_all_codewords(code), n), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 3, 12, 64, 65, 130, 257]), st.integers(0, 3),
+           st.integers(0, 3), st.integers(0, 4), st.integers(0, 2 ** 31 - 1))
+    @example(1, 2, 2, 2, 0)  # 16 hypotheses on one symbol: ties everywhere
+    def test_decoders_match_int64_argmin(self, n, k1, l1, ls, seed):
+        rng = np.random.default_rng(seed)
+        own = random_nested_code(n, k1, l1, 2, int(rng.integers(2 ** 63)))
+        sc = random_nested_code(n, 0, ls, 2, int(rng.integers(2 ** 63)))
+        cb_own, cb_sum = _all_codewords(own), _all_codewords(sc)
+        bits_own, bits_sum = _unpack(cb_own, n), _unpack(cb_sum, n)
+        y = rng.integers(0, 2, n)
+        assert _ml_single(_pack(y), cb_own) == int(
+            np.argmin(np.abs(bits_own - y).sum(axis=1)))
+        eff = (bits_own + y) % 2
+        dist = np.abs(eff[:, None, :] - bits_sum[None, :, :]).sum(axis=2)
+        assert _ml_joint_pair(_pack(y), cb_own, cb_sum) == divmod(
+            int(np.argmin(dist)), len(bits_sum))
+
+    def test_distances_past_255_bits(self):
+        # n = 300: the all-ones word sits 300 bits from y = 0, which a
+        # uint8 distance would wrap to 44, below the 100 of the other word
+        second = np.zeros(300, dtype=np.int64)
+        second[:100] = 1
+        code = NestedCosetCode(300, 0, 1, np.zeros((0, 300)), [second ^ 1],
+                               np.ones(300), 2)
+        zero = NestedCosetCode(300, 0, 0, np.zeros((0, 300)), np.zeros((0, 300)),
+                               np.zeros(300), 2)
+        y = _pack(np.zeros(300, dtype=np.int64))
+        assert _ml_single(y, _all_codewords(code)) == 1
+        assert _ml_joint_pair(y, _all_codewords(zero), _all_codewords(code)) == (0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 14), st.integers(0, 2 ** 31 - 1))
+    def test_binary_coset_labels_match_matmul(self, n, k, seed):
+        # k may exceed n, so singular generators are covered
+        g = random_nested_code(n, k, 0, 2, seed).g_i
+        seqs = index_tuples(2, n)
+        rref, piv = _gf_rref(g, 2)
+        free = [c for c in range(n) if c not in piv]
+        red = (seqs - seqs[:, piv] @ rref[:len(piv)]) % 2
+        want = red[:, free] @ 2 ** np.arange(len(free) - 1, -1, -1)
+        labels, cosets = _coset_labels(g, seqs, 2)
+        assert np.array_equal(labels, want)
+        assert cosets == 2 ** len(free)
 
 
 class TestWilsonInterval:
