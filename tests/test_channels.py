@@ -155,6 +155,27 @@ class TestCapacity:
         with pytest.raises(Unsupported):
             user_capacity_cost(spec, 0, 0.2)
 
+    @pytest.mark.parametrize("args,want", [
+        ((0.05, 0.1, 0.1, 0.25), ("0.5621512211786597", "0.5310044064107188",
+                                  "0.5310044064107188", "0.7136030428840439")),
+        ((0.1, 0.2, 0.15, 0.1), ("0.2110814521389985", "0.27807190511263774",
+                                 "0.3901596952835998", "0.5310044064107189")),
+    ])
+    def test_ex1_capacities_pinned(self, args, want):
+        # exact bits of the grid scan plus golden-section refinement
+        caps = example_capacities(build_ex1(*args))
+        assert tuple(repr(c) for c in (caps.c1, caps.c2, caps.c3,
+                                       caps.c1_free)) == want
+
+    @pytest.mark.parametrize("tau,want_c,want_p", [
+        (0.3, "0.03682889980308224", "0.3"),
+        (None, "0.04375781689063074", "0.49999997702623394"),
+    ])
+    def test_at_budget_capacity_pinned(self, tau, want_c, want_p):
+        spec = build_ex3(1.0, 0.1, 0.2, 0.3, 0.25, 0.15)
+        c, arg = user_capacity_cost(spec, 0, tau, others="at_budget")
+        assert (repr(c), repr(float(arg.probs[1]))) == (want_c, want_p)
+
     def test_hbf_strictly_increasing_on_lower_half(self):
         ts = np.arange(1e-3, 0.5, 1e-3)
         vals = binary_entropy_vec = [binary_entropy(fact1_f(t, 1.0)) for t in ts]

@@ -166,6 +166,34 @@ class TestEntropy:
             blk[i * d:(i + 1) * d, i * d:(i + 1) * d] = p * s.state_map[key]
         assert h1 == pytest.approx(von_neumann_entropy(blk), abs=1e-9)
 
+    @pytest.mark.parametrize("seed,d,rank,want_h,want_cmi", [
+        (4, 4, 2, ("1.4133500373863572", "2.195607180659321",
+                   "2.773041950950381", "3.0042137516175593"),
+         "0.2301900976784823"),
+        (8, 8, 3, ("1.9014800438703316", "2.6212131337339066",
+                   "3.159521362874627", "3.5988874434982945"),
+         "0.3289778851445071"),
+    ])
+    def test_rank_deficient_pinned(self, seed, d, rank, want_h, want_cmi):
+        # every output has rank `rank` inside one (rank+1)-dim subspace, so
+        # each averaged state is rank deficient: exact bits of the entropy
+        # sums, which depend on the order the eigenvalue terms are added
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        basis = q[:, :rank + 1]
+        smap = {}
+        for key in np.ndindex(2, 2, 2):
+            g = rng.normal(size=(rank + 1, rank)) + 1j * rng.normal(size=(rank + 1, rank))
+            rho = basis @ (g @ g.conj().T) @ basis.conj().T
+            smap[key] = rho / np.trace(rho).real
+        s = CqState([("A", 2), ("B", 2), ("C", 2)], rng.dirichlet(np.ones(8)), smap)
+        got = tuple(repr(entropy(s, EntropyQuery(sub, True)))
+                    for sub in ((), ("A",), ("A", "B"), ("A", "B", "C")))
+        assert got == want_h
+        cmi = conditional_mutual_info(s, EntropyQuery({"A"}), EntropyQuery((), True),
+                                      EntropyQuery({"B"}))
+        assert repr(cmi) == want_cmi
+
     @pytest.mark.parametrize("seed", range(8))
     def test_monotone_under_discard(self, seed):
         s = random_cq_state(seed, n_regs=3)
