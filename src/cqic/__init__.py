@@ -12,8 +12,8 @@ from .channels import (Capacities, ChannelSpec, CostVector, build_ex1,
 from .config import DEFAULT_TOL, Tolerances, active_tolerances
 from .gfcoset import (CodePair, NestedCosetCode, enumerate_coset,
                       random_code_pair, random_nested_code, sum_code)
-from .linalg import (eig_hermitian, operator_norm, partial_trace, tensor,
-                     trace_norm)
+from .linalg import (eig_hermitian, eigvals_hermitian, operator_norm,
+                     partial_trace, tensor, trace_norm)
 from .lp import feasible_point
 from .mcsim import (SimConfig, SimResult, likelihood_encode, run_ex1_sim,
                     selection_probabilities, soft_covering_tv,
@@ -27,7 +27,8 @@ from .regions import (InequalityRecord, RateAllocation, RegionReport,
                       unstructured_3to1_check)
 from .states import (CqState, DensityOperator, EntropyQuery, Pmf,
                      binary_convolve, binary_entropy, conditional_mutual_info,
-                     entropy, fact1_f, von_neumann_entropy)
+                     entropy, fact1_f, von_neumann_entropies,
+                     von_neumann_entropy)
 from .tiltlab import (TiltSpace, TiltedState, closeness, closeness_chain,
                       embed_vector, four_user_omega,
                       four_user_smoothing_report, four_user_tilt_report,
@@ -37,9 +38,11 @@ from .verify import CriterionResult, run_criteria
 
 __all__ = [
     "DEFAULT_TOL", "Tolerances", "active_tolerances",
-    "eig_hermitian", "tensor", "partial_trace", "trace_norm", "operator_norm",
+    "eig_hermitian", "eigvals_hermitian", "tensor", "partial_trace",
+    "trace_norm", "operator_norm",
     "DensityOperator", "Pmf", "CqState", "EntropyQuery",
     "entropy", "conditional_mutual_info", "von_neumann_entropy",
+    "von_neumann_entropies",
     "binary_entropy", "binary_convolve", "fact1_f",
     "NestedCosetCode", "CodePair", "sum_code", "enumerate_coset",
     "random_nested_code", "random_code_pair",

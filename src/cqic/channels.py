@@ -19,7 +19,7 @@ from .errors import (ConfigMismatch, DomainError, Unsupported)
 from .linalg import eig_hermitian, operator_norm, partial_trace, tensor_all
 from .states import (CqState, DensityOperator, EntropyQuery, Pmf,
                      binary_convolve, binary_entropy, fact1_f, shannon_entropy,
-                     von_neumann_entropy)
+                     von_neumann_entropies, von_neumann_entropy)
 
 
 def sigma_state(delta: float, x: int) -> np.ndarray:
@@ -317,14 +317,16 @@ def user_capacity_cost(spec: ChannelSpec, j: int, tau: float | None,
         if c1 > c0:
             upper = min(0.5, (tau - c0) / (c1 - c0))
     rho0, rho1 = interference_free_family(spec, j, others)
-    h0, h1 = von_neumann_entropy(rho0), von_neumann_entropy(rho1)
+    h0, h1 = von_neumann_entropies(np.array([rho0, rho1])).tolist()
 
     def info(p):
         return _binary_mutual_info(rho0, rho1, p, h0, h1)
 
     npts = max(2, int(np.ceil(upper / grid)) + 1)
     ps = np.linspace(0.0, upper, npts)
-    vals = [info(p) for p in ps]
+    # the grid as one stack: per element the same operations as info(p)
+    avg = (1.0 - ps)[:, None, None] * rho0 + ps[:, None, None] * rho1
+    vals = von_neumann_entropies(avg) - (1.0 - ps) * h0 - ps * h1
     best = int(np.argmax(vals))
     lo = ps[max(0, best - 1)]
     hi = ps[min(npts - 1, best + 1)]

@@ -13,9 +13,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .config import active_tolerances
-from .errors import (DomainError, InvalidState, OverlappingQueries,
-                     UnknownRegister)
-from .linalg import eig_hermitian
+from .errors import (DomainError, InvalidState, NotHermitian,
+                     OverlappingQueries, UnknownRegister)
+from .linalg import eig_hermitian, eigvals_hermitian
 
 LOG2 = np.log(2.0)
 
@@ -88,20 +88,30 @@ class DensityOperator:
         return self.mat.shape[0]
 
 
-def von_neumann_entropy(rho) -> float:
-    """-sum lambda_i log2 lambda_i, eigenvalues below the floor clamped to 0.
+def von_neumann_entropies(rhos) -> np.ndarray:
+    """-sum lambda_i log2 lambda_i of each state in a stack ``(..., d, d)``.
 
     Eigenvalues in [-psd_tol, eig_floor] are treated as exact zeros
     (numerical drift from tensor / partial-trace chains); anything more
-    negative raises InvalidState.
+    negative raises InvalidState.  Each row is summed by
+    :func:`shannon_entropy` over its positive eigenvalues in descending
+    order, so it is bit for bit the single-state value.
     """
     tol = active_tolerances()
-    arr = np.asarray(getattr(rho, "mat", rho), dtype=complex)
-    w, _ = eig_hermitian(arr)
-    if float(w.min()) < -tol.psd:
+    w = eigvals_hermitian(getattr(rhos, "mat", rhos))
+    if w.size and float(w.min()) < -tol.psd:
         raise InvalidState(f"eigenvalue {w.min()} below -{tol.psd}")
     w = np.where(w < tol.eig_floor, 0.0, w)
-    return shannon_entropy(w)
+    rows = w.reshape(-1, w.shape[-1])
+    return np.array([shannon_entropy(r) for r in rows]).reshape(w.shape[:-1])
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy of one state: the one-row case of :func:`von_neumann_entropies`."""
+    arr = np.asarray(getattr(rho, "mat", rho), dtype=complex)
+    if arr.ndim != 2:
+        raise NotHermitian(f"expected a square matrix, got shape {arr.shape}")
+    return float(von_neumann_entropies(arr))
 
 
 @dataclass(frozen=True)
@@ -241,8 +251,10 @@ def entropy(state: CqState, q: EntropyQuery) -> float:
     marg = state.marginal(q.classical_subset)
     h = shannon_entropy(marg)
     if q.include_quantum:
-        for _, w, rho in state.conditional_average_states(q.classical_subset):
-            h += w * von_neumann_entropy(rho)
+        conds = list(state.conditional_average_states(q.classical_subset))
+        ents = von_neumann_entropies(np.array([rho for _, _, rho in conds]))
+        for (_, w, _), s in zip(conds, ents.tolist()):
+            h += w * s
     return h
 
 

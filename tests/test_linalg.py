@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqic.errors import DimensionMismatch, InvalidState, NotHermitian
-from cqic.linalg import (eig_hermitian, operator_norm, partial_trace,
-                         singular_values, tensor, tensor_all, trace_norm)
+from cqic.linalg import (eig_hermitian, eigvals_hermitian, operator_norm,
+                         partial_trace, singular_values, tensor, tensor_all,
+                         trace_norm)
 from cqic.states import DensityOperator
 
 
@@ -61,6 +64,73 @@ class TestEigHermitian:
         w, v = eig_hermitian(h)
         assert np.allclose(w, [0.5, 0.5, 0.0])
         assert np.abs(v @ np.diag(w) @ v.conj().T - h).max() < 1e-12
+
+
+def ranked_hermitian_stack(d, seed, copies):
+    """Shuffled stack of signed Hermitian matrices of ranks 1, d//2, d-1, d."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for rank in (1, d // 2, d - 1, d):
+        for _ in range(copies):
+            g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            signs = rng.choice([-1.0, 1.0], size=rank)
+            mats.append((g * signs) @ g.conj().T)
+    return np.array([mats[i] for i in rng.permutation(len(mats))])
+
+
+class TestEigvalsHermitian:
+    @pytest.mark.parametrize("d", range(1, 33))
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 3),
+           lead=st.sampled_from([(-1,), (1, -1)]))
+    def test_bit_equal_to_eig_hermitian(self, d, seed, copies, lead):
+        stack = ranked_hermitian_stack(d, seed, copies)
+        want = np.array([eig_hermitian(m)[0] for m in stack])
+        got = eigvals_hermitian(stack.reshape(lead + (d, d)))
+        assert got.shape == lead[:-1] + (len(stack), d)
+        assert got.reshape(-1, d).tobytes() == want.tobytes()
+
+    def test_single_matrix(self):
+        h = random_hermitian(5, 31)
+        assert eigvals_hermitian(h).tobytes() == eig_hermitian(h)[0].tobytes()
+
+    def test_empty_stack(self):
+        assert eigvals_hermitian(np.zeros((0, 2, 2))).shape == (0, 2)
+
+    def test_one_non_hermitian_matrix_rejected(self):
+        stack = np.array([random_hermitian(3, s) for s in range(5)])
+        stack[3, 0, 2] += 1e-3
+        with pytest.raises(NotHermitian):
+            eigvals_hermitian(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 0), (4, 2, 2)])
+    def test_non_finite_anywhere_rejected(self, bad, where):
+        stack = np.array([random_hermitian(3, s) for s in range(5)])
+        stack[where] = bad
+        with pytest.raises(NotHermitian):
+            eigvals_hermitian(stack)
+
+    def test_tolerance_scale_is_per_matrix(self):
+        # 1e-7 of asymmetry fails 1e-9 * max(1, 0.5) but would pass a scale
+        # taken from the 1e6-norm neighbour
+        small = np.diag([0.5, 0.5]).astype(complex)
+        small[0, 1] = 1e-7
+        big = 1e6 * random_hermitian(2, 41)
+        eigvals_hermitian(big)
+        with pytest.raises(NotHermitian):
+            eigvals_hermitian(small)
+        with pytest.raises(NotHermitian):
+            eigvals_hermitian(np.array([big, small]))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(NotHermitian):
+            eigvals_hermitian(np.zeros(shape))
+
+    def test_eig_hermitian_still_takes_one_matrix(self):
+        with pytest.raises(NotHermitian):
+            eig_hermitian(np.array([np.eye(2), np.eye(2)]))
 
 
 class TestTensor:

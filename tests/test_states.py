@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqic.config import DEFAULT_TOL
 from cqic.errors import (DomainError, InvalidState, OverlappingQueries,
                          UnknownRegister)
+from cqic.linalg import eig_hermitian
 from cqic.states import (CqState, DensityOperator, EntropyQuery, Pmf,
                          binary_convolve, binary_entropy,
                          conditional_mutual_info, entropy, fact1_f,
-                         shannon_entropy, von_neumann_entropy)
+                         shannon_entropy, von_neumann_entropies,
+                         von_neumann_entropy)
 
 HB_01 = 0.4689955935892812  # -0.1 log2 0.1 - 0.9 log2 0.9, frozen by hand
 
@@ -110,6 +113,54 @@ class TestVonNeumannEntropy:
     def test_invalid_state(self):
         with pytest.raises(InvalidState):
             von_neumann_entropy(np.diag([1.1, -0.1]))
+
+
+def ranked_state_stack(d, seed, copies):
+    """Shuffled stack of density operators of ranks 1, d//2, d-1, d."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for rank in (1, d // 2, d - 1, d):
+        for _ in range(copies):
+            k = max(1, rank)
+            g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+            rho = g @ g.conj().T
+            mats.append(rho / np.trace(rho).real)
+    return np.array([mats[i] for i in rng.permutation(len(mats))])
+
+
+def single_state_entropy(rho):
+    # the per-matrix formula the batched entropies must reproduce bit for bit
+    w, _ = eig_hermitian(rho)
+    assert float(w.min()) >= -DEFAULT_TOL.psd
+    return shannon_entropy(np.where(w < DEFAULT_TOL.eig_floor, 0.0, w))
+
+
+class TestVonNeumannEntropies:
+    @pytest.mark.parametrize("d", range(1, 33))
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 3),
+           lead=st.sampled_from([(-1,), (1, -1)]))
+    def test_bit_equal_to_single_state_formula(self, d, seed, copies, lead):
+        stack = ranked_state_stack(d, seed, copies)
+        want = np.array([single_state_entropy(m) for m in stack])
+        got = von_neumann_entropies(stack.reshape(lead + (d, d)))
+        assert got.shape == lead[:-1] + (len(stack),)
+        assert got.ravel().tobytes() == want.tobytes()
+        assert np.array([von_neumann_entropy(m) for m in stack]).tobytes() \
+            == want.tobytes()
+
+    def test_empty_stack(self):
+        assert von_neumann_entropies(np.zeros((0, 2, 2))).shape == (0,)
+
+    def test_one_negative_row_rejected(self):
+        stack = np.array([np.eye(2) / 2, np.diag([1.1, -0.1]), np.eye(2) / 2])
+        with pytest.raises(InvalidState):
+            von_neumann_entropies(stack)
+
+    def test_clamp_window_per_row(self):
+        stack = np.array([np.diag([1.0 + 5e-10, -5e-10]), np.eye(2) / 2])
+        assert von_neumann_entropies(stack).tolist() == pytest.approx([0.0, 1.0],
+                                                                      abs=1e-9)
 
 
 class TestPmf:
