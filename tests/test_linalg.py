@@ -123,6 +123,13 @@ class TestEigvalsHermitian:
         with pytest.raises(NotHermitian):
             eigvals_hermitian(np.array([big, small]))
 
+    def test_tolerance_scale_floor_of_one(self):
+        # 8e-10 of asymmetry passes 1e-9 * max(1, 0.5), not 1e-9 * 0.5
+        small = np.diag([0.5, 0.5]).astype(complex)
+        small[0, 1] = 8e-10
+        assert eigvals_hermitian(np.array([small, small])).shape == (2, 2)
+        assert eig_hermitian(small)[0].shape == (2,)
+
     @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 2, 3)])
     def test_non_square_rejected(self, shape):
         with pytest.raises(NotHermitian):
