@@ -55,9 +55,11 @@ def fact1_f(t: float, phi: float) -> float:
 
 
 def shannon_entropy(probs: np.ndarray) -> float:
+    """-sum p log2 p over the positive entries; a point mass gives 0.0."""
     p = np.asarray(probs, dtype=float).ravel()
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+    # 0.0 - s, not -s: a sum of zeros must not come out as -0.0
+    return float(0.0 - np.sum(p * np.log2(p)))
 
 
 @dataclass(frozen=True)

@@ -297,3 +297,10 @@ class TestConditionalMutualInfo:
 
 def test_shannon_entropy_ignores_zeros():
     assert shannon_entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(1.0)
+
+
+def test_point_mass_entropies_are_positive_zero():
+    # -sum over a point mass's lone 1*log2(1) term would be -0.0
+    assert repr(shannon_entropy([1.0])) == "0.0"
+    assert repr(Pmf([1.0, 0.0]).entropy()) == "0.0"
+    assert repr(von_neumann_entropy(np.diag([1.0, 0.0]))) == "0.0"
