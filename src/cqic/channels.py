@@ -95,6 +95,7 @@ class ChannelSpec:
             self.states[x] = op.mat
         self.budget = budget
         self._reduced: dict = {}
+        self._tables: dict = {}
 
     def reduced(self, j: int, x) -> np.ndarray:
         """rho^{Y_j}_x, cached."""
@@ -103,6 +104,17 @@ class ChannelSpec:
             self._reduced[key] = partial_trace(self.states[key[1]],
                                                self.output_dims, {j})
         return self._reduced[key]
+
+    def reduced_table(self, j: int) -> np.ndarray:
+        """Every rho^{Y_j}_x in one ``(|X1|, |X2|, |X3|, d, d)`` array."""
+        if j not in self._tables:
+            n = self.input_sizes
+            d = self.output_dims[j]
+            table = np.array([self.reduced(j, x) for x in np.ndindex(*n)])
+            table = table.reshape(n + (d, d))
+            table.setflags(write=False)
+            self._tables[j] = table
+        return self._tables[j]
 
     def to_json_dict(self) -> dict:
         rows = []

@@ -33,20 +33,15 @@ import numpy as np
 
 from .channels import ChannelSpec, CostVector, gamma_state, sigma_state
 from .config import ENUMERATION_CAP, active_tolerances
+from .direct import direct_bounds
 from .errors import (BudgetExceeded, ConfigMismatch, DomainError, Not3to1,
                      Unsupported)
 from .gfcoset import _check_modulus
 from .linalg import operator_norm
 from .lp import feasible_point
-from .states import (CqState, EntropyQuery, Pmf, conditional_mutual_info,
-                     entropy, shannon_entropy)
+from .states import CqState, EntropyQuery, Pmf, entropy, shannon_entropy
 
 _OTHERS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-_Y = EntropyQuery((), True)
-
-
-def _eq(*names):
-    return EntropyQuery(names)
 
 
 # ---------------------------------------------------------------------------
@@ -256,38 +251,9 @@ def _thm1_bounds(channel: ChannelSpec, cfg: Thm1Config):
     if any(not 0 <= x < sizes[1] for x in f2) or any(not 0 <= x < sizes[2] for x in f3):
         raise ConfigMismatch("symbol map value outside the channel input alphabet")
 
-    p1, p2, p3 = px1.probs, pu2.probs, pu3.probs
-    points = [((u2, u3, x1), p2[u2] * p3[u3] * p1[x1], (x1, f2[u2], f3[u3]))
-              for u2 in range(v) for u3 in range(v)
-              for x1 in range(sizes[0])]
-    st1 = _receiver_state(channel, 0, (("U", v), ("X1", sizes[0])),
-                          [(((u2 + u3) % v, x1), p, x)
-                           for (u2, u3, x1), p, x in points])
-    st2 = _receiver_state(channel, 1, (("U2", v),),
-                          [(key[:1], p, x) for key, p, x in points])
-    st3 = _receiver_state(channel, 2, (("U3", v),),
-                          [(key[1:2], p, x) for key, p, x in points])
-
-    p_u = np.zeros(v)
-    for u2 in range(v):
-        for u3 in range(v):
-            p_u[(u2 + u3) % v] += p2[u2] * p3[u3]
-    h_u = shannon_entropy(p_u)
-    h_min = min(pu2.entropy(), pu3.entropy())
-
-    k1, k2, k3 = channel.costs
-    return {
-        "r1_rhs": conditional_mutual_info(st1, _eq("X1"), _Y, _eq("U")),
-        "own2": conditional_mutual_info(st2, _eq("U2"), _Y),
-        "own3": conditional_mutual_info(st3, _eq("U3"), _Y),
-        "cross_rhs": conditional_mutual_info(st1, _eq("U"), _Y, _eq("X1"))
-                     - h_u + h_min,
-        "sum_rhs": conditional_mutual_info(st1, _eq("U", "X1"), _Y)
-                   - h_u + h_min,
-        "e1": float(p1 @ k1),
-        "e2": float(sum(p2[u] * k2[f2[u]] for u in range(v))),
-        "e3": float(sum(p3[u] * k3[f3[u]] for u in range(v))),
-    }
+    b = direct_bounds(channel, "thm1", [px1.probs], [(pu2.probs, f2)],
+                       [(pu3.probs, f3)])
+    return {name: float(v[0, 0, 0]) for name, v in b.items()}
 
 
 def thm1_check(channel: ChannelSpec, cfg: Thm1Config, rates,
@@ -352,41 +318,9 @@ def _unstructured_bounds(channel: ChannelSpec, cfg: UnstructuredConfig):
                 f"p_u{j + 1}x{j + 1} must be a (m, {sizes[j]}) table, got {t.shape}")
         Pmf(t.ravel())  # normalization / positivity check
         joints.append(t)
-    j2, j3 = joints
-    m2, m3 = j2.shape[0], j3.shape[0]
-    pu2, pu3 = j2.sum(axis=1), j3.sum(axis=1)
-    p1 = px1.probs
-
-    points = [((u2, x2, u3, x3, x1), j2[u2, x2] * j3[u3, x3] * p1[x1],
-               (x1, x2, x3))
-              for u2, x2 in np.ndindex(m2, sizes[1])
-              for u3, x3 in np.ndindex(m3, sizes[2])
-              for x1 in range(sizes[0])]
-    # receiver 1: registers (U2, U3, X1), inputs of users 2/3 averaged out
-    st1 = _receiver_state(channel, 0,
-                          (("U2", m2), ("U3", m3), ("X1", sizes[0])),
-                          [((u2, u3, x1), p, x)
-                           for (u2, _, u3, _, x1), p, x in points])
-    # receivers 2/3: registers (U_j, X_j)
-    st2 = _receiver_state(channel, 1, (("U2", m2), ("X2", sizes[1])),
-                          [(key[:2], p, x) for key, p, x in points])
-    st3 = _receiver_state(channel, 2, (("U3", m3), ("X3", sizes[2])),
-                          [(key[2:4], p, x) for key, p, x in points])
-
-    k1, k2, k3 = channel.costs
-    return {
-        "r1_rhs": conditional_mutual_info(st1, _eq("X1"), _Y, _eq("U2", "U3")),
-        "pair2": conditional_mutual_info(st1, _eq("U2", "X1"), _Y, _eq("U3")),
-        "pair3": conditional_mutual_info(st1, _eq("U3", "X1"), _Y, _eq("U2")),
-        "total1": conditional_mutual_info(st1, _eq("U2", "U3", "X1"), _Y),
-        "own2": conditional_mutual_info(st2, _eq("U2", "X2"), _Y),
-        "own3": conditional_mutual_info(st3, _eq("U3", "X3"), _Y),
-        "refine2": conditional_mutual_info(st2, _eq("X2"), _Y, _eq("U2")),
-        "refine3": conditional_mutual_info(st3, _eq("X3"), _Y, _eq("U3")),
-        "e1": float(p1 @ k1),
-        "e2": float(j2.sum(axis=0) @ k2),
-        "e3": float(j3.sum(axis=0) @ k3),
-    }
+    b = direct_bounds(channel, "unstructured", [px1.probs], joints[:1],
+                       joints[1:])
+    return {name: float(v[0, 0, 0]) for name, v in b.items()}
 
 
 def unstructured_3to1_check(channel: ChannelSpec, cfg: UnstructuredConfig,
@@ -1019,16 +953,14 @@ def _closed_bounds(form, evaluator, p1v, g2, g3):
     return b
 
 
-def _grid_bounds(channel, evaluator, field_size, p1s, g2, g3):
+def _grid_bounds(channel, evaluator, p1s, g2, g3):
     """Direct bound values over the config product, one array per key."""
-    bounds = (_unstructured_bounds if evaluator == "unstructured"
-              else _thm1_bounds)
-    vals = [bounds(channel, _materialize(evaluator, channel, field_size,
-                                         p1, c2, c3))
-            for p1 in p1s for c2 in g2 for c3 in g3]
-    shape = (len(p1s), len(g2), len(g3))
-    return {k: np.array([v[k] for v in vals]).reshape(shape)
-            for k in vals[0]}
+    if evaluator == "unstructured":
+        users = [[_map_table(channel, j, c[0], c[1]) for c in grid]
+                 for j, grid in ((1, g2), (2, g3))]
+    else:
+        users = [[(c[0], c[1]) for c in grid] for grid in (g2, g3)]
+    return direct_bounds(channel, evaluator, p1s, *users)
 
 
 def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
@@ -1043,8 +975,10 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     rows; the scan keeps the best config (first in enumeration order on
     ties) and then zooms the user-1 input probability around it.
     Channels in the plane-rotation/flip family take their bound values
-    from vectorized closed forms; everything else from the generic
-    entropy engine (identical values, sampled in the tests).
+    from vectorized closed forms; everything else from the batched
+    engine of :mod:`cqic.direct`, which evaluates the grid in blocks of
+    configs, bit for bit as the checkers evaluate one config (the two
+    sources agree to 1e-12 on every bound value, checked in the tests).
     """
     tol = active_tolerances()
     r2, r3 = float(r2), float(r3)
@@ -1088,8 +1022,7 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
             b = _closed_bounds(form, evaluator, [p[1] for p in p1_list],
                                g2_list, g3_list)
         else:
-            b = _grid_bounds(channel, evaluator, field_size, p1_list,
-                             g2_list, g3_list)
+            b = _grid_bounds(channel, evaluator, p1_list, g2_list, g3_list)
         return _r1_sup(rows, b, r2, r3, tol.rate)
 
     best_val, best_cfg = -math.inf, None
@@ -1125,16 +1058,19 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
                       float(grid_value))
 
 
+def _map_table(channel, j, p, f):
+    """Joint (cloud, input) table of user j sending f[u] for cloud u."""
+    tab = np.zeros((len(p), channel.input_sizes[j]))
+    for u in range(len(p)):
+        tab[u, f[u]] = p[u]
+    return tab
+
+
 def _materialize(evaluator, channel, field_size, p1, c2, c3):
-    sizes = channel.input_sizes
     if evaluator == "unstructured":
-        tabs = []
-        for j, (p, f, _, _) in ((1, c2), (2, c3)):
-            tab = np.zeros((len(p), sizes[j]))
-            for u in range(len(p)):
-                tab[u, f[u]] = p[u]
-            tabs.append(tab)
-        return UnstructuredConfig(np.asarray(p1, dtype=float), tabs[0], tabs[1])
+        return UnstructuredConfig(np.asarray(p1, dtype=float),
+                                  _map_table(channel, 1, c2[0], c2[1]),
+                                  _map_table(channel, 2, c3[0], c3[1]))
     return Thm1Config(field_size, tuple(np.asarray(p1, dtype=float)),
                       tuple(c2[0]), tuple(c3[0]), tuple(c2[1]), tuple(c3[1]))
 

@@ -1,19 +1,26 @@
-"""Direct inner bounds (Thm 1 and the unstructured bound) on fixed inputs.
+"""Direct inner bounds (Thm 1 and the unstructured bound).
 
-The scan and checker values below were recorded from the per-config
-evaluation; any engine that computes the direct bounds must reproduce
-them bit for bit (``repr`` equality).
+The batched engine in :mod:`cqic.direct` must give bit for bit the
+values of the per-config evaluation: one ``CqState`` per receiver and
+``conditional_mutual_info`` per bound.  That evaluation is kept here as
+the oracle.  The pinned scan and checker values below were recorded
+from it.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cqic import direct
 from cqic import regions as rg
 from cqic.channels import build_ex1, build_ex2, build_ex3
 from cqic.regions import (Thm1Config, UnstructuredConfig, max_r1_scan,
                           thm1_check, unstructured_3to1_check)
+from cqic.states import (EntropyQuery, Pmf, conditional_mutual_info,
+                         shannon_entropy)
 
 
 def ex1():
@@ -209,3 +216,255 @@ def test_checker_reprs_pinned(case):
     rep = check(build(), cfg, rates)
     got = [(r.label, repr(r.lhs), repr(r.rhs)) for r in rep.records]
     assert got == CHECK_PINS[case]
+
+
+# ---------------------------------------------------------------------------
+# the per-config oracle
+
+_Y = EntropyQuery((), True)
+
+
+def _eq(*names):
+    return EntropyQuery(names)
+
+
+def oracle_thm1(channel, cfg):
+    v = int(cfg.field_size)
+    sizes = channel.input_sizes
+    px1, pu2, pu3 = Pmf(cfg.p_x1), Pmf(cfg.p_u2), Pmf(cfg.p_u3)
+    f2 = tuple(int(x) for x in cfg.f2)
+    f3 = tuple(int(x) for x in cfg.f3)
+    p1, p2, p3 = px1.probs, pu2.probs, pu3.probs
+    points = [((u2, u3, x1), p2[u2] * p3[u3] * p1[x1], (x1, f2[u2], f3[u3]))
+              for u2 in range(v) for u3 in range(v)
+              for x1 in range(sizes[0])]
+    st1 = rg._receiver_state(channel, 0, (("U", v), ("X1", sizes[0])),
+                             [(((u2 + u3) % v, x1), p, x)
+                              for (u2, u3, x1), p, x in points])
+    st2 = rg._receiver_state(channel, 1, (("U2", v),),
+                             [(key[:1], p, x) for key, p, x in points])
+    st3 = rg._receiver_state(channel, 2, (("U3", v),),
+                             [(key[1:2], p, x) for key, p, x in points])
+    p_u = np.zeros(v)
+    for u2 in range(v):
+        for u3 in range(v):
+            p_u[(u2 + u3) % v] += p2[u2] * p3[u3]
+    h_u = shannon_entropy(p_u)
+    h_min = min(pu2.entropy(), pu3.entropy())
+    k1, k2, k3 = channel.costs
+    return {
+        "r1_rhs": conditional_mutual_info(st1, _eq("X1"), _Y, _eq("U")),
+        "own2": conditional_mutual_info(st2, _eq("U2"), _Y),
+        "own3": conditional_mutual_info(st3, _eq("U3"), _Y),
+        "cross_rhs": conditional_mutual_info(st1, _eq("U"), _Y, _eq("X1"))
+                     - h_u + h_min,
+        "sum_rhs": conditional_mutual_info(st1, _eq("U", "X1"), _Y)
+                   - h_u + h_min,
+        "e1": float(p1 @ k1),
+        "e2": float(sum(p2[u] * k2[f2[u]] for u in range(v))),
+        "e3": float(sum(p3[u] * k3[f3[u]] for u in range(v))),
+    }
+
+
+def oracle_unstructured(channel, cfg):
+    sizes = channel.input_sizes
+    p1 = Pmf(cfg.p_x1).probs
+    j2 = np.asarray(cfg.p_u2x2, dtype=float)
+    j3 = np.asarray(cfg.p_u3x3, dtype=float)
+    m2, m3 = j2.shape[0], j3.shape[0]
+    points = [((u2, x2, u3, x3, x1), j2[u2, x2] * j3[u3, x3] * p1[x1],
+               (x1, x2, x3))
+              for u2, x2 in np.ndindex(m2, sizes[1])
+              for u3, x3 in np.ndindex(m3, sizes[2])
+              for x1 in range(sizes[0])]
+    st1 = rg._receiver_state(channel, 0,
+                             (("U2", m2), ("U3", m3), ("X1", sizes[0])),
+                             [((u2, u3, x1), p, x)
+                              for (u2, _, u3, _, x1), p, x in points])
+    st2 = rg._receiver_state(channel, 1, (("U2", m2), ("X2", sizes[1])),
+                             [(key[:2], p, x) for key, p, x in points])
+    st3 = rg._receiver_state(channel, 2, (("U3", m3), ("X3", sizes[2])),
+                             [(key[2:4], p, x) for key, p, x in points])
+    k1, k2, k3 = channel.costs
+    return {
+        "r1_rhs": conditional_mutual_info(st1, _eq("X1"), _Y,
+                                          _eq("U2", "U3")),
+        "pair2": conditional_mutual_info(st1, _eq("U2", "X1"), _Y,
+                                         _eq("U3")),
+        "pair3": conditional_mutual_info(st1, _eq("U3", "X1"), _Y,
+                                         _eq("U2")),
+        "total1": conditional_mutual_info(st1, _eq("U2", "U3", "X1"), _Y),
+        "own2": conditional_mutual_info(st2, _eq("U2", "X2"), _Y),
+        "own3": conditional_mutual_info(st3, _eq("U3", "X3"), _Y),
+        "refine2": conditional_mutual_info(st2, _eq("X2"), _Y, _eq("U2")),
+        "refine3": conditional_mutual_info(st3, _eq("X3"), _Y, _eq("U3")),
+        "e1": float(p1 @ k1),
+        "e2": float(j2.sum(axis=0) @ k2),
+        "e3": float(j3.sum(axis=0) @ k3),
+    }
+
+
+def _reprs(bounds):
+    return [(k, repr(float(v))) for k, v in bounds.items()]
+
+
+def _outcome(fn, *args):
+    """Bound reprs, or the error raised (subnormal masses overflow 1/p)."""
+    try:
+        return _reprs(fn(*args))
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__
+
+
+# ---------------------------------------------------------------------------
+# random channels and configs
+
+_rates = st.floats(0.05, 0.45)
+
+
+@st.composite
+def channels(draw):
+    family = draw(st.sampled_from(("ex1", "ex2", "ex3")))
+    if family == "ex1":
+        return build_ex1(draw(_rates), draw(_rates), draw(_rates),
+                         draw(st.floats(0.1, 0.5)))
+    phi = draw(st.floats(0.2, 1.5))
+    if family == "ex2":
+        return build_ex2(phi, draw(_rates), draw(_rates),
+                         draw(st.floats(0.1, 0.5)))
+    return build_ex3(phi, draw(_rates), draw(_rates),
+                     *(draw(st.floats(0.1, 0.45)) for _ in range(3)))
+
+
+@st.composite
+def pmfs(draw, n, zeros=True):
+    """Pmfs on n atoms; some atoms may get exactly zero mass."""
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if zeros:
+        w = w * np.array(draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)))
+    if w.sum() <= 1e-3:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return w / w.sum()
+
+
+@st.composite
+def cloud_tables(draw, m, n):
+    """Joint (cloud, input) tables: noisy, deterministic or with zero rows."""
+    kind = draw(st.sampled_from(("noisy", "map", "zeros")))
+    if kind == "map":
+        f = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        return _map_table(draw(pmfs(m)), f, n)
+    return draw(pmfs(m * n, zeros=kind == "zeros")).reshape(m, n)
+
+
+def _map_table(p, f, n):
+    tab = np.zeros((len(p), n))
+    for u in range(len(p)):
+        tab[u, f[u]] = p[u]
+    return tab
+
+
+@st.composite
+def unstructured_configs(draw, m2=None, m3=None):
+    m2 = draw(st.integers(1, 3)) if m2 is None else m2
+    m3 = draw(st.integers(1, 3)) if m3 is None else m3
+    return UnstructuredConfig(draw(pmfs(2)), draw(cloud_tables(m2, 2)),
+                              draw(cloud_tables(m3, 2)))
+
+
+def _maps(v):
+    return st.lists(st.integers(0, 1), min_size=v, max_size=v).map(tuple)
+
+
+@st.composite
+def thm1_configs(draw, v=None):
+    v = draw(st.sampled_from((2, 3, 5))) if v is None else v
+    return Thm1Config(v, tuple(draw(pmfs(2))), tuple(draw(pmfs(v))),
+                      tuple(draw(pmfs(v))), draw(_maps(v)), draw(_maps(v)))
+
+
+# ---------------------------------------------------------------------------
+# the engine against the oracle (both overflow 1/p on subnormal masses)
+
+_overflow_ok = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@_overflow_ok
+@settings(max_examples=100, deadline=None)
+@given(channels(), unstructured_configs())
+def test_unstructured_one_config_matches_oracle(channel, cfg):
+    assert _outcome(rg._unstructured_bounds, channel, cfg) == \
+        _outcome(oracle_unstructured, channel, cfg)
+
+
+@_overflow_ok
+@settings(max_examples=100, deadline=None)
+@given(channels(), thm1_configs())
+def test_thm1_one_config_matches_oracle(channel, cfg):
+    assert _outcome(rg._thm1_bounds, channel, cfg) == \
+        _outcome(oracle_thm1, channel, cfg)
+
+
+def _grid_vs_oracle(channel, evaluator, cfgs):
+    """Engine over the product of the configs' factors vs the oracle."""
+    p1s = [np.asarray(c.p_x1, dtype=float) for c in cfgs]
+    if evaluator == "thm1":
+        users2 = [(np.asarray(c.p_u2, dtype=float), c.f2) for c in cfgs]
+        users3 = [(np.asarray(c.p_u3, dtype=float), c.f3) for c in cfgs]
+        oracle = oracle_thm1
+    else:
+        users2 = [c.p_u2x2 for c in cfgs]
+        users3 = [c.p_u3x3 for c in cfgs]
+        oracle = oracle_unstructured
+    n = len(cfgs)
+    want = {}
+    for i1, i2, i3 in np.ndindex(n, n, n):
+        if evaluator == "thm1":
+            c2, c3 = cfgs[i2], cfgs[i3]
+            cfg = Thm1Config(c2.field_size, cfgs[i1].p_x1, c2.p_u2, c3.p_u3,
+                             c2.f2, c3.f3)
+        else:
+            cfg = UnstructuredConfig(cfgs[i1].p_x1, cfgs[i2].p_u2x2,
+                                     cfgs[i3].p_u3x3)
+        want[i1, i2, i3] = _outcome(oracle, channel, cfg)
+    try:
+        got = direct.direct_bounds(channel, evaluator, p1s, users2, users3)
+    except Exception as exc:  # one bad config fails its whole block
+        assert type(exc).__name__ in want.values()
+        return
+    for idx, w in want.items():
+        assert [(k, repr(float(v[idx]))) for k, v in got.items()] == w
+
+
+@_overflow_ok
+@settings(max_examples=25, deadline=None)
+@given(channels(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_unstructured_grid_matches_oracle(channel, m2, m3, data):
+    cfgs = data.draw(st.lists(unstructured_configs(m2, m3), min_size=2,
+                              max_size=4))
+    _grid_vs_oracle(channel, "unstructured", cfgs)
+
+
+@_overflow_ok
+@settings(max_examples=25, deadline=None)
+@given(channels(), st.sampled_from((2, 3, 5)), st.data())
+def test_thm1_grid_matches_oracle(channel, v, data):
+    cfgs = data.draw(st.lists(thm1_configs(v), min_size=2, max_size=4))
+    _grid_vs_oracle(channel, "thm1", cfgs)
+
+
+@pytest.mark.parametrize("evaluator", ["unstructured", "thm1"])
+def test_block_boundaries_do_not_move_values(monkeypatch, evaluator):
+    spec = ex2()
+    p1s = rg._lattice_pmfs(2, 4)
+    g2 = rg._binary_user_grid(spec, 1, 2, 3)
+    g3 = rg._binary_user_grid(spec, 2, 2, 2)
+    whole = rg._grid_bounds(spec, evaluator, p1s, g2, g3)
+    assert math.prod(whole["r1_rhs"].shape) > direct.BLOCK
+    monkeypatch.setattr(direct, "BLOCK", 7)
+    blocked = rg._grid_bounds(spec, evaluator, p1s, g2, g3)
+    assert list(blocked) == list(whole)
+    for k in whole:
+        assert np.array_equal(blocked[k].view(np.int64),
+                              whole[k].view(np.int64)), k

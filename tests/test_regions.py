@@ -451,6 +451,7 @@ class TestScan:
     @pytest.mark.parametrize("refine", [False, True])
     def test_fast_and_generic_paths_agree(self, monkeypatch, refine):
         spec = ex2(0.5)
+        form = rg._parity_gamma_form(spec)
         fast_u = max_r1_scan(spec, 0.2, 0.1, evaluator="unstructured",
                              denominator=4, refine=refine)
         fast_t = max_r1_scan(spec, 0.2, 0.1, evaluator="thm1",
@@ -462,6 +463,18 @@ class TestScan:
                              denominator=4, refine=refine)
         assert abs(fast_u.r1_max - slow_u.r1_max) < 1e-9
         assert abs(fast_t.r1_max - slow_t.r1_max) < 1e-9
+        # every bound value of the full denominator-8 grid, both evaluators
+        p1s = rg._lattice_pmfs(2, 8)
+        g2 = rg._binary_user_grid(spec, 1, 2, 8)
+        g3 = rg._binary_user_grid(spec, 2, 2, 8)
+        shape = (len(p1s), len(g2), len(g3))
+        for evaluator in ("unstructured", "thm1"):
+            closed = rg._closed_bounds(form, evaluator,
+                                       [p[1] for p in p1s], g2, g3)
+            engine = rg._grid_bounds(spec, evaluator, p1s, g2, g3)
+            for key, val in closed.items():
+                diff = np.abs(np.broadcast_to(val, shape) - engine[key])
+                assert float(diff.max()) < 1e-12, (evaluator, key)
 
     @pytest.mark.parametrize("closed_form", [True, False])
     @pytest.mark.parametrize("evaluator", ["unstructured", "thm1"])
