@@ -61,7 +61,9 @@ def _seq_sum(a):
 def _grouped(keys, n_keys):
     """Positions of each value of ``keys``: row k lists, ascending, where
     ``keys`` equals k.  Every value must occur equally often."""
-    return np.argsort(keys.ravel(), kind="stable").reshape(n_keys, -1)
+    groups = np.argsort(keys.ravel(), kind="stable").reshape(n_keys, -1)
+    groups.setflags(write=False)  # cached by _layout, shared by callers
+    return groups
 
 
 @functools.lru_cache(maxsize=64)
@@ -158,15 +160,16 @@ def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
     for item in queued:
         by_dim.setdefault(item[2].shape[-1], []).append(item)
     for items in by_dim.values():
-        live = [wts > 0.0 for _, wts, _, _ in items]
+        present = [wts > 0.0 for _, wts, _, _ in items]
         ents = von_neumann_entropies(np.concatenate(
             [acc[m] / wts[m][:, None, None]
-             for (_, wts, acc, _), m in zip(items, live)]))
+             for (_, wts, acc, _), m in zip(items, present)]))
         at = 0
-        for (key, wts, _, order), m in zip(items, live):
+        for (key, wts, _, order), m in zip(items, present):
+            n = np.count_nonzero(m)
             ws = np.zeros_like(wts)
-            ws[m] = wts[m] * ents[at:at + np.count_nonzero(m)]
-            at += np.count_nonzero(m)
+            ws[m] = wts[m] * ents[at:at + n]
+            at += n
             ws = np.take_along_axis(ws, order, axis=1)
             total = h[key[0], key[1], False]
             for i in range(ws.shape[1]):

@@ -99,7 +99,7 @@ def shannon_entropies(rows) -> np.ndarray:
     over its positive entries only.
     """
     p = np.asarray(rows, dtype=float)
-    if len(p) < 8:  # fewer calls this way; same values
+    if len(p) < 8:  # the row loop is faster here; same values
         return np.array([shannon_entropy(r) for r in p])
     live = p > 0.0
     vals = p[live]
