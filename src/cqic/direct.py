@@ -33,7 +33,7 @@ import numpy as np
 from .states import shannon_entropies, von_neumann_entropies
 
 #: configs per pass; bounds the working arrays whatever the grid size
-BLOCK = 128
+BLOCK = 64
 _SKIP = complex(-0.0, -0.0)
 
 # (bound key, receiver, A, C) of each bound term I(A; Y | C)
