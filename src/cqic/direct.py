@@ -79,12 +79,11 @@ def _layout(evaluator, alpha2, alpha3, n1):
     """
     if evaluator == "thm1":
         v = alpha2
-        sizes = (v, v)
+        a2 = a3 = v
     else:
         (m2, n2), (m3, n3) = alpha2, alpha3
-        sizes = (m2 * n2, m3 * n3)
-    i2, i3, x1 = np.meshgrid(np.arange(sizes[0]), np.arange(sizes[1]),
-                             np.arange(n1), indexing="ij")
+        a2, a3 = m2 * n2, m3 * n3
+    i2, i3, x1 = np.indices((a2, a3, n1))
     if evaluator == "thm1":
         regs = ((("U", v), ("X1", n1)), (("U2", v),), (("U3", v),))
         keys = (((i2 + i3) % v) * n1 + x1, i2, i3)

@@ -956,7 +956,8 @@ def _closed_bounds(form, evaluator, p1v, g2, g3):
 def _grid_bounds(channel, evaluator, p1s, g2, g3):
     """Direct bound values over the config product, one array per key."""
     if evaluator == "unstructured":
-        users = [[_map_table(channel, j, c[0], c[1]) for c in grid]
+        sizes = channel.input_sizes
+        users = [[_map_table(c[0], c[1], sizes[j]) for c in grid]
                  for j, grid in ((1, g2), (2, g3))]
     else:
         users = [[(c[0], c[1]) for c in grid] for grid in (g2, g3)]
@@ -1058,9 +1059,9 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
                       float(grid_value))
 
 
-def _map_table(channel, j, p, f):
-    """Joint (cloud, input) table of user j sending f[u] for cloud u."""
-    tab = np.zeros((len(p), channel.input_sizes[j]))
+def _map_table(p, f, x_size):
+    """Joint (cloud, input) table of a user sending f[u] for cloud u."""
+    tab = np.zeros((len(p), x_size))
     for u in range(len(p)):
         tab[u, f[u]] = p[u]
     return tab
@@ -1068,9 +1069,10 @@ def _map_table(channel, j, p, f):
 
 def _materialize(evaluator, channel, field_size, p1, c2, c3):
     if evaluator == "unstructured":
+        sizes = channel.input_sizes
         return UnstructuredConfig(np.asarray(p1, dtype=float),
-                                  _map_table(channel, 1, c2[0], c2[1]),
-                                  _map_table(channel, 2, c3[0], c3[1]))
+                                  _map_table(c2[0], c2[1], sizes[1]),
+                                  _map_table(c3[0], c3[1], sizes[2]))
     return Thm1Config(field_size, tuple(np.asarray(p1, dtype=float)),
                       tuple(c2[0]), tuple(c3[0]), tuple(c2[1]), tuple(c3[1]))
 

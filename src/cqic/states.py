@@ -105,8 +105,6 @@ def shannon_entropies(rows) -> np.ndarray:
     vals = p[live]
     terms = vals * np.log2(vals)
     counts = np.count_nonzero(live, axis=1)
-    if counts.min() == counts.max():
-        return 0.0 - terms.reshape(len(p), -1).sum(axis=1)
     starts = np.cumsum(counts) - counts
     sums = np.zeros(len(p))
     # np.unique would import numpy.ma (about 0.5 MB) on first use

@@ -354,15 +354,8 @@ def cloud_tables(draw, m, n):
     kind = draw(st.sampled_from(("noisy", "map", "zeros")))
     if kind == "map":
         f = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-        return _map_table(draw(pmfs(m)), f, n)
+        return rg._map_table(draw(pmfs(m)), f, n)
     return draw(pmfs(m * n, zeros=kind == "zeros")).reshape(m, n)
-
-
-def _map_table(p, f, n):
-    tab = np.zeros((len(p), n))
-    for u in range(len(p)):
-        tab[u, f[u]] = p[u]
-    return tab
 
 
 @st.composite
