@@ -125,7 +125,7 @@ def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
     mass = ((w2[:, :, None, None] * w3[:, None, :, None])
             * p1[:, None, None, :]).reshape(g, -1)
     inputs = (np.arange(n1), x2[:, :, None, None], x3[:, None, :, None])
-    h, queued = {}, []
+    margs, queued = {}, []
     for rx, (shape, pool, subsets) in enumerate(receivers):
         outs = tables[rx][inputs]
         outs = outs.reshape((g, -1) + outs.shape[-2:])
@@ -143,7 +143,7 @@ def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
         p_table = np.ascontiguousarray(p).reshape((g,) + shape)
         for sub, (dropped, groups) in subsets.items():
             marg = p_table.sum(axis=dropped) if dropped else p_table
-            h[rx, sub, False] = shannon_entropies(marg.reshape(g, -1))
+            margs[rx, sub, False] = marg.reshape(g, -1)
             pk = np.take(p, groups, axis=1)
             live = pk > 0.0
             parts = pk[..., None, None] * np.take(smap, groups, axis=1)
@@ -152,6 +152,14 @@ def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
             queued.append(((rx, sub, True), 0.0 + _seq_sum(pk),
                            0.0 + _seq_sum(parts),
                            np.argsort(first, axis=1, kind="stable")))
+
+    # H(S) of every subset in one pass; the zero padding is not summed
+    width = max(m.shape[1] for m in margs.values())
+    rows = np.zeros((len(margs), g, width))
+    for row, m in zip(rows, margs.values()):
+        row[:, :m.shape[1]] = m
+    h = dict(zip(margs, shannon_entropies(rows.reshape(-1, width))
+                 .reshape(len(margs), g)))
 
     # H(S, Y) = H(S) + sum_s p(s) S(rho_s): one eigensolve per output
     # dimension over every conditional state of the block
@@ -184,14 +192,14 @@ def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
     return out
 
 
-def _sum_entropy(p2, p3):
-    """H((U2 + U3) mod v) for independent U2 ~ p2, U3 ~ p3, per row."""
+def _sum_pmf(p2, p3):
+    """Pmf of (U2 + U3) mod v for independent U2 ~ p2, U3 ~ p3, per row."""
     v = p2.shape[1]
     u = np.arange(v)
     prod = p2[:, :, None] * p3[:, None, :]
     # each sum's mass added up over u2 = 0, 1, ..., as the scalar loop does
     terms = prod[:, u[None, :], (u[:, None] - u[None, :]) % v]
-    return shannon_entropies(0.0 + _seq_sum(terms))
+    return 0.0 + _seq_sum(terms)
 
 
 def direct_bounds(channel, evaluator, p1s, users2, users3):
@@ -235,11 +243,10 @@ def direct_bounds(channel, evaluator, p1s, users2, users3):
                              x2[i2], w3[i3], x3[i3])
         if evaluator == "thm1":
             # decoding the sum costs H(U2 + U3) and earns min(H(U2), H(U3))
-            h_min = np.minimum(shannon_entropies(w2[i2]),
-                               shannon_entropies(w3[i3]))
-            h_u = _sum_entropy(w2[i2], w3[i3])
+            h2, h3, h_u = shannon_entropies(np.concatenate(
+                (w2[i2], w3[i3], _sum_pmf(w2[i2], w3[i3])))).reshape(3, -1)
             for name in ("cross_rhs", "sum_rhs"):
-                vals[name] = vals[name] - h_u + h_min
+                vals[name] = vals[name] - h_u + np.minimum(h2, h3)
         for name, v in vals.items():
             flat.setdefault(name, np.empty(total))[start:start + len(v)] = v
     out = {name: v.reshape(grid) for name, v in flat.items()}

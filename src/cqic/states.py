@@ -99,18 +99,15 @@ def shannon_entropies(rows) -> np.ndarray:
     over its positive entries only.
     """
     p = np.asarray(rows, dtype=float)
-    if len(p) < 8:  # the row loop is faster here; same values
-        return np.array([shannon_entropy(r) for r in p])
     live = p > 0.0
     vals = p[live]
     terms = vals * np.log2(vals)
     counts = np.count_nonzero(live, axis=1)
-    starts = np.cumsum(counts) - counts
+    ends = counts.cumsum()
     sums = np.zeros(len(p))
-    # np.unique would import numpy.ma (about 0.5 MB) on first use
-    for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-        sel = np.flatnonzero(counts == n)
-        sums[sel] = terms[starts[sel, None] + np.arange(n)].sum(axis=1)
+    for n in set(counts.tolist()) - {0}:
+        sel = counts == n
+        sums[sel] = terms[ends[sel, None] - np.arange(n, 0, -1)].sum(axis=1)
     return 0.0 - sums
 
 
@@ -123,21 +120,26 @@ def von_neumann_entropies(rhos) -> np.ndarray:
     :func:`shannon_entropy` sums its positive eigenvalues in descending
     order, so it is bit for bit the single-state value.
     """
-    tol = active_tolerances()
-    w = eigvals_hermitian(getattr(rhos, "mat", rhos))
-    if w.size and float(w.min()) < -tol.psd:
-        raise InvalidState(f"eigenvalue {w.min()} below -{tol.psd}")
-    w = np.where(w < tol.eig_floor, 0.0, w)
+    w = _entropy_eigvals(getattr(rhos, "mat", rhos))
     rows = w.reshape(-1, w.shape[-1])
     return shannon_entropies(rows).reshape(w.shape[:-1])
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy of one state: the one-row case of :func:`von_neumann_entropies`."""
+    """Entropy of one state, as :func:`von_neumann_entropies` gives it."""
     arr = np.asarray(getattr(rho, "mat", rho), dtype=complex)
     if arr.ndim != 2:
         raise NotHermitian(f"expected a square matrix, got shape {arr.shape}")
-    return float(von_neumann_entropies(arr))
+    return shannon_entropy(_entropy_eigvals(arr))
+
+
+def _entropy_eigvals(rhos) -> np.ndarray:
+    """Eigenvalues, checked against -psd and clamped below eig_floor."""
+    tol = active_tolerances()
+    w = eigvals_hermitian(rhos)
+    if w.size and float(w.min()) < -tol.psd:
+        raise InvalidState(f"eigenvalue {w.min()} below -{tol.psd}")
+    return np.where(w < tol.eig_floor, 0.0, w)
 
 
 @dataclass(frozen=True)

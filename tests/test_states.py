@@ -10,7 +10,8 @@ from cqic.linalg import eig_hermitian
 from cqic.states import (CqState, DensityOperator, EntropyQuery, Pmf,
                          binary_convolve, binary_entropy,
                          conditional_mutual_info, entropy, fact1_f,
-                         shannon_entropy, von_neumann_entropies,
+                         shannon_entropies, shannon_entropy,
+                         von_neumann_entropies,
                          von_neumann_entropy)
 
 HB_01 = 0.4689955935892812  # -0.1 log2 0.1 - 0.9 log2 0.9, frozen by hand
@@ -297,6 +298,18 @@ class TestConditionalMutualInfo:
 
 def test_shannon_entropy_ignores_zeros():
     assert shannon_entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.lists(
+    st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=n, max_size=n),
+    min_size=1, max_size=12)))
+def test_shannon_entropies_bit_equal_per_row(rows):
+    # rows of mixed support sizes, empty ones too, on both sides of the
+    # eight terms where numpy starts summing pairwise
+    p = np.array(rows, dtype=float).reshape(len(rows), -1)
+    want = np.array([shannon_entropy(r) for r in p])
+    assert shannon_entropies(p).tobytes() == want.tobytes()
 
 
 def test_point_mass_entropies_are_positive_zero():
