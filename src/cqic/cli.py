@@ -48,6 +48,7 @@ from .regions import (Thm1Config, Thm2Config, Thm3Config, UnstructuredConfig,
 from .states import CqState, EntropyQuery, conditional_mutual_info, entropy
 from .tiltlab import (closeness, closeness_chain, four_user_smoothing_report,
                       four_user_tilt_report, hayashi_nagaoka_check,
+                      random_density, random_hn_pair, random_unit,
                       smoothing_residual, tilt_state, tiny_srm)
 
 
@@ -460,11 +461,6 @@ def cmd_sim(args) -> int:
 # ---------------------------------------------------------------------------
 # tiltlab: batch reports for the operator toolkit
 
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def cmd_tiltlab(args) -> int:
     t0, started = perf_counter(), _now()
     rng = np.random.default_rng(args.seed)
@@ -473,11 +469,9 @@ def cmd_tiltlab(args) -> int:
         eta = float(args.eta[case % len(args.eta)])
         dim = int(rng.integers(2, 5))
         d1, d2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = a @ a.conj().T
-        rho = rho / np.trace(rho).real
-        tilted = tilt_state(rho, _random_unit(rng, d1),
-                            _random_unit(rng, d2), eta)
+        rho = random_density(rng, dim)
+        tilted = tilt_state(rho, random_unit(rng, d1),
+                            random_unit(rng, d2), eta)
         dist = closeness(rho, tilted)
         chain, linear = closeness_chain(eta)
         tilt_rows.append({"case": case, "eta": eta, "dim": dim,
@@ -485,20 +479,10 @@ def cmd_tiltlab(args) -> int:
                           "chain_bound": chain, "linear_bound": linear,
                           "ok": dist <= linear + 1e-12})
         hdim = (2, 4, 8, 16)[case % 4]
-        h = rng.normal(size=(hdim, hdim)) \
-            + 1j * rng.normal(size=(hdim, hdim))
-        herm = (h + h.conj().T) / 2.0
-        w, v = np.linalg.eigh(herm)
-        squashed = (w - w.min()) / max(float(w.max() - w.min()), 1e-12)
-        s_op = (v * squashed) @ v.conj().T
-        b = rng.normal(size=(hdim, hdim)) \
-            + 1j * rng.normal(size=(hdim, hdim))
-        t_op = (b @ b.conj().T) * float(rng.uniform(0.0, 0.5)) / hdim
         operator_rows.append({"case": case, "dim": hdim,
-                              "ok": hayashi_nagaoka_check(s_op, t_op)})
-    qa = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho0 = qa @ qa.conj().T
-    rho0 = rho0 / np.trace(rho0).real
+                              "ok": hayashi_nagaoka_check(
+                                  *random_hn_pair(rng, hdim))})
+    rho0 = random_density(rng, 2)
     smoothing_rows = []
     for eta in args.eta:
         for size in args.sizes:
@@ -637,9 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="abort (exit 4) if the grid exceeds this")
     p.add_argument("--no-refine", action="store_true",
                    help="skip the local refinement pass")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface uniformity; the scan is "
-                        "deterministic and single-threaded")
     _add_out(p)
     p.set_defaults(func=cmd_scan)
 

@@ -35,7 +35,6 @@ class Tolerances:
     info: float = 1e-9
     rate: float = 1e-9
     commute: float = 1e-9
-    eig: float = 1e-9
     eig_floor: float = 1e-12
     lp_residual: float = 1e-8
 
@@ -56,4 +55,4 @@ def active_tolerances() -> Tolerances:
         return DEFAULT_TOL
     v = float(raw)
     return Tolerances(herm=v, psd=v, trace=v, prob=v, info=v, rate=v,
-                      commute=v, eig=v)
+                      commute=v)

@@ -1,16 +1,22 @@
-"""Direct inner bounds of a whole grid of input configs, in batched passes.
+"""Receiver cq-state entropies of inner bounds, in batched passes.
 
-The two direct bounds of :mod:`cqic.regions` (Thm 1 sum decoding and
-unstructured superposition) are conditional mutual informations
-I(A; Y | C) of one receiver's cq state.  :func:`direct_bounds` computes
-them for every config of a product grid at once: it pools each
-receiver's state from a stacked channel table, forms the conditional
-states of every register subset in bulk, and takes their entropies in
-one eigensolve per block of configs.
+:func:`cq_entropies` is the one kernel: it pools each receiver's state
+from a stacked channel table, forms the conditional states of every
+register subset in bulk, and takes their entropies in one eigensolve
+per block of configs.  Two callers use it:
 
-Both bounds draw points (a2, a3, x1) with mass (w2[a2] * w3[a3]) * p1[x1],
-where a_j is user j's field symbol (Thm 1) or its (cloud, input) pair
-(superposition), and sends input x_j[a_j].  The engine repeats the
+* :func:`direct_bounds`, for the direct bounds of :mod:`cqic.regions`
+  (Thm 1 sum decoding and unstructured superposition), conditional
+  mutual informations I(A; Y | C) of one receiver's state, over every
+  config of a product grid;
+* the layered checkers (Thm 2 and 3), whose packing bounds are
+  conditional entropies H(Z_wrong | Z_rest, Y), one config at a time.
+
+The direct bounds draw points (a2, a3, x1) with mass
+(w2[a2] * w3[a3]) * p1[x1], where a_j is user j's field symbol (Thm 1)
+or its (cloud, input) pair (superposition), and sends input x_j[a_j].
+The layered bounds draw one point per entry of the product of the three
+users' factor tables.  The engine repeats the
 scalar :class:`~cqic.states.CqState` arithmetic array-wide, so every
 value is bit for bit what ``CqState`` and ``conditional_mutual_info``
 give for the one config:
@@ -30,7 +36,8 @@ import math
 
 import numpy as np
 
-from .states import shannon_entropies, von_neumann_entropies
+from .states import (mass_quotient, shannon_entropies,
+                     von_neumann_entropies)
 
 #: configs per pass; bounds the working arrays whatever the grid size
 BLOCK = 64
@@ -66,16 +73,40 @@ def _grouped(keys, n_keys):
     return groups
 
 
+def receiver_layout(regs, key, subsets):
+    """Layout of one receiver's cq state, for :func:`cq_entropies`.
+
+    ``regs`` lists the classical registers as ``(name, size)``; ``key``
+    gives each point's register value, flat in row-major order over
+    ``regs``, and every value must occur equally often.  Returns
+    ``(shape, pool, subsets)``: ``pool`` lists the points behind each
+    register value, and ``subsets`` maps every register subset (a
+    frozenset of names) to its summed axes and to the register values
+    behind each of its values.
+    """
+    names = [nm for nm, _ in regs]
+    shape = tuple(size for _, size in regs)
+    n = math.prod(shape)
+    coords = np.unravel_index(np.arange(n), shape)
+    table = {}
+    for sub in subsets:
+        keep = [i for i, nm in enumerate(names) if nm in sub]
+        kept = tuple(shape[i] for i in keep)
+        sub_key = (np.ravel_multi_index([coords[i] for i in keep], kept)
+                   if keep else np.zeros(n, dtype=int))
+        dropped = tuple(i + 1 for i in range(len(shape)) if i not in keep)
+        table[sub] = (dropped, _grouped(sub_key, math.prod(kept)))
+    return shape, _grouped(key, n), table
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(evaluator, alpha2, alpha3, n1):
     """Receivers of a direct bound, per alphabet shape.
 
     ``alpha_j`` is the field size (Thm 1) or the ``(clouds, inputs)``
-    table shape (superposition) of user j.  Each receiver is
-    ``(shape, pool, subsets)``: ``pool`` lists the points (flat over
-    (a2, a3, x1)) behind each register value, and ``subsets`` maps every
-    register subset a bound term needs to its summed axes and to the
-    register values behind each of its values.
+    table shape (superposition) of user j.  Points run flat over
+    (a2, a3, x1); each receiver gets the :func:`receiver_layout` of the
+    register subsets its bound terms need.
     """
     if evaluator == "thm1":
         v = alpha2
@@ -95,36 +126,24 @@ def _layout(evaluator, alpha2, alpha3, n1):
         terms = _UNSTR_TERMS
     receivers = []
     for rx, (reg, key) in enumerate(zip(regs, keys)):
-        names = [nm for nm, _ in reg]
-        shape = tuple(size for _, size in reg)
-        coords = np.unravel_index(np.arange(math.prod(shape)), shape)
-        subsets = {}
-        for _, t_rx, a, c in terms:
-            if t_rx != rx:
-                continue
-            for sub in (frozenset(a + c), frozenset(c)):
-                keep = [i for i, nm in enumerate(names) if nm in sub]
-                kept = tuple(shape[i] for i in keep)
-                sub_key = (np.ravel_multi_index([coords[i] for i in keep], kept)
-                           if keep else np.zeros(math.prod(shape), dtype=int))
-                dropped = tuple(i + 1 for i in range(len(shape))
-                                if i not in keep)
-                subsets[sub] = (dropped, _grouped(sub_key, math.prod(kept)))
-        receivers.append((shape, _grouped(key, math.prod(shape)), subsets))
+        subsets = dict.fromkeys(frozenset(s) for _, t_rx, a, c in terms
+                                if t_rx == rx for s in (a + c, c))
+        receivers.append(receiver_layout(reg, key, subsets))
     return tuple(receivers), terms
 
 
-def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
-    """Bound terms I(A; Y | C) of a block of configs, one entry per config.
+def cq_entropies(receivers, tables, mass, inputs):
+    """H(S) and H(S, Y) of every laid-out register subset S, per config.
 
-    ``p1``/``w2``/``w3`` hold the configs' factor pmfs, ``x2``/``x3`` the
-    input each user-2/3 atom sends, ``tables`` each receiver's stacked
-    channel outputs.
+    ``receivers`` holds :func:`receiver_layout` results and ``tables``
+    each one's stacked channel outputs (``ChannelSpec.reduced_table``).
+    ``mass`` holds the point masses of a block of configs, ``(g,
+    points)``; ``inputs`` indexes the tables with each point's channel
+    inputs and broadcasts to ``(g, ...)``, points flat over the rest.
+    Returns ``{(rx, S, with_y): (g,) array}``, ``rx`` the receiver's
+    position in ``receivers``.
     """
-    g, n1 = p1.shape
-    mass = ((w2[:, :, None, None] * w3[:, None, :, None])
-            * p1[:, None, None, :]).reshape(g, -1)
-    inputs = (np.arange(n1), x2[:, :, None, None], x3[:, None, :, None])
+    g = mass.shape[0]
     margs, queued = {}, []
     for rx, (shape, pool, subsets) in enumerate(receivers):
         outs = tables[rx][inputs]
@@ -135,8 +154,7 @@ def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
         parts[mk == 0.0] = _SKIP
         probs = 0.0 + _seq_sum(mk)
         p = np.clip(probs, 0.0, None)  # as Pmf clips the joint pmf
-        smap = (_seq_sum(parts)
-                / np.where(p > 0.0, probs, 1.0)[..., None, None])
+        smap = mass_quotient(_seq_sum(parts), np.where(p > 0.0, probs, 1.0))
         # H(S) of each register subset, and its conditional states on Y.
         # numpy orders a multi-axis sum by memory layout: sum C-ordered
         # tables, as CqState.marginal does
@@ -169,7 +187,7 @@ def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
     for items in by_dim.values():
         present = [wts > 0.0 for _, wts, _, _ in items]
         ents = von_neumann_entropies(np.concatenate(
-            [acc[m] / wts[m][:, None, None]
+            [mass_quotient(acc[m], wts[m])
              for (_, wts, acc, _), m in zip(items, present)]))
         at = 0
         for (key, wts, _, order), m in zip(items, present):
@@ -182,7 +200,21 @@ def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
             for i in range(ws.shape[1]):
                 total = total + ws[:, i]
             h[key] = total
+    return h
 
+
+def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
+    """Bound terms I(A; Y | C) of a block of configs, one entry per config.
+
+    ``p1``/``w2``/``w3`` hold the configs' factor pmfs, ``x2``/``x3`` the
+    input each user-2/3 atom sends, ``tables`` each receiver's stacked
+    channel outputs.
+    """
+    g, n1 = p1.shape
+    mass = ((w2[:, :, None, None] * w3[:, None, :, None])
+            * p1[:, None, None, :]).reshape(g, -1)
+    inputs = (np.arange(n1), x2[:, :, None, None], x3[:, None, :, None])
+    h = cq_entropies(receivers, tables, mass, inputs)
     # I(A; Y | C) = H(A, C) + H(C, Y) - H(A, C, Y) - H(C)
     out = {}
     for name, rx, a, c in terms:

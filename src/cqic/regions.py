@@ -33,13 +33,13 @@ import numpy as np
 
 from .channels import ChannelSpec, CostVector, gamma_state, sigma_state
 from .config import ENUMERATION_CAP, active_tolerances
-from .direct import direct_bounds
+from .direct import cq_entropies, direct_bounds, receiver_layout
 from .errors import (BudgetExceeded, ConfigMismatch, DomainError, Not3to1,
                      Unsupported)
 from .gfcoset import _check_modulus
 from .linalg import operator_norm
 from .lp import feasible_point
-from .states import CqState, EntropyQuery, Pmf, entropy, shannon_entropy
+from .states import Pmf, shannon_entropy
 
 _OTHERS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
@@ -192,27 +192,6 @@ def _r1_sup(rows, b, r2, r3, tol):
         else:
             ok = ok & (_add([c * r for c, r in fixed]) <= rhs - tol)
     return np.where(ok & (sup > 0.0), sup, -np.inf)
-
-
-def _receiver_state(channel: ChannelSpec, j: int, regs, points) -> CqState:
-    """cq state at receiver j over the classical registers ``regs``.
-
-    ``points`` yields (register values, mass, channel input) triples;
-    masses pool per register value, and each conditional state is the
-    mass-weighted average of the receiver's outputs there.  Zero-mass
-    points are skipped.
-    """
-    probs = np.zeros(tuple(size for _, size in regs))
-    acc = {}
-    for key, p, x in points:
-        if p == 0.0:
-            continue
-        probs[key] += p
-        mat = p * channel.reduced(j, x)
-        cur = acc.get(key)
-        acc[key] = mat if cur is None else cur + mat
-    return CqState(regs, probs.ravel(),
-                   {k: m / probs[k] for k, m in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -441,51 +420,35 @@ class _Atom:
     copies: tuple = ()   # for the sum atom: ((label_suffix, charge names), ...)
 
 
-class _RxEntropies:
-    """Subset-entropy cache for one receiver's cq state."""
+def _rx_entropies(channel: ChannelSpec, blocks, fields, j, atoms, subsets):
+    """H(S, Y) of each register subset S of receiver j's cq state.
 
-    def __init__(self, state: CqState):
-        self.state = state
-        self._cache = {}
-        self._all = frozenset(state.register_names())
-
-    def _h(self, names):
-        key = frozenset(names)
-        if key not in self._cache:
-            self._cache[key] = entropy(self.state, EntropyQuery(key, True))
-        return self._cache[key]
-
-    def wrong_given_rest(self, wrong):
-        """H(Z_wrong | Z_rest, Y) for a subset of registers."""
-        return self._h(self._all) - self._h(self._all - frozenset(wrong))
-
-
-def _rx_cqstate(channel: ChannelSpec, blocks, fields, j, atoms):
-    """Joint cq state at receiver j over the decoded-content registers."""
+    The registers are the decoded-content atoms.  Points run over the
+    product of the three users' factor tables in row-major order, with
+    mass (p1 * p2) * p3; zero-mass points are skipped when pooled.
+    """
     i, k = _OTHERS[j]
-    extractors = []
+    # user t's table coordinates and masses along axis t of the product
+    at = [(1,) * t + (-1,) + (1,) * (2 - t) for t in range(3)]
+    c = [np.indices(b.shape).reshape((5,) + s) for b, s in zip(blocks, at)]
+    w = [b.reshape(s) for b, s in zip(blocks, at)]
+    key = np.zeros((1, 1, 1), dtype=int)
     for a in atoms:
         if a.is_sum:
-            vj = fields[j]
-            ai, ak = _u_axis(i, j), _u_axis(k, j)
-            extractors.append(lambda idx, ai=ai, ak=ak, vj=vj:
-                              (idx[i][ai] + idx[k][ak]) % vj)
+            val = (c[i][_u_axis(i, j)] + c[k][_u_axis(k, j)]) % fields[j]
         elif a.pair is None:  # X_j
-            extractors.append(lambda idx: idx[j][4])
+            val = c[j][4]
         else:
             t, r = a.pair
-            ax = _u_axis(t, r) if a.reg.startswith("U") else _v_axis(t, r)
-            extractors.append(lambda idx, t=t, ax=ax: idx[t][ax])
-
-    supports = [[(tuple(int(v) for v in key), float(blocks[t][tuple(key)]))
-                 for key in np.argwhere(blocks[t] > 0.0)] for t in range(3)]
-    points = []
-    for (i0, p0), (i1, p1), (i2, p2) in itertools.product(*supports):
-        idx = (i0, i1, i2)
-        points.append((tuple(ex(idx) for ex in extractors), p0 * p1 * p2,
-                       (i0[4], i1[4], i2[4])))
-    return _receiver_state(channel, j, tuple((a.reg, a.size) for a in atoms),
-                           points)
+            val = c[t][_u_axis(t, r) if a.reg.startswith("U")
+                       else _v_axis(t, r)]
+        key = key * a.size + val
+    mass = (w[0] * w[1]) * w[2]
+    layout = receiver_layout([(a.reg, a.size) for a in atoms],
+                             np.broadcast_to(key, mass.shape), subsets)
+    h = cq_entropies([layout], [channel.reduced_table(j)],
+                     mass.reshape(1, -1), (c[0][4], c[1][4], c[2][4]))
+    return {sub: float(h[0, sub, True][0]) for sub in subsets}
 
 
 def _layered_rows(channel, fields, blocks, rates, theorem, drop_dont_care):
@@ -606,19 +569,17 @@ def _layered_rows(channel, fields, blocks, rates, theorem, drop_dont_care):
 
         if not atoms:
             continue
-        ent = _RxEntropies(_rx_cqstate(channel, blocks, fields, j, atoms))
+        # error events: those that fix a message part, and the bare sum
+        events = [g for g in _subsets(atoms) if any(a.own for a in g)
+                  or (len(g) == 1 and g[0].is_sum and not drop_dont_care)]
+        full = frozenset(a.reg for a in atoms)
+        rest = [full - {a.reg for a in g} for g in events]
+        h = _rx_entropies(channel, blocks, fields, j, atoms,
+                          dict.fromkeys([full] + rest))
 
-        for g in _subsets(atoms):
-            if not g:
-                continue
-            has_own = any(a.own for a in g)
-            only_sum = len(g) == 1 and g[0].is_sum
-            if not has_own and not only_sum:
-                continue
-            if only_sum and drop_dont_care:
-                continue
-            h_cond = ent.wrong_given_rest([a.reg for a in g])
-            rhs = sum(a.corr for a in g) - h_cond
+        for g, r in zip(events, rest):
+            # H(Z_wrong | Z_rest, Y)
+            rhs = sum(a.corr for a in g) - (h[full] - h[r])
             base_coeffs = {}
             for a in g:
                 for nm in a.charges:

@@ -17,7 +17,8 @@ from .errors import (DomainError, InvalidState, NotHermitian,
                      OverlappingQueries, UnknownRegister)
 from .linalg import eig_hermitian, eigvals_hermitian
 
-LOG2 = np.log(2.0)
+_TINY = np.finfo(float).tiny  # smallest normal float
+_SCALE = 2.0 ** 64            # lifts every subnormal to a normal float
 
 
 def binary_entropy(p: float) -> float:
@@ -109,6 +110,19 @@ def shannon_entropies(rows) -> np.ndarray:
         sel = counts == n
         sums[sel] = terms[ends[sel, None] - np.arange(n, 0, -1)].sum(axis=1)
     return 0.0 - sums
+
+
+def mass_quotient(acc, mass):
+    """``acc / mass`` over the trailing ``(d, d)`` axes, finite for any
+    positive mass: numpy divides complex by real as ``acc * (1 / mass)``,
+    which overflows for a subnormal mass.  Such a mass and its
+    accumulator are first scaled by 2**64, which is exact; every other
+    quotient keeps its bits.
+    """
+    mass = np.asarray(mass, dtype=float)[..., None, None]
+    small = mass < _TINY
+    return (np.where(small, acc * _SCALE, acc)
+            / np.where(small, mass * _SCALE, mass))
 
 
 def von_neumann_entropies(rhos) -> np.ndarray:
@@ -267,7 +281,7 @@ class CqState:
             acc[key] += p * self.state_map[x]
             wts[key] += p
         for key in acc:
-            yield key, wts[key], acc[key] / wts[key]
+            yield key, wts[key], mass_quotient(acc[key], wts[key])
 
 
 def entropy(state: CqState, q: EntropyQuery) -> float:

@@ -327,6 +327,38 @@ def hayashi_nagaoka_check(s_op, t_op) -> bool:
     return bool(float(dw.min()) >= -1e-9)
 
 
+# ---------------------------------------------------------------------------
+# random instances for the batch reports and the verification battery
+
+
+def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random complex unit vector."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random full-rank density matrix A A† / tr(A A†)."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_hn_pair(rng: np.random.Generator, dim: int):
+    """A random (S, T) pair for :func:`hayashi_nagaoka_check`.
+
+    S is a random Hermitian matrix with its spectrum squashed onto
+    [0, 1]; T is a random positive matrix B B† scaled by U(0, 1/2)/dim.
+    """
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    squashed = (w - w.min()) / max(float(w.max() - w.min()), 1e-12)
+    s_op = (v * squashed) @ v.conj().T
+    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    t_op = (b @ b.conj().T) * float(rng.uniform(0.0, 0.5)) / dim
+    return s_op, t_op
+
+
 def tiny_srm(states, priors):
     """Square-root measurement on the joint support of a small ensemble.
 

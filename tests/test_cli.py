@@ -283,9 +283,12 @@ class TestScan:
                 "--r2", "0.2", "0.3", "--r3", "0.1",
                 "--denominator", "4", "--no-refine"]
         rc1 = main(argv + ["--out", str(tmp_path / "a")])
-        rc2 = main(argv + ["--threads", "4", "--out", str(tmp_path / "b")])
+        rc2 = main(argv + ["--out", str(tmp_path / "b")])
+        # the scan is single-threaded and takes no --threads flag
+        rc3 = main(argv + ["--threads", "4", "--out", str(tmp_path / "c")])
         capsys.readouterr()
         assert rc1 == rc2 == 0
+        assert rc3 == 2
         a = (tmp_path / "a" / "scan.csv").read_bytes()
         b = (tmp_path / "b" / "scan.csv").read_bytes()
         assert a == b

@@ -1,25 +1,31 @@
-"""Direct inner bounds (Thm 1 and the unstructured bound).
+"""Receiver cq-state entropies of the inner bounds, from :mod:`cqic.direct`.
 
-The batched engine in :mod:`cqic.direct` must give bit for bit the
-values of the per-config evaluation: one ``CqState`` per receiver and
-``conditional_mutual_info`` per bound.  That evaluation is kept here as
-the oracle.  The pinned scan and checker values below were recorded
-from it.
+The batched engine must give bit for bit the values of the per-config
+evaluation: one ``CqState`` per receiver, ``conditional_mutual_info``
+per direct bound (Thm 1 and the unstructured bound) and ``entropy`` per
+packing bound of the layered checkers (Thm 2 and 3).  That evaluation
+is kept here as the oracle.  The pinned scan, checker and layered
+values below were recorded from it.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqic import direct
 from cqic import regions as rg
 from cqic.channels import build_ex1, build_ex2, build_ex3
-from cqic.regions import (Thm1Config, UnstructuredConfig, max_r1_scan,
-                          thm1_check, unstructured_3to1_check)
-from cqic.states import (EntropyQuery, Pmf, conditional_mutual_info,
+from cqic.regions import (Thm1Config, Thm2Config, Thm3Config,
+                          UnstructuredConfig, max_r1_scan, thm1_check,
+                          thm2_feasible, thm3_feasible,
+                          thm3_config_from_unstructured,
+                          unstructured_3to1_check)
+from cqic.states import (CqState, EntropyQuery, Pmf,
+                         conditional_mutual_info, entropy, mass_quotient,
                          shannon_entropy)
 
 
@@ -218,10 +224,149 @@ def test_checker_reprs_pinned(case):
     assert got == CHECK_PINS[case]
 
 
+LAYERED_CASES = {
+    "thm2-ex1-sum": (thm2_feasible, ex1, Thm2Config((2, 2, 2), (
+        np.array([[[0.7, 0.3]]]),
+        np.array([[[0.3, 0.2]], [[0.0, 0.5]]]),
+        np.array([[[0.25, 0.25]], [[0.4, 0.1]]]))),
+        (0.05, 0.02, 0.02), False),
+    "thm2-ex3-f3-drop": (thm2_feasible, ex3, Thm2Config((3, 2, 3), (
+        np.array([[[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]]]),
+        np.array([[[0.3, 0.1]], [[0.2, 0.0]], [[0.1, 0.3]]]),
+        np.array([[[0.6, 0.4]]]))),
+        (0.01, 0.01, 0.0), True),
+    "thm3-ex2-v": (thm3_feasible, ex2, Thm3Config((2, 2, 2), (
+        np.array([[[[[0.6, 0.4]]]]]),
+        np.array([[[[[0.2, 0.1]]]], [[[[0.3, 0.4]]]]]),
+        np.array([[[[[0.1, 0.2]], [[0.0, 0.2]]]],
+                  [[[[0.3, 0.0]], [[0.1, 0.1]]]]]))),
+        (0.02, 0.01, 0.01), False),
+    "thm3-ex2-embedded": (thm3_feasible, ex2, thm3_config_from_unstructured(
+        ex2(), CHECK_CASES["unstr-ex2-noisy"][2]),
+        (0.001, 0.001, 0.001), False),
+}
+
+# verdict, (label, rhs) of every packing row, and the witness split
+LAYERED_PINS = {
+    "thm2-ex1-sum": (False, [
+        ("thm2.chnl.j=1.A={}+X", "0.018348239774776065"),
+        ("thm2.chnl.j=1.A={}+ij", "0.015152112813963114"),
+        ("thm2.chnl.j=1.A={}+kj", "0.015152112813963114"),
+        ("thm2.chnl.j=1.A={}+X+ij", "0.020746368864268172"),
+        ("thm2.chnl.j=1.A={}+X+kj", "0.020746368864268172"),
+        ("thm2.chnl.j=2.A={21}", "0.3958156020033585"),
+        ("thm2.chnl.j=2.A={}+X", "0.6227697749079357"),
+        ("thm2.chnl.j=2.A={21}+X", "0.7987239282640612"),
+        ("thm2.chnl.j=3.A={31}", "0.07310400793181038"),
+        ("thm2.chnl.j=3.A={}+X", "0.5749712093418169"),
+        ("thm2.chnl.j=3.A={31}+X", "0.6246187762138296")], None),
+    "thm2-ex3-f3-drop": (True, [
+        ("thm2.chnl.j=1.A={13}", "0.349524008867963"),
+        ("thm2.chnl.j=1.A={}+X", "0.4194954009333489"),
+        ("thm2.chnl.j=1.A={13}+X", "0.47828419649530485"),
+        ("thm2.chnl.j=1.A={13}+ij", "0.4971237572460301"),
+        ("thm2.chnl.j=1.A={}+X+ij", "0.5122642475734152"),
+        ("thm2.chnl.j=1.A={13}+X+ij", "0.5420601310635091"),
+        ("thm2.chnl.j=2.A={21}", "0.3849625007211557"),
+        ("thm2.chnl.j=2.A={}+X", "0.651764339400491"),
+        ("thm2.chnl.j=2.A={21}+X", "0.8974208021655281"),
+        ("thm2.chnl.j=3.A={}+X", "0.45390834580915373"),
+        ("thm2.chnl.j=3.A={}+X+ij", "0.4679202520756416")],
+        [("S13", "0.02401190726648763"), ("T13", "0.01"),
+         ("K1", "0.33551210260147535"), ("L1", "0.0"),
+         ("S21", "0.07303440683379393"), ("T21", "0.01"),
+         ("K2", "0.3219280948873624"), ("L2", "0.0"),
+         ("K3", "1e-09"), ("L3", "0.0")]),
+    "thm3-ex2-v": (False, [
+        ("thm3.chnl.j=1.A={}.C={}.D={}+X", "0.014690760765179833"),
+        ("thm3.chnl.j=1.A={}.C={}.D={}+kj", "0.034105164650719555"),
+        ("thm3.chnl.j=1.A={}.C={}.D={}+X+kj", "0.04393662797714337"),
+        ("thm3.chnl.j=1.A={}.C={}.D={21}+X", "0.01529486316645201"),
+        ("thm3.chnl.j=1.A={}.C={}.D={31}+X", "0.01510615741736987"),
+        ("thm3.chnl.j=1.A={}.C={}.D={21}+X+kj", "0.04434426871178321"),
+        ("thm3.chnl.j=1.A={}.C={}.D={31}+X+kj", "0.04434426871178365"),
+        ("thm3.chnl.j=1.A={}.C={}.D={21,31}+X", "0.01529486316645201"),
+        ("thm3.chnl.j=1.A={}.C={}.D={21,31}+X+kj", "0.04434426871178321"),
+        ("thm3.chnl.j=2.A={}.C={21}.D={}", "0.0348515545596777"),
+        ("thm3.chnl.j=2.A={}.C={}.D={}+X", "0.5436698243338363"),
+        ("thm3.chnl.j=2.A={}.C={21}.D={}+X", "0.5658559609703964"),
+        ("thm3.chnl.j=3.A={31}.C={}.D={}", "0.27548875021634656"),
+        ("thm3.chnl.j=3.A={}.C={31}.D={}", "0.3999999999999999"),
+        ("thm3.chnl.j=3.A={}.C={}.D={}+X", "0.774436926067184"),
+        ("thm3.chnl.j=3.A={31}.C={31}.D={}", "0.5535606553289842"),
+        ("thm3.chnl.j=3.A={31}.C={}.D={}+X", "0.9113114342323207"),
+        ("thm3.chnl.j=3.A={}.C={31}.D={}+X", "0.9768789620429921"),
+        ("thm3.chnl.j=3.A={31}.C={31}.D={}+X", "1.084565061739703")], None),
+    "thm3-ex2-embedded": (True, [
+        ("thm3.chnl.j=1.A={}.C={}.D={}+X", "0.24033052846892944"),
+        ("thm3.chnl.j=1.A={}.C={}.D={21}+X", "0.2667882026871631"),
+        ("thm3.chnl.j=1.A={}.C={}.D={31}+X", "0.257688717911029"),
+        ("thm3.chnl.j=1.A={}.C={}.D={21,31}+X", "0.2706197287475911"),
+        ("thm3.chnl.j=2.A={}.C={21}.D={}", "0.5567796494470394"),
+        ("thm3.chnl.j=2.A={}.C={}.D={}+X", "0.7216977717036039"),
+        ("thm3.chnl.j=2.A={}.C={21}.D={}+X", "1.0126027608307882"),
+        ("thm3.chnl.j=3.A={}.C={31}.D={}", "0.3112781244591327"),
+        ("thm3.chnl.j=3.A={}.C={}.D={}+X", "0.5767803276644922"),
+        ("thm3.chnl.j=3.A={}.C={31}.D={}+X", "0.7235734301005443")],
+        [("K1", "1e-09"), ("L1", "0.001"), ("B21", "1e-09"),
+         ("N21", "0.001"), ("K2", "0.5567796494470394"), ("L2", "0.0"),
+         ("B31", "1e-09"), ("N31", "0.001"),
+         ("K3", "0.31127812445913294"), ("L3", "0.0")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYERED_PINS))
+def test_layered_reprs_pinned(case):
+    check, build, cfg, rates, drop = LAYERED_CASES[case]
+    rep = check(build(), cfg, rates, drop)
+    rows = [(r.label, repr(r.rhs)) for r in rep.records
+            if r.kind == "channel"]
+    split = None if rep.witness is None else \
+        [(n, repr(v)) for n, v in rep.witness.parts]
+    assert (rep.feasible, rows, split) == LAYERED_PINS[case]
+
+
+def test_subnormal_atom_gives_a_report():
+    # 1/p overflows at p = 2.2e-311: the pooled conditional state used to
+    # come out non-finite and raise NotHermitian
+    spec = build_ex1(0.1, 0.1, 0.1, 0.5)
+    cfg = Thm1Config(2, (1, 0), (1, 0), (2.2e-311, 1.0), (0, 0), (0, 0))
+    rep = thm1_check(spec, cfg, (0.1, 0.1, 0.1))
+    tiny = "-2.270360694769768e-308"
+    assert [(r.label, repr(r.rhs)) for r in rep.records] == [
+        ("thm1.r1", tiny), ("thm1.own.j=2", "0.0"), ("thm1.own.j=3", "0.0"),
+        ("thm1.cross.j=2", tiny), ("thm1.cross.j=3", tiny),
+        ("thm1.sum.j=2", tiny), ("thm1.sum.j=3", tiny),
+        ("thm1.cost.j=1", "0.5"), ("thm1.cost.j=2", "0.0"),
+        ("thm1.cost.j=3", "0.0")]
+    assert _reprs(rg._thm1_bounds(spec, cfg)) == _reprs(oracle_thm1(spec, cfg))
+
+
 # ---------------------------------------------------------------------------
 # the per-config oracle
 
 _Y = EntropyQuery((), True)
+
+
+def _receiver_state(channel, j, regs, points):
+    """cq state at receiver j over the classical registers ``regs``.
+
+    ``points`` yields (register values, mass, channel input) triples;
+    masses pool per register value, and each conditional state is the
+    mass-weighted average of the receiver's outputs there.  Zero-mass
+    points are skipped.
+    """
+    probs = np.zeros(tuple(size for _, size in regs))
+    acc = {}
+    for key, p, x in points:
+        if p == 0.0:
+            continue
+        probs[key] += p
+        mat = p * channel.reduced(j, x)
+        cur = acc.get(key)
+        acc[key] = mat if cur is None else cur + mat
+    return CqState(regs, probs.ravel(),
+                   {k: mass_quotient(m, probs[k]) for k, m in acc.items()})
 
 
 def _eq(*names):
@@ -238,12 +383,12 @@ def oracle_thm1(channel, cfg):
     points = [((u2, u3, x1), p2[u2] * p3[u3] * p1[x1], (x1, f2[u2], f3[u3]))
               for u2 in range(v) for u3 in range(v)
               for x1 in range(sizes[0])]
-    st1 = rg._receiver_state(channel, 0, (("U", v), ("X1", sizes[0])),
+    st1 = _receiver_state(channel, 0, (("U", v), ("X1", sizes[0])),
                              [(((u2 + u3) % v, x1), p, x)
                               for (u2, u3, x1), p, x in points])
-    st2 = rg._receiver_state(channel, 1, (("U2", v),),
+    st2 = _receiver_state(channel, 1, (("U2", v),),
                              [(key[:1], p, x) for key, p, x in points])
-    st3 = rg._receiver_state(channel, 2, (("U3", v),),
+    st3 = _receiver_state(channel, 2, (("U3", v),),
                              [(key[1:2], p, x) for key, p, x in points])
     p_u = np.zeros(v)
     for u2 in range(v):
@@ -277,13 +422,13 @@ def oracle_unstructured(channel, cfg):
               for u2, x2 in np.ndindex(m2, sizes[1])
               for u3, x3 in np.ndindex(m3, sizes[2])
               for x1 in range(sizes[0])]
-    st1 = rg._receiver_state(channel, 0,
+    st1 = _receiver_state(channel, 0,
                              (("U2", m2), ("U3", m3), ("X1", sizes[0])),
                              [((u2, u3, x1), p, x)
                               for (u2, _, u3, _, x1), p, x in points])
-    st2 = rg._receiver_state(channel, 1, (("U2", m2), ("X2", sizes[1])),
+    st2 = _receiver_state(channel, 1, (("U2", m2), ("X2", sizes[1])),
                              [(key[:2], p, x) for key, p, x in points])
-    st3 = rg._receiver_state(channel, 2, (("U3", m3), ("X3", sizes[2])),
+    st3 = _receiver_state(channel, 2, (("U3", m3), ("X3", sizes[2])),
                              [(key[2:4], p, x) for key, p, x in points])
     k1, k2, k3 = channel.costs
     return {
@@ -304,12 +449,42 @@ def oracle_unstructured(channel, cfg):
     }
 
 
+def oracle_rx_entropies(channel, blocks, fields, j, atoms, subsets):
+    """H(S, Y) per register subset, from one pooled ``CqState``.
+
+    Points run over the product of the factor tables' supports, one
+    Python tuple each, as the layered checkers once pooled them.
+    """
+    i, k = rg._OTHERS[j]
+
+    def value(a, idx):
+        if a.is_sum:
+            return (idx[i][rg._u_axis(i, j)]
+                    + idx[k][rg._u_axis(k, j)]) % fields[j]
+        if a.pair is None:  # X_j
+            return idx[j][4]
+        t, r = a.pair
+        return idx[t][rg._u_axis(t, r) if a.reg.startswith("U")
+                      else rg._v_axis(t, r)]
+
+    supports = [[(tuple(int(v) for v in key), float(b[tuple(key)]))
+                 for key in np.argwhere(b > 0.0)] for b in blocks]
+    points = []
+    for (i0, p0), (i1, p1), (i2, p2) in itertools.product(*supports):
+        idx = (i0, i1, i2)
+        points.append((tuple(value(a, idx) for a in atoms), p0 * p1 * p2,
+                       (i0[4], i1[4], i2[4])))
+    state = _receiver_state(channel, j, tuple((a.reg, a.size) for a in atoms),
+                            points)
+    return {sub: entropy(state, EntropyQuery(sub, True)) for sub in subsets}
+
+
 def _reprs(bounds):
     return [(k, repr(float(v))) for k, v in bounds.items()]
 
 
 def _outcome(fn, *args):
-    """Bound reprs, or the error raised (subnormal masses overflow 1/p)."""
+    """Bound reprs, or the name of the error raised."""
     try:
         return _reprs(fn(*args))
     except Exception as exc:  # compared, not swallowed
@@ -378,13 +553,9 @@ def thm1_configs(draw, v=None):
 
 
 # ---------------------------------------------------------------------------
-# the engine against the oracle (on one config both overflow 1/p on
-# subnormal masses)
-
-_overflow_ok = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the engine against the oracle
 
 
-@_overflow_ok
 @settings(max_examples=100, deadline=None)
 @given(channels(), unstructured_configs())
 def test_unstructured_one_config_matches_oracle(channel, cfg):
@@ -392,7 +563,6 @@ def test_unstructured_one_config_matches_oracle(channel, cfg):
         _outcome(oracle_unstructured, channel, cfg)
 
 
-@_overflow_ok
 @settings(max_examples=100, deadline=None)
 @given(channels(), thm1_configs())
 def test_thm1_one_config_matches_oracle(channel, cfg):
@@ -403,8 +573,9 @@ def test_thm1_one_config_matches_oracle(channel, cfg):
 def _grid_vs_oracle(channel, evaluator, cfgs):
     """Engine over the product of the configs' factors vs the oracle.
 
-    Masses are kept above 1e-100, so that every product of three stays a
-    normal float and every config of the grid is compared by value.
+    Every config is compared by value.  If the oracle raises on some
+    config, the engine must raise one of the oracle's errors for the
+    grid.
     """
     p1s = [np.asarray(c.p_x1, dtype=float) for c in cfgs]
     if evaluator == "thm1":
@@ -415,11 +586,6 @@ def _grid_vs_oracle(channel, evaluator, cfgs):
         users2 = [c.p_u2x2 for c in cfgs]
         users3 = [c.p_u3x3 for c in cfgs]
         oracle = oracle_unstructured
-    fields = (("p_x1", "p_u2", "p_u3") if evaluator == "thm1"
-              else ("p_x1", "p_u2x2", "p_u3x3"))
-    masses = np.concatenate([np.ravel(getattr(c, f)) for c in cfgs
-                             for f in fields])
-    assume(masses[masses > 0.0].min() > 1e-100)
     n = len(cfgs)
     want = {}
     for i1, i2, i3 in np.ndindex(n, n, n):
@@ -431,6 +597,12 @@ def _grid_vs_oracle(channel, evaluator, cfgs):
             cfg = UnstructuredConfig(cfgs[i1].p_x1, cfgs[i2].p_u2x2,
                                      cfgs[i3].p_u3x3)
         want[i1, i2, i3] = _outcome(oracle, channel, cfg)
+    errors = {w for w in want.values() if isinstance(w, str)}
+    if errors:
+        with pytest.raises(Exception) as info:
+            direct.direct_bounds(channel, evaluator, p1s, users2, users3)
+        assert type(info.value).__name__ in errors
+        return
     got = direct.direct_bounds(channel, evaluator, p1s, users2, users3)
     for idx, w in want.items():
         assert [(k, repr(float(v[idx]))) for k, v in got.items()] == w
@@ -465,3 +637,62 @@ def test_block_boundaries_do_not_move_values(monkeypatch, evaluator):
     for k in whole:
         assert np.array_equal(blocked[k].view(np.int64),
                               whole[k].view(np.int64)), k
+
+
+# ---------------------------------------------------------------------------
+# the layered checkers against the oracle
+
+@st.composite
+def layered_configs(draw, theorem):
+    """Thm 2/3 configs over fields {2, 3}.  Each user has at most two
+    layer axes of size > 1 (so the oracle's point loop stays short); the
+    others have size 1.  Entries may be exactly zero."""
+    fields = tuple(draw(st.sampled_from((2, 3))) for _ in range(3))
+    factors = []
+    for t in range(3):
+        a, b = rg._OTHERS[t]
+        sizes = [fields[a], fields[b]]
+        if theorem == 3:
+            sizes = [draw(st.integers(2, 3)), draw(st.integers(2, 3))] + sizes
+        shown = draw(st.sets(st.sampled_from(range(len(sizes))), max_size=2))
+        shape = tuple(n if ax in shown else 1
+                      for ax, n in enumerate(sizes)) + (2,)
+        factors.append(draw(pmfs(math.prod(shape))).reshape(shape))
+    return (Thm2Config if theorem == 2 else Thm3Config)(fields,
+                                                         tuple(factors))
+
+
+def _layered_outcome(check, *args):
+    """Verdict, every record and the witness, or the error raised."""
+    try:
+        rep = check(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__
+    witness = None if rep.witness is None else \
+        (rep.witness.rates, [(n, repr(v)) for n, v in rep.witness.parts])
+    return (rep.feasible,
+            [(r.label, repr(r.lhs), repr(r.rhs), repr(r.slack), r.kind)
+             for r in rep.records], witness)
+
+
+def _layered_vs_oracle(check, channel, cfg, rates, drop):
+    got = _layered_outcome(check, channel, cfg, rates, drop)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rg, "_rx_entropies", oracle_rx_entropies)
+        want = _layered_outcome(check, channel, cfg, rates, drop)
+    assert got == want
+
+
+_small_rates = st.tuples(*[st.floats(0.0, 0.05)] * 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(channels(), layered_configs(2), _small_rates, st.booleans())
+def test_thm2_matches_oracle(channel, cfg, rates, drop):
+    _layered_vs_oracle(thm2_feasible, channel, cfg, rates, drop)
+
+
+@settings(max_examples=30, deadline=None)
+@given(channels(), layered_configs(3), _small_rates, st.booleans())
+def test_thm3_matches_oracle(channel, cfg, rates, drop):
+    _layered_vs_oracle(thm3_feasible, channel, cfg, rates, drop)

@@ -194,6 +194,16 @@ class TestEntropy:
         direct = von_neumann_entropy((g0 + g1) / 2)
         assert direct == pytest.approx(want, abs=1e-9)
 
+    def test_subnormal_atom(self):
+        # 1/p overflows at p = 2.2e-311: the conditional state used to
+        # come out non-finite and raise NotHermitian
+        g0, g1 = gamma_pair(0.7)
+        pmf = [2.2e-311, 1.0]
+        s = CqState([("A", 2)], pmf, {(0,): g0, (1,): g1})
+        got = entropy(s, EntropyQuery(("A",), True))
+        # both states are pure, so H(A, Y) = H(A)
+        assert got == shannon_entropy(pmf) > 0.0
+
     def test_unknown_register(self):
         smap = {(0,): np.eye(2) / 2, (1,): np.eye(2) / 2}
         s = CqState([("X", 2)], [0.5, 0.5], smap)
