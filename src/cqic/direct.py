@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .states import (mass_quotient, shannon_entropies,
+from .states import (mass_quotient, mass_scale, shannon_entropies,
                      von_neumann_entropies)
 
 #: configs per pass; bounds the working arrays whatever the grid size
@@ -144,17 +144,23 @@ def cq_entropies(receivers, tables, mass, inputs):
     position in ``receivers``.
     """
     g = mass.shape[0]
+    # only a group of subnormal points pools to a subnormal mass; scaling
+    # (exactly, see mass_scale) is skipped when no point is subnormal
+    lift = mass_scale(mass[mass > 0.0]).max(initial=1.0) > 1.0
     margs, queued = {}, []
     for rx, (shape, pool, subsets) in enumerate(receivers):
         outs = tables[rx][inputs]
         outs = outs.reshape((g, -1) + outs.shape[-2:])
         # the receiver's cq state: pooled pmf and conditional states
         mk = np.take(mass, pool, axis=1)
-        parts = mk[..., None, None] * np.take(outs, pool, axis=1)
-        parts[mk == 0.0] = _SKIP
         probs = 0.0 + _seq_sum(mk)
         p = np.clip(probs, 0.0, None)  # as Pmf clips the joint pmf
-        smap = mass_quotient(_seq_sum(parts), np.where(p > 0.0, probs, 1.0))
+        m = np.where(p > 0.0, probs, 1.0)
+        if lift:
+            mk = mk * mass_scale(m)[..., None]
+        parts = mk[..., None, None] * np.take(outs, pool, axis=1)
+        parts[mk == 0.0] = _SKIP
+        smap = mass_quotient(_seq_sum(parts), m)
         # H(S) of each register subset, and its conditional states on Y.
         # numpy orders a multi-axis sum by memory layout: sum C-ordered
         # tables, as CqState.marginal does
@@ -164,11 +170,13 @@ def cq_entropies(receivers, tables, mass, inputs):
             margs[rx, sub, False] = marg.reshape(g, -1)
             pk = np.take(p, groups, axis=1)
             live = pk > 0.0
+            wts = 0.0 + _seq_sum(pk)
+            if lift:
+                pk = pk * mass_scale(wts)[..., None]
             parts = pk[..., None, None] * np.take(smap, groups, axis=1)
             parts[~live] = _SKIP
             first = np.where(live, groups, groups.size).min(axis=2)
-            queued.append(((rx, sub, True), 0.0 + _seq_sum(pk),
-                           0.0 + _seq_sum(parts),
+            queued.append(((rx, sub, True), wts, 0.0 + _seq_sum(parts),
                            np.argsort(first, axis=1, kind="stable")))
 
     # H(S) of every subset in one pass; the zero padding is not summed

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -451,8 +453,15 @@ def _rx_entropies(channel: ChannelSpec, blocks, fields, j, atoms, subsets):
     return {sub: float(h[0, sub, True][0]) for sub in subsets}
 
 
-def _layered_rows(channel, fields, blocks, rates, theorem, drop_dont_care):
-    """Build variables plus all source/channel/coupling rows."""
+#: a config's rows (label, kind, coeffs, sense, rhs) and their dense
+#: form A x <= b.  Rates enter only the coupling rows, which come last
+#: with rhs None: the last six entries of b are their equality pairs.
+_LayeredSystem = namedtuple("_LayeredSystem", "names col rows a b")
+
+
+def _layered_system(channel, cfg, theorem, drop_dont_care):
+    """Validate cfg and build its variables and every row."""
+    fields, blocks = _normalized_blocks(channel, cfg, with_v=theorem == 3)
     u_act, v_act, x_act = {}, {}, {}
     h_v, h_x = {}, {}
     for t in range(3):
@@ -615,14 +624,10 @@ def _layered_rows(channel, fields, blocks, rates, theorem, drop_dont_care):
         if x_act[t]:
             coeffs[f"L{t + 1}"] = 1.0
         rows.append((f"{prefix}.rate.j={t + 1}", "coupling", coeffs, "=",
-                     rates[t]))
+                     None))
 
-    return names, col, rows
-
-
-def _solve_rows(names, col, rows):
     tol = active_tolerances()
-    a_ub, b_ub = [], []
+    a, b = [], []
 
     def _vec(coeffs, sign=1.0):
         v = np.zeros(len(names))
@@ -630,22 +635,60 @@ def _solve_rows(names, col, rows):
             v[col[nm]] = sign * c
         return v
 
-    for _, kind, coeffs, sense, rhs in rows:
+    for _, _, coeffs, sense, rhs in rows:
         if sense == "<":
-            a_ub.append(_vec(coeffs))
-            b_ub.append(rhs - tol.rate)
+            a.append(_vec(coeffs))
+            b.append(rhs - tol.rate)
         elif sense == ">":
-            a_ub.append(_vec(coeffs, -1.0))
-            b_ub.append(-(rhs + tol.rate))
-        else:  # equality via a pair of closed inequalities
-            a_ub.append(_vec(coeffs))
-            b_ub.append(rhs)
-            a_ub.append(_vec(coeffs, -1.0))
-            b_ub.append(-rhs)
+            a.append(_vec(coeffs, -1.0))
+            b.append(-(rhs + tol.rate))
+        else:  # equality via a pair of closed inequalities; rates go in later
+            a += [_vec(coeffs), _vec(coeffs, -1.0)]
+            b += [0.0, 0.0]
+    a, b = np.array(a), np.array(b)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return _LayeredSystem(tuple(names), col, tuple(rows), a, b)
 
-    a = np.array(a_ub) if a_ub else np.zeros((0, len(names)))
-    feasible, x = feasible_point(a, np.array(b_ub), tol.lp_residual)
 
+#: built layered systems by content key, least recently used first
+_SYSTEMS: dict = {}
+_SYSTEMS_LOCK = threading.Lock()
+#: bound on ``_SYSTEMS``; a boundary slice re-solves a single config
+_SYSTEMS_MAX = 8
+
+
+def _cached_system(channel, cfg, theorem, drop_dont_care):
+    """The config's layered system, built once per content: the key
+    holds, as exact bytes, all the build reads.  A config that fails
+    validation raises before anything is stored."""
+    arrays = [np.array([*vars(active_tolerances()).values()])]
+    arrays += [channel.reduced_table(j) for j in range(3)]
+    arrays += [np.asarray(raw, dtype=float) for raw in cfg.factors]
+    key = (theorem, bool(drop_dont_care), channel.input_sizes,
+           tuple(int(f) for f in cfg.fields),
+           tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays))
+    with _SYSTEMS_LOCK:
+        system = _SYSTEMS.pop(key, None)
+    if system is None:
+        system = _layered_system(channel, cfg, theorem, drop_dont_care)
+    with _SYSTEMS_LOCK:
+        _SYSTEMS[key] = system
+        while len(_SYSTEMS) > _SYSTEMS_MAX:
+            del _SYSTEMS[next(iter(_SYSTEMS))]
+    return system
+
+
+def _layered_feasible(channel, cfg, rates, theorem, drop_dont_care):
+    rates = _rate_triple(rates)
+    system = _cached_system(channel, cfg, theorem, drop_dont_care)
+    b = system.b.copy()
+    b[-6:] = [v for r in rates for v in (r, -r)]
+    feasible, x = feasible_point(system.a, b, active_tolerances().lp_residual)
+
+    col = system.col
+    rows = system.rows[:-3] + tuple(row[:4] + (r,) for row, r
+                                    in zip(system.rows[-3:], rates))
     records = []
     for label, kind, coeffs, sense, rhs in rows:
         lhs = float(sum(c * x[col[nm]] for nm, c in coeffs.items()))
@@ -657,19 +700,10 @@ def _solve_rows(names, col, rows):
             slack = -abs(lhs - rhs)
         records.append(InequalityRecord(label, lhs, float(rhs), float(slack),
                                         kind))
-    return feasible, x, records
-
-
-def _layered_feasible(channel, cfg, rates, theorem, drop_dont_care):
-    rates = _rate_triple(rates)
-    fields, blocks = _normalized_blocks(channel, cfg, with_v=theorem == 3)
-    names, col, rows = _layered_rows(channel, fields, blocks, rates,
-                                     theorem, drop_dont_care)
-    feasible, x, records = _solve_rows(names, col, rows)
     witness = None
     if feasible:
-        witness = RateAllocation(rates,
-                                 tuple((nm, float(x[col[nm]])) for nm in names))
+        witness = RateAllocation(rates, tuple((nm, float(x[col[nm]]))
+                                              for nm in system.names))
     return RegionReport(bool(feasible), tuple(records), witness)
 
 
@@ -684,6 +718,10 @@ def thm2_feasible(channel: ChannelSpec, cfg: Thm2Config, rates,
     that kept them would be contradictory for every input.  Error
     events that decode only the interference sum fix no message part;
     ``drop_dont_care`` removes those rows.
+
+    Repeated calls on one config reuse its built system and re-solve
+    only the LP: rates enter just the coupling rows.  The cache is keyed
+    on content, so a factor changed in place is rebuilt.
     """
     return _layered_feasible(channel, cfg, rates, 2, drop_dont_care)
 
@@ -697,6 +735,8 @@ def thm3_feasible(channel: ChannelSpec, cfg: Thm3Config, rates,
     content); correctly decoded ones appear on the conditioning side of
     the packing entropies.  Events consisting solely of non-message
     content (other than the bare interference sum) are excluded.
+    Repeated calls on one config reuse its built system, as in
+    :func:`thm2_feasible`.
     """
     return _layered_feasible(channel, cfg, rates, 3, drop_dont_care)
 
@@ -1045,7 +1085,9 @@ def boundary_slice(feasible_fn, r2_values, r3: float = 0.0,
     ``feasible_fn`` takes a rate triple and must be monotone in R1
     (feasible below the boundary, infeasible above).  Returns a list of
     (r2, r1_boundary) rows; ``-inf`` marks rays that are infeasible
-    even at R1 = 0.
+    even at R1 = 0.  A predicate over :func:`thm2_feasible` or
+    :func:`thm3_feasible` at one config builds its system once: the
+    layered checkers cache built systems, keyed on content.
     """
     rows = []
     for r2 in r2_values:

@@ -112,17 +112,24 @@ def shannon_entropies(rows) -> np.ndarray:
     return 0.0 - sums
 
 
-def mass_quotient(acc, mass):
-    """``acc / mass`` over the trailing ``(d, d)`` axes, finite for any
-    positive mass: numpy divides complex by real as ``acc * (1 / mass)``,
-    which overflows for a subnormal mass.  Such a mass and its
-    accumulator are first scaled by 2**64, which is exact; every other
-    quotient keeps its bits.
+def mass_scale(mass):
+    """Factor for the point masses of a group pooled to ``mass``: 2**64
+    where that mass is subnormal, 1.0 elsewhere.
+
+    Every point of a subnormal group is subnormal too, so scaling it is
+    exact, and ``(p * scale) * rho`` keeps the bits that ``p * rho``
+    rounds away.  A normal group keeps every bit.
     """
-    mass = np.asarray(mass, dtype=float)[..., None, None]
-    small = mass < _TINY
-    return (np.where(small, acc * _SCALE, acc)
-            / np.where(small, mass * _SCALE, mass))
+    return np.where(np.asarray(mass, dtype=float) < _TINY, _SCALE, 1.0)
+
+
+def mass_quotient(acc, mass):
+    """``acc / mass`` over the trailing ``(d, d)`` axes, for ``acc``
+    pooled from point masses times ``mass_scale(mass)``: the divisor is
+    scaled alike, so 1 / mass does not overflow either.
+    """
+    mass = np.asarray(mass, dtype=float)
+    return acc / (mass * mass_scale(mass))[..., None, None]
 
 
 def von_neumann_entropies(rhos) -> np.ndarray:
@@ -269,17 +276,20 @@ class CqState:
         if it is None:
             yield (), 1.0, next(iter(self.state_map.values()))
             return
+        points = []
         for v in it:
             p = float(v)
             if p <= 0.0:
                 continue
             x = it.multi_index
             key = tuple(x[i] for i in idx)
+            wts[key] = wts.get(key, 0.0) + p
+            points.append((key, p, x))
+        scale = {key: float(mass_scale(w)) for key, w in wts.items()}
+        for key, p, x in points:
             if key not in acc:
                 acc[key] = np.zeros((dim, dim), dtype=complex)
-                wts[key] = 0.0
-            acc[key] += p * self.state_map[x]
-            wts[key] += p
+            acc[key] += (p * scale[key]) * self.state_map[x]
         for key in acc:
             yield key, wts[key], mass_quotient(acc[key], wts[key])
 

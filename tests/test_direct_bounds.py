@@ -26,7 +26,7 @@ from cqic.regions import (Thm1Config, Thm2Config, Thm3Config,
                           unstructured_3to1_check)
 from cqic.states import (CqState, EntropyQuery, Pmf,
                          conditional_mutual_info, entropy, mass_quotient,
-                         shannon_entropy)
+                         mass_scale, shannon_entropy)
 
 
 def ex1():
@@ -356,13 +356,13 @@ def _receiver_state(channel, j, regs, points):
     mass-weighted average of the receiver's outputs there.  Zero-mass
     points are skipped.
     """
+    points = [(key, p, x) for key, p, x in points if p != 0.0]
     probs = np.zeros(tuple(size for _, size in regs))
+    for key, p, _ in points:
+        probs[key] += p
     acc = {}
     for key, p, x in points:
-        if p == 0.0:
-            continue
-        probs[key] += p
-        mat = p * channel.reduced(j, x)
+        mat = (p * mass_scale(probs[key])) * channel.reduced(j, x)
         cur = acc.get(key)
         acc[key] = mat if cur is None else cur + mat
     return CqState(regs, probs.ravel(),
@@ -679,6 +679,7 @@ def _layered_vs_oracle(check, channel, cfg, rates, drop):
     got = _layered_outcome(check, channel, cfg, rates, drop)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rg, "_rx_entropies", oracle_rx_entropies)
+        mp.setattr(rg, "_SYSTEMS", {})  # build afresh, through the oracle
         want = _layered_outcome(check, channel, cfg, rates, drop)
     assert got == want
 
@@ -696,3 +697,14 @@ def test_thm2_matches_oracle(channel, cfg, rates, drop):
 @given(channels(), layered_configs(3), _small_rates, st.booleans())
 def test_thm3_matches_oracle(channel, cfg, rates, drop):
     _layered_vs_oracle(thm3_feasible, channel, cfg, rates, drop)
+
+
+def test_subnormal_group_matches_oracle():
+    # receiver 1 pools (U12, X1) = (1, 1) from one point of mass 4 ulps;
+    # rounding p * rho to whole ulps left eigenvalue -0.059 (InvalidState)
+    spec = build_ex2(2 * math.asin(math.sqrt(0.1)), 0.1, 0.1, 0.5)
+    point = np.array([1.0, 0.0]).reshape(1, 1, 2)
+    f1 = np.array([[0.25, 0.25], [0.5, 4 * 5e-324]]).reshape(2, 1, 2)
+    cfg = Thm2Config((2, 2, 2), (f1, point, point))
+    assert thm2_feasible(spec, cfg, (0.05, 0.0, 0.0)).feasible
+    _layered_vs_oracle(thm2_feasible, spec, cfg, (0.05, 0.0, 0.0), False)

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqic import regions as rg
+from cqic.channels import build_ex2, build_ex3
 from cqic.lp import feasible_point
+from cqic.regions import (Thm1Config, Thm2Config, UnstructuredConfig,
+                          boundary_slice, thm2_config_from_thm1,
+                          thm2_feasible, thm3_config_from_unstructured,
+                          thm3_feasible)
 
 
 class TestFeasiblePoint:
@@ -86,3 +94,87 @@ class TestFeasiblePoint:
         ok, x = feasible_point(a, np.array([1.0, 1.0, 1.0, 0.0]))
         assert ok
         assert 0 <= x[0] <= 1 + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# differential tests against scipy's HiGHS (tests only)
+
+def _highs_feasible(a, b):
+    opt = pytest.importorskip("scipy.optimize")
+    res = opt.linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=b, bounds=(0, None),
+                      method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def _highs_verdict(a, b, delta=1e-6):
+    """HiGHS's verdict where it holds with every row moved by ``delta``
+    either way; ``None`` near the boundary."""
+    if _highs_feasible(a, b - delta):
+        return True
+    if not _highs_feasible(a, b + delta):
+        return False
+    return None
+
+
+def _noisy_thm2(seed, shapes):
+    rng = np.random.default_rng(seed)
+    tabs = [rng.random(s) for s in shapes]
+    return Thm2Config((2, 2, 2), tuple(t / t.sum() for t in tabs))
+
+
+def _layered_cases():
+    """(channel, config, theorem, drop_dont_care) with a finite boundary."""
+    ex2 = build_ex2(math.pi / 3, 0.1, 0.1, 1 / 32)
+    ex3 = build_ex3(1.0, 0.1, 0.12, 0.4, 0.38, 0.42)
+    thm2 = thm2_config_from_thm1(ex2, Thm1Config(
+        2, (31 / 32, 1 / 32), (0.5, 0.5), (0.5, 0.5), (0, 1), (0, 1)))
+    thm3 = thm3_config_from_unstructured(ex2, UnstructuredConfig(
+        np.array([0.6, 0.4]), np.array([[0.3, 0.2], [0.1, 0.4]]),
+        np.array([[0.35, 0.15], [0.05, 0.45]])))
+    one_layer = ((2, 1, 2),) * 3
+    two_users = ((1, 1, 2), (2, 1, 2), (2, 1, 2))
+    return [(ex2, thm2, 2, False), (ex2, thm3, 3, False),
+            (ex3, _noisy_thm2(3, one_layer), 2, False),
+            (ex3, _noisy_thm2(5, two_users), 2, True)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_layered_systems_agree_with_highs(case):
+    # the real A and b of a Thm 2/3 system, 0.02 either side of the
+    # boundary the layered checker finds
+    spec, cfg, theorem, drop = _layered_cases()[case]
+    system = rg._layered_system(spec, cfg, theorem, drop)
+    check = thm2_feasible if theorem == 2 else thm3_feasible
+    compared = 0
+    for r2, r3 in ((0.0, 0.0), (0.02, 0.01), (0.05, 0.0)):
+        (_, r1), = boundary_slice(
+            lambda r: check(spec, cfg, r, drop).feasible, [r2], r3,
+            r1_hi=1.0, tol=1e-4)
+        if r1 == -math.inf:
+            continue
+        for rate, want in ((r1 - 0.02, True), (r1 + 0.02, False)):
+            if rate < 0.0:
+                continue
+            b = system.b.copy()
+            b[-6:] = [v for r in (rate, r2, r3) for v in (r, -r)]
+            assert _highs_feasible(system.a, b) is want
+            assert feasible_point(system.a, b)[0] is want
+            compared += 1
+    assert compared >= 3
+
+
+def test_random_systems_agree_with_highs():
+    rng = np.random.default_rng(11)
+    decided = 0
+    for _ in range(300):
+        m, n = int(rng.integers(1, 10)), int(rng.integers(1, 7))
+        a = rng.normal(size=(m, n))
+        a[rng.random((m, n)) < 0.3] = 0.0
+        b = rng.normal(size=m)
+        want = _highs_verdict(a, b)
+        if want is None:
+            continue
+        assert feasible_point(a, b)[0] == want, (a, b)
+        decided += 1
+    assert decided >= 250

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -539,3 +541,121 @@ class TestScan:
         # sum wall: r1 + r2 caps at the interference-free ceiling
         assert abs(rows[1][1] - (HALF_COS - 0.2)) < 1e-5
         assert abs(rows[2][1] - (HALF_COS - 0.4)) < 1e-5
+
+
+def layered_case(theorem, tau=1 / 32):
+    """A boundary-slice config as the benchmark builds them."""
+    spec = ex2(tau)
+    if theorem == 2:
+        return spec, thm2_config_from_thm1(spec, proof_config(tau)), \
+            thm2_feasible
+    cfg = thm3_config_from_unstructured(spec, UnstructuredConfig(
+        np.array([0.6, 0.4]), np.array([[0.3, 0.2], [0.1, 0.4]]),
+        np.array([[0.35, 0.15], [0.05, 0.45]])))
+    return spec, cfg, thm3_feasible
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """Start from an empty system cache and count the builds."""
+    monkeypatch.setattr(rg, "_SYSTEMS", {})
+    built = []
+    build = rg._layered_system
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(rg, "_layered_system", counted)
+    return built
+
+
+class TestLayeredCache:
+    @pytest.mark.parametrize("theorem", (2, 3))
+    def test_slice_reports_equal_cold_builds(self, count_builds, theorem):
+        spec, cfg, check = layered_case(theorem)
+        probed = []
+
+        def fn(rates):
+            probed.append((rates, check(spec, cfg, rates)))
+            return probed[-1][1].feasible
+
+        rows = boundary_slice(fn, [0.0, 0.05], 0.02, r1_hi=1.0, tol=1e-3)
+        assert len(count_builds) == 1
+        assert len(probed) > 10 and all(r1 > 0.0 for _, r1 in rows)
+        assert {rep.feasible for _, rep in probed} == {True, False}
+        for rates, rep in probed:
+            rg._SYSTEMS.clear()
+            cold = check(spec, cfg, rates)
+            assert (cold.feasible, cold.records, cold.witness) == \
+                (rep.feasible, rep.records, rep.witness)
+        assert len(count_builds) == 1 + len(probed)
+
+    def test_in_place_factor_change_rebuilds(self, count_builds):
+        spec, cfg, check = layered_case(2)
+        assert check(spec, cfg, (0.1, 0.0, 0.0)).feasible
+        # user 1 sends a fixed input: R1 is pinned at 0
+        cfg.factors[0][...] = [[[1.0, 0.0]]]
+        assert not check(spec, cfg, (0.1, 0.0, 0.0)).feasible
+        assert len(count_builds) == 2
+
+    def test_tolerance_change_rebuilds(self, count_builds, monkeypatch):
+        spec, cfg, check = layered_case(3)
+        loose = check(spec, cfg, (0.1, 0.0, 0.0))
+        monkeypatch.setenv("CQRL_TOL", "1e-3")
+        tight = check(spec, cfg, (0.1, 0.0, 0.0))
+        assert len(count_builds) == 2
+        assert tight.records != loose.records
+        rg._SYSTEMS.clear()
+        assert check(spec, cfg, (0.1, 0.0, 0.0)) == tight
+
+    def test_size_stays_bounded(self, count_builds):
+        spec = ex2(1 / 32)
+        for i in range(rg._SYSTEMS_MAX + 4):
+            cfg = thm2_config_from_thm1(spec, proof_config((i + 1) / 64))
+            thm2_feasible(spec, cfg, (0.05, 0.0, 0.0))
+            assert len(rg._SYSTEMS) <= rg._SYSTEMS_MAX
+        assert len(rg._SYSTEMS) == rg._SYSTEMS_MAX
+        # the most recent config is still held: no rebuild
+        thm2_feasible(spec, cfg, (0.1, 0.0, 0.0))
+        assert len(count_builds) == rg._SYSTEMS_MAX + 4
+
+    def test_invalid_config_not_cached(self, count_builds):
+        spec, cfg, check = layered_case(2)
+        bad = Thm2Config(cfg.fields, cfg.factors[:2])
+        for _ in range(2):
+            with pytest.raises(ConfigMismatch):
+                check(spec, bad, (0.1, 0.0, 0.0))
+        assert rg._SYSTEMS == {} and len(count_builds) == 2
+
+    def test_threads_share_the_cache(self, count_builds):
+        spec = ex2(1 / 32)
+        cfgs = [thm2_config_from_thm1(spec, proof_config((i + 1) / 64))
+                for i in range(rg._SYSTEMS_MAX + 4)]
+        want = [thm2_feasible(spec, cfg, (0.05, 0.0, 0.0)) for cfg in cfgs]
+        got, errors = [], []
+
+        def work(offset):
+            try:
+                for k in range(2 * len(cfgs)):
+                    i = (k + offset) % len(cfgs)
+                    got.append(thm2_feasible(spec, cfgs[i], (0.05, 0.0, 0.0))
+                               == want[i])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(3 * n,))
+                       for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(got) == 4 * 2 * len(cfgs) and all(got)
+        assert len(rg._SYSTEMS) <= rg._SYSTEMS_MAX

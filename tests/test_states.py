@@ -204,6 +204,19 @@ class TestEntropy:
         # both states are pure, so H(A, Y) = H(A)
         assert got == shannon_entropy(pmf) > 0.0
 
+    def test_subnormal_group_pooled_exactly(self):
+        # at a mass of 3 ulps, p * rho rounds each entry to whole ulps:
+        # the pooled "state" had eigenvalue -0.1009 and raised InvalidState
+        v = np.array([np.sqrt(0.9), np.sqrt(0.1)])
+        pmf = [3 * 5e-324, 1.0]
+        s = CqState([("A", 2)], pmf,
+                    {(0,): np.outer(v, v), (1,): np.diag([1.0, 0.0])})
+        got = entropy(s, EntropyQuery(("A",), True))
+        assert got == shannon_entropy(pmf) > 0.0
+        (_, w, rho), _ = s.conditional_average_states(("A",))
+        assert w == pmf[0]
+        assert np.abs(rho - np.outer(v, v)).max() < 1e-15
+
     def test_unknown_register(self):
         smap = {(0,): np.eye(2) / 2, (1,): np.eye(2) / 2}
         s = CqState([("X", 2)], [0.5, 0.5], smap)
