@@ -17,9 +17,9 @@ import numpy as np
 from .config import active_tolerances
 from .errors import (ConfigMismatch, DomainError, Unsupported)
 from .linalg import eig_hermitian, operator_norm, partial_trace, tensor_all
-from .states import (CqState, DensityOperator, EntropyQuery, Pmf,
-                     binary_convolve, binary_entropy, fact1_f, shannon_entropy,
-                     von_neumann_entropies, von_neumann_entropy)
+from .states import (DensityOperator, Pmf, binary_convolve, binary_entropy,
+                     fact1_f, shannon_entropy, von_neumann_entropies,
+                     von_neumann_entropy)
 
 
 def sigma_state(delta: float, x: int) -> np.ndarray:

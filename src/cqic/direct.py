@@ -1,32 +1,16 @@
-"""Receiver cq-state entropies of inner bounds, in batched passes.
+"""Direct inner bounds over a whole grid of configs, in batched passes.
 
-:func:`cq_entropies` is the one kernel: it pools each receiver's state
-from a stacked channel table, forms the conditional states of every
-register subset in bulk, and takes their entropies in one eigensolve
-per block of configs.  Two callers use it:
+:func:`direct_bounds` evaluates the direct bounds of :mod:`cqic.regions`
+(Thm 1 sum decoding and unstructured superposition), conditional mutual
+informations I(A; Y | C) of one receiver's state, over every config of a
+product grid, ``BLOCK`` configs per call of the cq-state kernel
+:func:`~cqic.states.cq_entropies`.
 
-* :func:`direct_bounds`, for the direct bounds of :mod:`cqic.regions`
-  (Thm 1 sum decoding and unstructured superposition), conditional
-  mutual informations I(A; Y | C) of one receiver's state, over every
-  config of a product grid;
-* the layered checkers (Thm 2 and 3), whose packing bounds are
-  conditional entropies H(Z_wrong | Z_rest, Y), one config at a time.
-
-The direct bounds draw points (a2, a3, x1) with mass
-(w2[a2] * w3[a3]) * p1[x1], where a_j is user j's field symbol (Thm 1)
-or its (cloud, input) pair (superposition), and sends input x_j[a_j].
-The layered bounds draw one point per entry of the product of the three
-users' factor tables.  The engine repeats the
-scalar :class:`~cqic.states.CqState` arithmetic array-wide, so every
-value is bit for bit what ``CqState`` and ``conditional_mutual_info``
-give for the one config:
-
-* the same products, pooled by left-to-right sums in the same order.
-  -0.0 stands in for a skipped zero-mass term, because it is the exact
-  additive identity; the scalar code's leading ``0.0 +`` is applied
-  last, which is exact too;
-* conditional states added to H(S) in order of first occurrence;
-* row entropies summed as ``shannon_entropy`` sums them.
+The points are (a2, a3, x1) with mass (w2[a2] * w3[a3]) * p1[x1], where
+a_j is user j's field symbol (Thm 1) or its (cloud, input) pair
+(superposition), and user j sends input x_j[a_j].  Every value is bit
+for bit what one ``CqState`` per receiver and ``conditional_mutual_info``
+give for the one config.
 """
 
 from __future__ import annotations
@@ -36,12 +20,10 @@ import math
 
 import numpy as np
 
-from .states import (mass_quotient, mass_scale, shannon_entropies,
-                     von_neumann_entropies)
+from .states import cq_entropies, receiver_layout, shannon_entropies
 
 #: configs per pass; bounds the working arrays whatever the grid size
 BLOCK = 64
-_SKIP = complex(-0.0, -0.0)
 
 # (bound key, receiver, A, C) of each bound term I(A; Y | C)
 _THM1_TERMS = (("r1_rhs", 0, ("X1",), ("U",)),
@@ -58,45 +40,6 @@ _UNSTR_TERMS = (("r1_rhs", 0, ("X1",), ("U2", "U3")),
                 ("own3", 2, ("U3", "X3"), ()),
                 ("refine2", 1, ("X2",), ("U2",)),
                 ("refine3", 2, ("X3",), ("U3",)))
-
-
-def _seq_sum(a):
-    """Left-to-right sum over axis 2 (``np.sum`` may pair terms up)."""
-    return np.add.accumulate(a, axis=2)[:, :, -1]
-
-
-def _grouped(keys, n_keys):
-    """Positions of each value of ``keys``: row k lists, ascending, where
-    ``keys`` equals k.  Every value must occur equally often."""
-    groups = np.argsort(keys.ravel(), kind="stable").reshape(n_keys, -1)
-    groups.setflags(write=False)  # cached by _layout, shared by callers
-    return groups
-
-
-def receiver_layout(regs, key, subsets):
-    """Layout of one receiver's cq state, for :func:`cq_entropies`.
-
-    ``regs`` lists the classical registers as ``(name, size)``; ``key``
-    gives each point's register value, flat in row-major order over
-    ``regs``, and every value must occur equally often.  Returns
-    ``(shape, pool, subsets)``: ``pool`` lists the points behind each
-    register value, and ``subsets`` maps every register subset (a
-    frozenset of names) to its summed axes and to the register values
-    behind each of its values.
-    """
-    names = [nm for nm, _ in regs]
-    shape = tuple(size for _, size in regs)
-    n = math.prod(shape)
-    coords = np.unravel_index(np.arange(n), shape)
-    table = {}
-    for sub in subsets:
-        keep = [i for i, nm in enumerate(names) if nm in sub]
-        kept = tuple(shape[i] for i in keep)
-        sub_key = (np.ravel_multi_index([coords[i] for i in keep], kept)
-                   if keep else np.zeros(n, dtype=int))
-        dropped = tuple(i + 1 for i in range(len(shape)) if i not in keep)
-        table[sub] = (dropped, _grouped(sub_key, math.prod(kept)))
-    return shape, _grouped(key, n), table
 
 
 @functools.lru_cache(maxsize=64)
@@ -132,85 +75,6 @@ def _layout(evaluator, alpha2, alpha3, n1):
     return tuple(receivers), terms
 
 
-def cq_entropies(receivers, tables, mass, inputs):
-    """H(S) and H(S, Y) of every laid-out register subset S, per config.
-
-    ``receivers`` holds :func:`receiver_layout` results and ``tables``
-    each one's stacked channel outputs (``ChannelSpec.reduced_table``).
-    ``mass`` holds the point masses of a block of configs, ``(g,
-    points)``; ``inputs`` indexes the tables with each point's channel
-    inputs and broadcasts to ``(g, ...)``, points flat over the rest.
-    Returns ``{(rx, S, with_y): (g,) array}``, ``rx`` the receiver's
-    position in ``receivers``.
-    """
-    g = mass.shape[0]
-    # only a group of subnormal points pools to a subnormal mass; scaling
-    # (exactly, see mass_scale) is skipped when no point is subnormal
-    lift = mass_scale(mass[mass > 0.0]).max(initial=1.0) > 1.0
-    margs, queued = {}, []
-    for rx, (shape, pool, subsets) in enumerate(receivers):
-        outs = tables[rx][inputs]
-        outs = outs.reshape((g, -1) + outs.shape[-2:])
-        # the receiver's cq state: pooled pmf and conditional states
-        mk = np.take(mass, pool, axis=1)
-        probs = 0.0 + _seq_sum(mk)
-        p = np.clip(probs, 0.0, None)  # as Pmf clips the joint pmf
-        m = np.where(p > 0.0, probs, 1.0)
-        if lift:
-            mk = mk * mass_scale(m)[..., None]
-        parts = mk[..., None, None] * np.take(outs, pool, axis=1)
-        parts[mk == 0.0] = _SKIP
-        smap = mass_quotient(_seq_sum(parts), m)
-        # H(S) of each register subset, and its conditional states on Y.
-        # numpy orders a multi-axis sum by memory layout: sum C-ordered
-        # tables, as CqState.marginal does
-        p_table = np.ascontiguousarray(p).reshape((g,) + shape)
-        for sub, (dropped, groups) in subsets.items():
-            marg = p_table.sum(axis=dropped) if dropped else p_table
-            margs[rx, sub, False] = marg.reshape(g, -1)
-            pk = np.take(p, groups, axis=1)
-            live = pk > 0.0
-            wts = 0.0 + _seq_sum(pk)
-            if lift:
-                pk = pk * mass_scale(wts)[..., None]
-            parts = pk[..., None, None] * np.take(smap, groups, axis=1)
-            parts[~live] = _SKIP
-            first = np.where(live, groups, groups.size).min(axis=2)
-            queued.append(((rx, sub, True), wts, 0.0 + _seq_sum(parts),
-                           np.argsort(first, axis=1, kind="stable")))
-
-    # H(S) of every subset in one pass; the zero padding is not summed
-    width = max(m.shape[1] for m in margs.values())
-    rows = np.zeros((len(margs), g, width))
-    for row, m in zip(rows, margs.values()):
-        row[:, :m.shape[1]] = m
-    h = dict(zip(margs, shannon_entropies(rows.reshape(-1, width))
-                 .reshape(len(margs), g)))
-
-    # H(S, Y) = H(S) + sum_s p(s) S(rho_s): one eigensolve per output
-    # dimension over every conditional state of the block
-    by_dim = {}
-    for item in queued:
-        by_dim.setdefault(item[2].shape[-1], []).append(item)
-    for items in by_dim.values():
-        present = [wts > 0.0 for _, wts, _, _ in items]
-        ents = von_neumann_entropies(np.concatenate(
-            [mass_quotient(acc[m], wts[m])
-             for (_, wts, acc, _), m in zip(items, present)]))
-        at = 0
-        for (key, wts, _, order), m in zip(items, present):
-            n = np.count_nonzero(m)
-            ws = np.zeros_like(wts)
-            ws[m] = wts[m] * ents[at:at + n]
-            at += n
-            ws = np.take_along_axis(ws, order, axis=1)
-            total = h[key[0], key[1], False]
-            for i in range(ws.shape[1]):
-                total = total + ws[:, i]
-            h[key] = total
-    return h
-
-
 def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
     """Bound terms I(A; Y | C) of a block of configs, one entry per config.
 
@@ -239,7 +103,7 @@ def _sum_pmf(p2, p3):
     prod = p2[:, :, None] * p3[:, None, :]
     # each sum's mass added up over u2 = 0, 1, ..., as the scalar loop does
     terms = prod[:, u[None, :], (u[:, None] - u[None, :]) % v]
-    return 0.0 + _seq_sum(terms)
+    return 0.0 + np.add.accumulate(terms, axis=2)[:, :, -1]
 
 
 def direct_bounds(channel, evaluator, p1s, users2, users3):

@@ -35,13 +35,13 @@ import numpy as np
 
 from .channels import ChannelSpec, CostVector, gamma_state, sigma_state
 from .config import ENUMERATION_CAP, active_tolerances
-from .direct import cq_entropies, direct_bounds, receiver_layout
+from .direct import direct_bounds
 from .errors import (BudgetExceeded, ConfigMismatch, DomainError, Not3to1,
                      Unsupported)
 from .gfcoset import _check_modulus
 from .linalg import operator_norm
 from .lp import feasible_point
-from .states import Pmf, shannon_entropy
+from .states import Pmf, cq_entropies, receiver_layout, shannon_entropy
 
 _OTHERS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 

@@ -3,12 +3,21 @@
 A :class:`CqState` is a joint pmf over named classical registers plus a
 map from each support point to a density operator on one quantum
 register.  All entropies are in bits.
+
+:func:`cq_entropies` is the one engine for the entropies of cq states:
+it pools each receiver's state of an inner bound from a stacked channel
+table, then forms the conditional states of every register subset in
+bulk and takes their entropies in one eigensolve per output dimension.
+A ``CqState`` is its one-config case: :func:`entropy` and
+:func:`conditional_mutual_info` hand the state, already pooled, to the
+second stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -210,8 +219,10 @@ class CqState:
     """Joint pmf over named classical registers with a cq output register.
 
     Registers keep their insertion order; the joint pmf is row-major in
-    that order.  ``state_map`` must provide a density operator for every
-    support point of the pmf.
+    that order.  ``state_map`` maps points (tuples of register values) to
+    square operators of one dimension and must cover every support point
+    of the pmf.  ``outputs`` stacks them in pmf order, ``(n, d, d)``, with
+    a zero matrix at each point that has none.
     """
 
     def __init__(self, registers, joint_pmf, state_map, quantum_register_name="Y"):
@@ -222,76 +233,61 @@ class CqState:
         if quantum_register_name in names:
             raise DomainError("quantum register name collides with a classical one")
         pmf = joint_pmf if isinstance(joint_pmf, Pmf) else Pmf(joint_pmf)
-        total = 1
-        for _, a in regs:
-            total *= a
-        if pmf.size != total:
-            raise DomainError(f"pmf has {pmf.size} entries, registers need {total}")
         shape = tuple(a for _, a in regs)
-        table = pmf.probs.reshape(shape) if regs else pmf.probs.reshape(())
+        if pmf.size != math.prod(shape):
+            raise DomainError(f"pmf has {pmf.size} entries, registers need "
+                              f"{math.prod(shape)}")
+        table = pmf.probs.reshape(shape)
         smap = {}
-        dim = None
-        for key in np.argwhere(table > 0.0):
-            k = tuple(int(i) for i in key)
-            if k not in state_map:
-                raise DomainError(f"state_map missing support point {k}")
         for k, op in state_map.items():
-            arr = np.asarray(getattr(op, "mat", op), dtype=complex)
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise DomainError("state_map operators must share one dimension")
-            smap[tuple(int(i) for i in k)] = arr
+            if not (isinstance(k, tuple) and len(k) == len(shape) and all(
+                    isinstance(i, (int, np.integer)) and 0 <= i < a
+                    for i, a in zip(k, shape))):
+                raise DomainError(f"state_map key {k!r} is not a point of "
+                                  f"registers {regs}")
+            smap[tuple(int(i) for i in k)] = np.asarray(getattr(op, "mat", op),
+                                                        dtype=complex)
+        for key in np.argwhere(table > 0.0):
+            if tuple(key) not in smap:
+                raise DomainError("state_map missing support point "
+                                  f"{tuple(int(i) for i in key)}")
+        shapes = {arr.shape for arr in smap.values()}
+        op_shape = shapes.pop() if len(shapes) == 1 else ()
+        if len(op_shape) != 2 or op_shape[0] != op_shape[1]:
+            raise DomainError("state_map operators must be square matrices "
+                              "of one dimension")
+        dim = op_shape[0]
+        outputs = np.zeros(shape + (dim, dim), dtype=complex)
+        for k, arr in smap.items():
+            outputs[k] = arr
+        outputs = outputs.reshape((-1, dim, dim))
+        outputs.setflags(write=False)
         self.registers = regs
         self.joint_pmf = pmf
         self.prob_table = table
         self.state_map = smap
+        self.outputs = outputs
         self.quantum_register_name = str(quantum_register_name)
-        self.quantum_dim = dim if dim is not None else 1
+        self.quantum_dim = dim
 
     def register_names(self):
         return [n for n, _ in self.registers]
 
-    def marginal(self, names) -> np.ndarray:
-        """Marginal pmf table over ``names`` (canonical register order)."""
-        idx = self._indices(names)
-        axes = tuple(i for i in range(len(self.registers)) if i not in idx)
-        return self.prob_table.sum(axis=axes) if axes else self.prob_table.copy()
 
-    def _indices(self, names):
-        names = set(names)
-        unknown = names - set(self.register_names())
-        if unknown:
-            raise UnknownRegister(f"unknown register(s) {sorted(unknown)}")
-        return [i for i, (n, _) in enumerate(self.registers) if n in names]
-
-    def conditional_average_states(self, names):
-        """Yield (subset value tuple, weight, averaged output matrix / weight)."""
-        idx = self._indices(names)
-        dim = self.quantum_dim
-        acc: dict[tuple, np.ndarray] = {}
-        wts: dict[tuple, float] = {}
-        it = np.nditer(self.prob_table, flags=["multi_index"]) if self.prob_table.ndim \
-            else None
-        if it is None:
-            yield (), 1.0, next(iter(self.state_map.values()))
-            return
-        points = []
-        for v in it:
-            p = float(v)
-            if p <= 0.0:
-                continue
-            x = it.multi_index
-            key = tuple(x[i] for i in idx)
-            wts[key] = wts.get(key, 0.0) + p
-            points.append((key, p, x))
-        scale = {key: float(mass_scale(w)) for key, w in wts.items()}
-        for key, p, x in points:
-            if key not in acc:
-                acc[key] = np.zeros((dim, dim), dtype=complex)
-            acc[key] += (p * scale[key]) * self.state_map[x]
-        for key in acc:
-            yield key, wts[key], mass_quotient(acc[key], wts[key])
+def _query_entropies(state: CqState, queries) -> list:
+    """Each query's entropy, from one call of the kernel's subset stage."""
+    subsets = dict.fromkeys(q.classical_subset for q in queries)
+    unknown = set().union(*subsets) - set(state.register_names())
+    if unknown:
+        raise UnknownRegister(f"unknown register(s) {sorted(unknown)}")
+    n = state.prob_table.size
+    # every point is its own register value: the state is pooled already
+    layout = receiver_layout(state.registers, np.arange(n), subsets)
+    p = state.prob_table.reshape(1, n)
+    h = _subset_entropies([layout], [(p, state.outputs[None])],
+                          _has_subnormal(p))
+    return [float(h[0, q.classical_subset, q.include_quantum][0])
+            for q in queries]
 
 
 def entropy(state: CqState, q: EntropyQuery) -> float:
@@ -300,14 +296,7 @@ def entropy(state: CqState, q: EntropyQuery) -> float:
     include_quantum gives H(S, Y) = H(p_S) + sum_s p_S(s) S(rho_bar_s)
     with rho_bar_s the conditional average output state.
     """
-    marg = state.marginal(q.classical_subset)
-    h = shannon_entropy(marg)
-    if q.include_quantum:
-        conds = list(state.conditional_average_states(q.classical_subset))
-        ents = von_neumann_entropies(np.array([rho for _, _, rho in conds]))
-        for (_, w, _), s in zip(conds, ents.tolist()):
-            h += w * s
-    return h
+    return _query_entropies(state, (q,))[0]
 
 
 def conditional_mutual_info(state: CqState, a: EntropyQuery, b: EntropyQuery,
@@ -322,5 +311,156 @@ def conditional_mutual_info(state: CqState, a: EntropyQuery, b: EntropyQuery,
             raise OverlappingQueries(f"registers {sorted(common)} appear twice")
     if sum(int(q.include_quantum) for q in (a, b, c)) > 1:
         raise OverlappingQueries("quantum register may appear in only one argument")
-    return (entropy(state, a.union(c)) + entropy(state, b.union(c))
-            - entropy(state, a.union(b).union(c)) - entropy(state, c))
+    h_ac, h_bc, h_abc, h_c = _query_entropies(
+        state, (a.union(c), b.union(c), a.union(b).union(c), c))
+    return h_ac + h_bc - h_abc - h_c
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel, bit for bit a scalar loop over the points of one
+# config in row-major order: the same products, pooled by left-to-right
+# sums in the same order (-0.0, the exact additive identity, stands in
+# for a skipped zero-mass term; the loop's leading ``0.0 +`` comes last,
+# which is exact too); conditional states added to H(S) in order of
+# first occurrence; row entropies summed as ``shannon_entropy`` sums them.
+
+_SKIP = complex(-0.0, -0.0)
+
+
+def _seq_sum(a):
+    """Left-to-right sum over axis 2 (``np.sum`` may pair terms up)."""
+    return np.add.accumulate(a, axis=2)[:, :, -1]
+
+
+def _has_subnormal(mass) -> bool:
+    """Whether a positive mass is subnormal.  Only a group of subnormal
+    points pools to a subnormal mass, so without one, scaling (exactly,
+    see :func:`mass_scale`) is skipped."""
+    return bool((mass[mass > 0.0] < _TINY).any())
+
+
+def _grouped(keys, n_keys):
+    """Positions of each value of ``keys``: row k lists, ascending, where
+    ``keys`` equals k.  Every value must occur equally often."""
+    groups = np.argsort(keys.ravel(), kind="stable").reshape(n_keys, -1)
+    groups.setflags(write=False)  # layouts are cached and shared
+    return groups
+
+
+def receiver_layout(regs, key, subsets):
+    """Layout of one receiver's cq state, for :func:`cq_entropies`.
+
+    ``regs`` lists the classical registers as ``(name, size)``; ``key``
+    gives each point's register value, flat in row-major order over
+    ``regs``, and every value must occur equally often.  Returns
+    ``(shape, pool, subsets)``: ``pool`` lists the points behind each
+    register value, and ``subsets`` maps every register subset (a
+    frozenset of names) to its summed axes and to the register values
+    behind each of its values.
+    """
+    names = [nm for nm, _ in regs]
+    shape = tuple(size for _, size in regs)
+    n = math.prod(shape)
+    coords = np.indices(shape).reshape(len(shape), n)
+    table = {}
+    for sub in subsets:
+        keep = [i for i, nm in enumerate(names) if nm in sub]
+        kept = tuple(shape[i] for i in keep)
+        sub_key = (np.ravel_multi_index([coords[i] for i in keep], kept)
+                   if keep else np.zeros(n, dtype=int))
+        dropped = tuple(i + 1 for i in range(len(shape)) if i not in keep)
+        table[sub] = (dropped, _grouped(sub_key, math.prod(kept)))
+    return shape, _grouped(key, n), table
+
+
+def cq_entropies(receivers, tables, mass, inputs):
+    """H(S) and H(S, Y) of every laid-out register subset S, per config.
+
+    ``receivers`` holds :func:`receiver_layout` results and ``tables``
+    each one's stacked channel outputs (``ChannelSpec.reduced_table``).
+    ``mass`` holds the point masses of a block of configs, ``(g,
+    points)``; ``inputs`` indexes the tables with each point's channel
+    inputs and broadcasts to ``(g, ...)``, points flat over the rest.
+    Returns ``{(rx, S, with_y): (g,) array}``, ``rx`` the receiver's
+    position in ``receivers``.
+
+    Stage 1 pools each receiver's pmf ``p``, ``(g, n)`` over its n
+    register values, and their conditional states ``smap``, ``(g, n, d,
+    d)``; stage 2, :func:`_subset_entropies`, takes it from there.
+    """
+    g = mass.shape[0]
+    lift = _has_subnormal(mass)
+    pooled = []
+    for rx, (_, pool, _) in enumerate(receivers):
+        outs = tables[rx][inputs]
+        outs = outs.reshape((g, -1) + outs.shape[-2:])
+        mk = np.take(mass, pool, axis=1)
+        probs = 0.0 + _seq_sum(mk)
+        p = np.clip(probs, 0.0, None)  # as Pmf clips the joint pmf
+        m = np.where(p > 0.0, probs, 1.0)
+        if lift:
+            mk = mk * mass_scale(m)[..., None]
+        parts = mk[..., None, None] * np.take(outs, pool, axis=1)
+        parts[mk == 0.0] = _SKIP
+        pooled.append((p, mass_quotient(_seq_sum(parts), m)))
+    return _subset_entropies(receivers, pooled, lift)
+
+
+def _subset_entropies(receivers, pooled, lift):
+    """Stage 2: H(S) and H(S, Y) of every laid-out subset of pooled states.
+
+    ``pooled`` holds one ``(p, smap)`` per receiver, as stage 1 of
+    :func:`cq_entropies` makes it; the result is keyed as there.
+    ``lift`` is :func:`_has_subnormal` of the point masses behind ``p``.
+    """
+    g = pooled[0][0].shape[0]
+    margs, queued = {}, []
+    for rx, ((shape, _, subsets), (p, smap)) in enumerate(zip(receivers,
+                                                              pooled)):
+        # numpy orders a multi-axis sum by memory layout: sum C-ordered
+        # tables, as the scalar marginal does
+        p_table = np.ascontiguousarray(p).reshape((g,) + shape)
+        for sub, (dropped, groups) in subsets.items():
+            marg = p_table.sum(axis=dropped) if dropped else p_table
+            margs[rx, sub, False] = marg.reshape(g, -1)
+            pk = np.take(p, groups, axis=1)
+            live = pk > 0.0
+            wts = 0.0 + _seq_sum(pk)
+            if lift:
+                pk = pk * mass_scale(wts)[..., None]
+            parts = pk[..., None, None] * np.take(smap, groups, axis=1)
+            parts[~live] = _SKIP
+            first = np.where(live, groups, groups.size).min(axis=2)
+            queued.append(((rx, sub, True), wts, 0.0 + _seq_sum(parts),
+                           np.argsort(first, axis=1, kind="stable")))
+
+    # H(S) of every subset in one pass; the zero padding is not summed
+    width = max(m.shape[1] for m in margs.values())
+    rows = np.zeros((len(margs), g, width))
+    for row, m in zip(rows, margs.values()):
+        row[:, :m.shape[1]] = m
+    h = dict(zip(margs, shannon_entropies(rows.reshape(-1, width))
+                 .reshape(len(margs), g)))
+
+    # H(S, Y) = H(S) + sum_s p(s) S(rho_s): one eigensolve per output
+    # dimension over every conditional state of the block
+    by_dim = {}
+    for item in queued:
+        by_dim.setdefault(item[2].shape[-1], []).append(item)
+    for items in by_dim.values():
+        present = [wts > 0.0 for _, wts, _, _ in items]
+        ents = von_neumann_entropies(np.concatenate(
+            [mass_quotient(acc[m], wts[m])
+             for (_, wts, acc, _), m in zip(items, present)]))
+        at = 0
+        for (key, wts, _, order), m in zip(items, present):
+            n = np.count_nonzero(m)
+            ws = np.zeros_like(wts)
+            ws[m] = wts[m] * ents[at:at + n]
+            at += n
+            ws = np.take_along_axis(ws, order, axis=1)
+            total = h[key[0], key[1], False]
+            for i in range(ws.shape[1]):
+                total = total + ws[:, i]
+            h[key] = total
+    return h

@@ -1,11 +1,12 @@
-"""Receiver cq-state entropies of the inner bounds, from :mod:`cqic.direct`.
+"""Receiver cq-state entropies of the inner bounds, from the batched kernel.
 
-The batched engine must give bit for bit the values of the per-config
-evaluation: one ``CqState`` per receiver, ``conditional_mutual_info``
-per direct bound (Thm 1 and the unstructured bound) and ``entropy`` per
-packing bound of the layered checkers (Thm 2 and 3).  That evaluation
-is kept here as the oracle.  The pinned scan, checker and layered
-values below were recorded from it.
+The kernel must give bit for bit the values of the per-config
+evaluation: one ``CqState`` per receiver, pooled here point by point,
+with the scalar ``conditional_mutual_info`` of ``cq_oracle`` per direct
+bound (Thm 1 and the unstructured bound) and its ``entropy`` per packing
+bound of the layered checkers (Thm 2 and 3).  That evaluation never
+calls the kernel.  The pinned scan, checker and layered values below
+were recorded from it.
 """
 
 import itertools
@@ -24,9 +25,9 @@ from cqic.regions import (Thm1Config, Thm2Config, Thm3Config,
                           thm2_feasible, thm3_feasible,
                           thm3_config_from_unstructured,
                           unstructured_3to1_check)
-from cqic.states import (CqState, EntropyQuery, Pmf,
-                         conditional_mutual_info, entropy, mass_quotient,
+from cqic.states import (CqState, EntropyQuery, Pmf, mass_quotient,
                          mass_scale, shannon_entropy)
+from cq_oracle import conditional_mutual_info, entropy
 
 
 def ex1():

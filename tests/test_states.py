@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cq_oracle
 from cqic.config import DEFAULT_TOL
 from cqic.errors import (DomainError, InvalidState, OverlappingQueries,
                          UnknownRegister)
@@ -213,7 +216,7 @@ class TestEntropy:
                     {(0,): np.outer(v, v), (1,): np.diag([1.0, 0.0])})
         got = entropy(s, EntropyQuery(("A",), True))
         assert got == shannon_entropy(pmf) > 0.0
-        (_, w, rho), _ = s.conditional_average_states(("A",))
+        (_, w, rho), _ = cq_oracle.conditional_average_states(s, ("A",))
         assert w == pmf[0]
         assert np.abs(rho - np.outer(v, v)).max() < 1e-15
 
@@ -317,6 +320,137 @@ class TestConditionalMutualInfo:
                                       EntropyQuery({names[1]}, True),
                                       EntropyQuery({names[2]}))
         assert val >= -1e-9
+
+
+class TestCqStateValidation:
+    HALF = np.eye(2) / 2
+
+    @pytest.mark.parametrize("key", [(0, 1), (), (2,), (-1,), 0, ("a",)])
+    def test_bad_key(self, key):
+        # wrong arity, outside the alphabet, or not a tuple of ints
+        smap = {(0,): self.HALF, (1,): self.HALF, key: self.HALF}
+        with pytest.raises(DomainError):
+            CqState([("A", 2)], [0.5, 0.5], smap)
+
+    @pytest.mark.parametrize("op", [np.ones((2, 3)) / 2, np.ones(2) / 2,
+                                    np.ones((1, 2, 2)) / 2])
+    def test_operator_not_square(self, op):
+        with pytest.raises(DomainError):
+            CqState([("A", 2)], [0.5, 0.5], {(0,): self.HALF, (1,): op})
+
+    def test_operator_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            CqState([("A", 2)], [0.5, 0.5],
+                    {(0,): self.HALF, (1,): np.eye(4) / 4})
+
+    def test_missing_support_point(self):
+        with pytest.raises(DomainError):
+            CqState([("A", 2)], [0.5, 0.5], {(0,): self.HALF})
+
+    def test_outputs_stacked_in_pmf_order(self):
+        g0, g1 = gamma_pair(0.3)
+        s = CqState([("A", 3)], [0.5, 0.0, 0.5], {(0,): g0, (2,): g1})
+        assert s.quantum_dim == 2
+        assert np.array_equal(s.outputs, [g0, np.zeros((2, 2)), g1])
+
+
+class TestCqStateEdges:
+    def test_zero_registers(self):
+        s = CqState([], [1.0], {(): np.diag([0.75, 0.25])})
+        assert repr(entropy(s, EntropyQuery((), True))) == "0.8112781244591328"
+        assert repr(entropy(s, EntropyQuery(()))) == "0.0"
+
+    def test_zero_mass_points_without_operator(self):
+        # A = 0, B = 1 and A = 1, B = 0 have no mass and no operator
+        rng = np.random.default_rng(7)
+        pmf = np.array([0.2, 0.0, 0.0, 0.3, 0.1, 0.4])
+        smap = {}
+        for flat in np.flatnonzero(pmf):
+            g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+            rho = g @ g.conj().T
+            key = tuple(int(i) for i in np.unravel_index(flat, (3, 2)))
+            smap[key] = rho / np.trace(rho).real
+        s = CqState([("A", 3), ("B", 2)], pmf, smap)
+        got = tuple(repr(entropy(s, EntropyQuery(sub, True)))
+                    for sub in ((), ("A",), ("B",), ("A", "B")))
+        assert got == ("1.6986400520634266", "2.11359999417522",
+                       "2.0372019202931484", "2.263932921360725")
+        cmi = conditional_mutual_info(s, EntropyQuery({"A"}),
+                                      EntropyQuery((), True),
+                                      EntropyQuery({"B"}))
+        assert repr(cmi) == "0.738417444372746"
+
+
+@st.composite
+def cq_states(draw, d):
+    """Cq states on registers A, B, C of sizes 1..3 with d-dim outputs.
+
+    Point masses may be zero or subnormal; a zero-mass point may have no
+    operator.  Outputs are random states of rank 1..d.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    n = math.prod(sizes)
+    kinds = draw(st.lists(st.sampled_from(("zero", "subnormal", "normal")),
+                          min_size=n, max_size=n))
+    if "normal" not in kinds:
+        kinds[0] = "normal"
+    normal = np.array([k == "normal" for k in kinds])
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    pmf = np.where(normal, w / w[normal].sum(), 0.0)
+    for i in np.flatnonzero(np.array(kinds) == "subnormal"):
+        pmf[i] = draw(st.integers(1, 1 << 20)) * 5e-324
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    smap = {}
+    for flat in range(n):
+        if pmf[flat] == 0.0 and draw(st.booleans()):
+            continue
+        r = int(rng.integers(1, d + 1))
+        g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        rho = g @ g.conj().T
+        key = tuple(int(i) for i in np.unravel_index(flat, sizes))
+        smap[key] = rho / np.trace(rho).real
+    return CqState([("A", sizes[0]), ("B", sizes[1]), ("C", sizes[2])],
+                   pmf, smap)
+
+
+_SUBSETS = [(), ("A",), ("B",), ("A", "B"), ("A", "C"), ("A", "B", "C")]
+_Y = EntropyQuery((), True)
+
+
+def _q(*names):
+    return EntropyQuery(names)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+class TestCqStateProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bit_equal_to_scalar_oracle(self, d, data):
+        s = data.draw(cq_states(d))
+        for sub in _SUBSETS:
+            for with_y in (False, True):
+                q = EntropyQuery(sub, with_y)
+                assert repr(entropy(s, q)) == repr(cq_oracle.entropy(s, q))
+        for a, b, c in [(_q("A"), _Y, _q("C")), (_q("A", "B"), _Y, None),
+                        (_q("B"), _Y, _q("A")), (_q("A"), _q("B"), _q("C")),
+                        (_q("C"), _q("A", "B"), EntropyQuery((), True))]:
+            assert repr(conditional_mutual_info(s, a, b, c)) == \
+                repr(cq_oracle.conditional_mutual_info(s, a, b, c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_information_properties(self, d, data):
+        s = data.draw(cq_states(d))
+        tol = DEFAULT_TOL.info
+        assert conditional_mutual_info(s, _q("A"), _Y, _q("C")) >= -tol
+        # chain rule I(AB; Y) = I(A; Y) + I(B; Y | A)
+        whole = conditional_mutual_info(s, _q("A", "B"), _Y)
+        parts = (conditional_mutual_info(s, _q("A"), _Y)
+                 + conditional_mutual_info(s, _q("B"), _Y, _q("A")))
+        assert abs(whole - parts) <= 1e-12
+        for sub in _SUBSETS:
+            assert entropy(s, EntropyQuery(sub, True)) >= \
+                entropy(s, EntropyQuery(sub)) - tol
 
 
 def test_shannon_entropy_ignores_zeros():
