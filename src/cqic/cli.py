@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 parse failure (flags or input files), 3
 configuration mismatch, 4 budget overflow, 5 verification failure.
 
 Orchestration is single-threaded; ``--threads`` only parallelizes
-simulation trials (results do not depend on it).  The ``CQRL_TOL``
+blocks of simulation trials (results do not depend on it).  The ``CQRL_TOL``
 environment variable overrides the 1e-9 tolerance family for library
 calls; the verification battery ignores it.
 """
@@ -641,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau1", type=float, default=None,
                    help="shape user 1's dither toward this Hamming type")
     p.add_argument("--threads", type=int, default=1,
-                   help="trial workers; results do not depend on it")
+                   help="workers over blocks of trials; results do not "
+                        "depend on it")
     _add_out(p)
     p.set_defaults(func=cmd_sim)
 
@@ -663,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criteria", type=_criteria_list, default=None,
                    help="comma-separated subset, e.g. 5,9 (default all)")
     p.add_argument("--threads", type=int, default=1,
-                   help="trial workers for the simulation criterion")
+                   help="workers over blocks of simulation trials")
     _add_out(p)
     p.set_defaults(func=cmd_verify)
     return parser

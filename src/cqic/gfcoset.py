@@ -205,26 +205,35 @@ def enumerate_coset(code: NestedCosetCode, m) -> np.ndarray:
     return rows % v
 
 
+def draw_rows(n: int, k: int, l: int, biases: int, modulus: int,
+              rng_seed) -> np.ndarray:
+    """Rows g_I (k), g_{O/I} (l) and `biases` bias vectors, stacked in that
+    order, with entries i.i.d. uniform over F_v from PCG64(seed).
+
+    This is the one source of the draw order of random codes.  The whole
+    stack is a single fill: numpy draws each entry of a bounded int64 fill
+    from the generator's 32-bit stream in turn, so the entries equal those
+    of separate fills for g_I, g_{O/I} and each bias.
+    """
+    v = _check_modulus(modulus)
+    return np.random.default_rng(rng_seed).integers(
+        0, v, size=(k + l + biases, n), dtype=np.int64)
+
+
 def random_nested_code(n: int, k: int, l: int, modulus: int,
                        rng_seed) -> NestedCosetCode:
     """Generator and bias entries i.i.d. uniform over F_v from PCG64(seed)."""
-    v = _check_modulus(modulus)
-    rng = np.random.default_rng(rng_seed)
-    g_i = rng.integers(0, v, size=(k, n), dtype=np.int64)
-    g_oi = rng.integers(0, v, size=(l, n), dtype=np.int64)
-    bias = rng.integers(0, v, size=n, dtype=np.int64)
-    return NestedCosetCode(n, k, l, g_i, g_oi, bias, v)
+    rows = draw_rows(n, k, l, 1, modulus, rng_seed)
+    return NestedCosetCode(n, k, l, rows[:k], rows[k:k + l], rows[k + l],
+                           modulus)
 
 
 def random_code_pair(n: int, k2: int, l2: int, k3: int, l3: int,
                      modulus: int, rng_seed) -> CodePair:
     """Random pair with prefix-contained generators and independent biases."""
-    v = _check_modulus(modulus)
-    rng = np.random.default_rng(rng_seed)
-    g_i = rng.integers(0, v, size=(max(k2, k3), n), dtype=np.int64)
-    g_oi = rng.integers(0, v, size=(max(l2, l3), n), dtype=np.int64)
-    b2 = rng.integers(0, v, size=n, dtype=np.int64)
-    b3 = rng.integers(0, v, size=n, dtype=np.int64)
-    code2 = NestedCosetCode(n, k2, l2, g_i[:k2], g_oi[:l2], b2, v)
-    code3 = NestedCosetCode(n, k3, l3, g_i[:k3], g_oi[:l3], b3, v)
+    ks, ls = max(k2, k3), max(l2, l3)
+    rows = draw_rows(n, ks, ls, 2, modulus, rng_seed)
+    g_i, g_oi = rows[:ks], rows[ks:ks + ls]
+    code2 = NestedCosetCode(n, k2, l2, g_i[:k2], g_oi[:l2], rows[-2], modulus)
+    code3 = NestedCosetCode(n, k3, l3, g_i[:k3], g_oi[:l3], rows[-1], modulus)
     return CodePair(code2, code3)

@@ -13,30 +13,39 @@ Three layers of evidence, all at desk scale:
 
 All simulation randomness is counter-derived: trial t uses the stream
 seeded by (rng_seed, t), so results are bit-identical across runs and
-across worker counts.
+across worker counts.  Trials run in blocks: each trial is drawn in
+Python from its own stream, then everything that depends only on the
+draws (rank checks, codebooks, the sum-coset check, decoding, codeword
+types) runs as one numpy pass over the block.  A block holds at most
+``_BLOCK_TABLE`` hypothesis-table entries, so heavy points run one trial
+per block.  ``threads`` spreads the blocks over a pool; a run of one block
+stays in the caller's thread.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ENUMERATION_CAP, active_tolerances
 from .errors import (BudgetExceeded, DomainError, NumericalFailure, TooLarge,
                      ZeroMassCoset)
-from .gfcoset import (CodePair, NestedCosetCode, codeword, enumerate_coset,
-                      index_tuples, random_code_pair, random_nested_code,
-                      sum_code, sum_codeword)
+from .gfcoset import (NestedCosetCode, draw_rows, enumerate_coset,
+                      index_tuples, random_nested_code)
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _SOFT_COVER_CAP = 100_000
 _MAX_CODE_RETRIES = 200
 _MAX_BIAS_RETRIES = 100
+#: hypothesis-table entries (codewords, joint (own, sum) pairs, shaped-dither
+#: coset bits) one block of trials may hold; a trial above it runs alone
+_BLOCK_TABLE = 1 << 16
 
 
 @lru_cache(maxsize=64)
@@ -65,22 +74,34 @@ def selection_probabilities(code: NestedCosetCode, m, p) -> np.ndarray:
     parr = _target_pmf(p, code.modulus)
     rows = enumerate_coset(code, m)
     weights = parr[rows].prod(axis=1)
-    total = float(weights.sum())
-    if total <= 0.0:
+    if float(weights.sum()) <= 0.0:
         raise ZeroMassCoset("every codeword in the coset has zero target mass")
-    probs = weights / total
-    # nudge the dominant entry until the float sum is exactly one
+    return _normalize(weights[None])[0]
+
+
+def _normalize(weights: np.ndarray) -> np.ndarray:
+    """Weight rows (B, N) over their sums, each row's dominant entry
+    nudged (at most 8 times) until its float sum is exactly one."""
+    probs = weights / weights.sum(axis=-1, keepdims=True)
     for _ in range(8):
-        gap = float(probs.sum()) - 1.0
-        if gap == 0.0:
+        gap = probs.sum(axis=-1) - 1.0
+        if not gap.any():
             break
-        probs[int(np.argmax(probs))] -= gap
+        # a row already at one takes a zero nudge, which changes no bit
+        probs[np.arange(len(probs)), probs.argmax(axis=-1)] -= gap
     return probs
 
 
+def _inverse_cdf(probs: np.ndarray, u) -> np.ndarray:
+    """Index drawn from each row of probs by its uniform in u: the count of
+    cdf entries at most u (searchsorted, side right), capped at the last."""
+    cdf = np.cumsum(probs, axis=-1)
+    return np.minimum((cdf <= np.asarray(u)[..., None]).sum(axis=-1),
+                      probs.shape[-1] - 1)
+
+
 def _draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(probs)
-    return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(probs) - 1)
+    return int(_inverse_cdf(probs, rng.random()))
 
 
 def likelihood_encode(code: NestedCosetCode, m, p, rng: np.random.Generator):
@@ -294,40 +315,33 @@ class SimResult:
         return tuple(row)
 
 
-def _draw_injective_code(rng: np.random.Generator, n: int, k: int, l: int,
-                         against: np.ndarray | None = None) -> NestedCosetCode:
-    # stacked generator redrawn until rank min(k+l, n): distinct codewords
-    # whenever the index space fits in the ambient space.  When `against`
-    # rows are supplied and everything fits, additionally require the two
-    # row spans to intersect trivially, so the joint decoder's hypothesis
-    # map (own codeword, interference codeword) -> sum stays injective.
-    extra = 0 if against is None else _gf_rank(against, 2)
-    joint = k + l + extra <= n
-    for _ in range(_MAX_CODE_RETRIES):
-        code = random_nested_code(n, k, l, 2, int(rng.integers(0, 2 ** 63)))
-        stack = np.vstack([code.g_i, code.g_oi])
-        if joint:
-            if _gf_rank(np.vstack([stack, against]) if extra else stack, 2) == k + l + extra:
-                return code
-        elif _gf_rank(stack, 2) == min(k + l, n):
-            return code
-    raise NumericalFailure("could not draw an injective code")
+class _Draws(NamedTuple):
+    """A block's draws, one row per trial, as the trials' streams gave them."""
+
+    pair: np.ndarray     # (B, ks + ls + 2, n) bits: g_I, g_{O/I}, b2, b3
+    code1: np.ndarray    # (B, k1 + l1 + 1, n) bits: g_I, g_{O/I}, b1
+    msg: np.ndarray      # (B, l1 + k1 + k2 + l2 + k3 + l3): m1 a1 a2 m2 a3 m3
+                         # (a1 stays 0 when shaped: u picks it)
+    u: np.ndarray        # (B,) uniform that picks a shaped dither
+    noise: np.ndarray    # (B, 3 n) uniforms of channels 1, 2, 3
+    retries: np.ndarray  # (B,) bias retries of the shaped dither
 
 
-def _draw_injective_pair(rng: np.random.Generator, n: int, dims) -> tuple[CodePair, NestedCosetCode]:
-    (k2, l2), (k3, l3) = dims
-    for _ in range(_MAX_CODE_RETRIES):
-        pair = random_code_pair(n, k2, l2, k3, l3, 2, int(rng.integers(0, 2 ** 63)))
-        sc = sum_code(pair)
-        ok = True
-        for c in (pair.code2, pair.code3, sc):
-            stack = np.vstack([c.g_i, c.g_oi])
-            if _gf_rank(stack, 2) != min(c.k + c.l, n):
-                ok = False
-                break
-        if ok:
-            return pair, sc
-    raise NumericalFailure("could not draw an injective code pair")
+def _dims(cfg: SimConfig):
+    """(k1, l1, k2, l2, k3, l3, ks, ls): the codes' and the sum code's dims."""
+    (k1, k2, k3), (l1, l2, l3) = cfg.coset_dims, cfg.message_dims
+    return k1, l1, k2, l2, k3, l3, max(k2, k3), max(l2, l3)
+
+
+def _block_size(cfg: SimConfig) -> int:
+    """Trials per block: as many as keep the block's tables in _BLOCK_TABLE."""
+    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+    own, sums = 2 ** (k1 + l1), 2 ** (ks + ls)
+    table = (own * sums if cfg.decoder == "ml_joint" else own + sums) \
+        + 2 ** (k2 + l2) + 2 ** (k3 + l3)
+    if cfg.tau1 is not None:
+        table += 2 ** k1 * cfg.n
+    return max(1, _BLOCK_TABLE // table)
 
 
 def _pack(bits) -> np.ndarray:
@@ -340,24 +354,110 @@ def _pack(bits) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _all_codewords(code: NestedCosetCode) -> np.ndarray:
-    # binary codebook, packed, in lex order of (a, m) by XOR doubling: the
-    # last generator row flips the least significant index digit
-    rows = _pack(np.vstack([code.g_i, code.g_oi]))
-    out = np.empty((1 << len(rows), rows.shape[1]), dtype=np.uint64)
-    out[0] = _pack(code.bias)
+def _gf2_ranks(rows: np.ndarray) -> np.ndarray:
+    """GF(2) ranks of packed matrices (..., r, words) by XOR elimination.
+
+    Row i, already reduced by the pivots above it, is a pivot when nonzero;
+    its lowest set bit in its first nonzero word is then cleared from every
+    row below it.
+    """
+    m = rows.copy()
+    rank = np.zeros(m.shape[:-2], dtype=np.int64)
+    for i in range(m.shape[-2]):
+        x = m[..., i, :]
+        low = x & (~x + np.uint64(1))
+        if x.shape[-1] > 1:
+            low[..., 1:] *= ~np.logical_or.accumulate(x[..., :-1] != 0, axis=-1)
+        below = m[..., i + 1:, :]
+        hit = np.logical_or.reduce(below & low[..., None, :], axis=-1)
+        below ^= x[..., None, :] * hit[..., None]
+        rank += np.logical_or.reduce(x, axis=-1)
+    return rank
+
+
+def _injective(stacks) -> np.ndarray:
+    """Trials whose stacked generators all reach their ranks.
+
+    ``stacks`` holds (bits of shape (B, rows, n), rank) pairs.  A block's
+    run through one elimination, zero-padded to a common row count; a
+    single trial's go one matrix at a time through ``_gf_rank``, which is
+    the faster at that size.
+    """
+    if len(stacks[0][0]) == 1:
+        return np.array([all(_gf_rank(s[0], 2) == r for s, r in stacks)])
+    b, _, n = stacks[0][0].shape
+    mats = np.zeros((len(stacks), b, max(s.shape[1] for s, _ in stacks), n),
+                    dtype=np.uint8)
+    for j, (s, _) in enumerate(stacks):
+        mats[j, :, :s.shape[1]] = s
+    want = np.array([r for _, r in stacks])[:, None]
+    return (_gf2_ranks(_pack(mats)) == want).all(axis=0)
+
+
+def _rows(stack: np.ndarray, k: int, l: int, ks: int) -> np.ndarray:
+    """A code's generator inside a pair's stacked bits (B, ks + ls + .., n):
+    the first k of the ks inner rows and the first l outer rows."""
+    return np.concatenate([stack[:, :k], stack[:, ks:ks + l]], axis=1)
+
+
+def _pair_stacks(cfg: SimConfig, pair: np.ndarray):
+    # users 2 and 3 and their sum code need rank min(k + l, n): distinct
+    # codewords whenever the index space fits in the ambient space
+    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+    return [(_rows(pair, k, l, ks), min(k + l, cfg.n))
+            for k, l in ((k2, l2), (k3, l3), (ks, ls))]
+
+
+def _code1_stacks(cfg: SimConfig, pair: np.ndarray, code1: np.ndarray):
+    # when everything fits, user 1's rows and the sum code's rows (of rank
+    # min(ks + ls, n) once the pair passed) must span trivially
+    # intersecting spaces, so the joint decoder's hypothesis map (own
+    # codeword, interference codeword) -> sum stays injective
+    n = cfg.n
+    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+    extra = min(ks + ls, n)
+    if k1 + l1 + extra <= n:
+        return [(np.concatenate([code1[:, :-1], pair[:, :ks + ls]], axis=1),
+                 k1 + l1 + extra)]
+    return [(code1[:, :-1], min(k1 + l1, n))]
+
+
+def _codebooks(rows: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Packed codebooks (B, 2^r, words) of packed rows (B, r, words).
+
+    Lex order of the index digits, by XOR doubling from the biases
+    (B, words): the last generator row flips the least significant digit.
+    """
+    b, r, w = rows.shape
+    out = np.empty((b, 1 << r, w), dtype=np.uint64)
+    out[:, 0] = bias
     h = 1
-    for g in rows[::-1]:
-        np.bitwise_xor(out[:h], g, out=out[h:2 * h])
+    for i in range(r - 1, -1, -1):
+        np.bitwise_xor(out[:, :h], rows[:, i, None], out=out[:, h:2 * h])
         h *= 2
     return out
 
 
-def _digits_to_index(digits: np.ndarray, v: int) -> int:
-    out = 0
-    for d in digits:
-        out = out * v + int(d)
-    return out
+def _book(bits: np.ndarray) -> np.ndarray:
+    """Codebooks of bit stacks (B, r + 1, n) whose last row is the bias."""
+    packed = _pack(bits)
+    return _codebooks(packed[:, :-1], packed[:, -1])
+
+
+def _index(digits: np.ndarray) -> np.ndarray:
+    """Binary digit rows (B, r), most significant first, as integers."""
+    return digits @ (1 << np.arange(digits.shape[1] - 1, -1, -1))
+
+
+def _coset_weights(cfg: SimConfig, cb1: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    # likelihood-encoder weights over user 1's coset of message index m1,
+    # each the product of p(bit) along the codeword in symbol order, as
+    # selection_probabilities takes them
+    k1, l1 = cfg.coset_dims[0], cfg.message_dims[0]
+    words = cb1[np.arange(len(cb1))[:, None],
+                (np.arange(2 ** k1) << l1) + m1[:, None]]
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=cfg.n)
+    return np.array([1.0 - cfg.tau1, cfg.tau1])[bits].prod(axis=-1)
 
 
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -371,74 +471,126 @@ def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _ml_single(y: np.ndarray, codebook: np.ndarray) -> int:
-    return int(np.argmin(_hamming(codebook, y)))
+def _nearest(codebooks: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per trial, the first index of a codeword nearest to y."""
+    return _hamming(codebooks, y[:, None]).argmin(axis=1)
 
 
-def _ml_joint_pair(y: np.ndarray, cb_own: np.ndarray, cb_sum: np.ndarray):
-    flat = int(np.argmin(_hamming((cb_own ^ y)[:, None], cb_sum[None])))
-    return divmod(flat, cb_sum.shape[0])
+def _nearest_pair(cb_own: np.ndarray, cb_sum: np.ndarray, y: np.ndarray):
+    """Per trial, the first (own, sum) index pair in row-major order whose
+    XOR is nearest to y."""
+    dist = _hamming((cb_own ^ y[:, None])[:, :, None], cb_sum[:, None])
+    return np.divmod(dist.reshape(len(dist), -1).argmin(axis=1), cb_sum.shape[1])
 
 
-def _shaped_dither(code: NestedCosetCode, m, p, rng: np.random.Generator):
-    retries = 0
-    while True:
-        try:
-            probs = selection_probabilities(code, m, p)
+def _draw_trial(cfg: SimConfig, t: int, d: _Draws, b: int, checked: bool):
+    """Trial t's draws, from its own stream in its own order, into row b.
+
+    Unchecked, the trial is drawn as if no code were redrawn and no bias
+    retried.  Checked, it is the one-trial case: each code is redrawn until
+    it passes its rank checks and user 1's bias until its coset has mass.
+    """
+    n = cfg.n
+    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+    rng = np.random.default_rng([cfg.rng_seed, t])
+    pair, code1 = d.pair[b:b + 1], d.code1[b:b + 1]
+    for _ in range(_MAX_CODE_RETRIES):
+        pair[0] = draw_rows(n, ks, ls, 2, 2, int(rng.integers(0, 2 ** 63)))
+        if not checked or _injective(_pair_stacks(cfg, pair))[0]:
             break
-        except ZeroMassCoset:
+    else:
+        raise NumericalFailure("could not draw an injective code pair")
+    for _ in range(_MAX_CODE_RETRIES):
+        code1[0] = draw_rows(n, k1, l1, 1, 2, int(rng.integers(0, 2 ** 63)))
+        if not checked or _injective(_code1_stacks(cfg, pair, code1))[0]:
+            break
+    else:
+        raise NumericalFailure("could not draw an injective code")
+    # a bounded int64 fill takes one 32-bit output per entry, so one fill
+    # gives the messages and dithers of consecutive separate fills
+    if cfg.tau1 is None:
+        d.msg[b] = rng.integers(0, 2, size=d.msg.shape[1])
+    else:
+        d.msg[b, :l1] = rng.integers(0, 2, size=l1)
+        retries = 0
+        while checked and not _coset_weights(
+                cfg, _book(code1), _index(d.msg[b:b + 1, :l1])).sum() > 0.0:
             retries += 1
             if retries > _MAX_BIAS_RETRIES:
-                raise
-            code = replace(code, bias=rng.integers(0, 2, size=code.n))
-    a = _lex_tuples(2, code.k)[_draw_index(probs, rng)]
-    return code, np.asarray(a), retries
+                raise ZeroMassCoset("every codeword in the coset has zero target mass")
+            code1[0, -1] = rng.integers(0, 2, size=n)
+        d.retries[b] = retries
+        d.u[b] = rng.random()
+        d.msg[b, l1 + k1:] = rng.integers(0, 2, size=d.msg.shape[1] - l1 - k1)
+    d.noise[b] = rng.random(3 * n)
 
 
-def _ex1_trial(cfg: SimConfig, t: int):
-    rng = np.random.default_rng([cfg.rng_seed, t])
+def _decode(cfg: SimConfig, d: _Draws):
+    """Error flags (3, B) and codeword types (3, B) of accepted draws."""
     n = cfg.n
-    (k1, k2, k3), (l1, l2, l3) = cfg.coset_dims, cfg.message_dims
+    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+    rows = np.arange(len(d.msg))
+    pair = _pack(d.pair)
+    g, b2, b3 = pair[:, :ks + ls], pair[:, -2], pair[:, -1]
+    cb1 = _book(d.code1)
+    cb2 = _codebooks(_rows(g, k2, l2, ks), b2)
+    cb3 = _codebooks(_rows(g, k3, l3, ks), b3)
+    cbs = _codebooks(g, b2 ^ b3)
 
-    pair, sumc = _draw_injective_pair(rng, n, ((k2, l2), (k3, l3)))
-    code1 = _draw_injective_code(rng, n, k1, l1,
-                                 against=np.vstack([sumc.g_i, sumc.g_oi]))
-
-    m1 = rng.integers(0, 2, size=l1)
-    retries = 0
-    if cfg.tau1 is None:
-        a1 = rng.integers(0, 2, size=k1)
-    else:
-        code1, a1, retries = _shaped_dither(code1, m1, (1.0 - cfg.tau1, cfg.tau1), rng)
-    a2, m2 = rng.integers(0, 2, size=k2), rng.integers(0, 2, size=l2)
-    a3, m3 = rng.integers(0, 2, size=k3), rng.integers(0, 2, size=l3)
-
-    x1 = codeword(code1, a1, m1)
-    x2 = codeword(pair.code2, a2, m2)
-    x3 = codeword(pair.code3, a3, m3)
-    s23 = (x2 + x3) % 2
-    if not np.array_equal(s23, sum_codeword(pair, a2, m2, a3, m3)):
+    m1, a1, a2, m2, a3, m3 = (_index(part) for part in np.split(
+        d.msg, np.cumsum([l1, k1, k2, l2, k3]), axis=1))
+    if cfg.tau1 is not None:
+        a1 = _inverse_cdf(_normalize(_coset_weights(cfg, cb1, m1)), d.u)
+    x1 = cb1[rows, a1 << l1 | m1]
+    x2 = cb2[rows, a2 << l2 | m2]
+    x3 = cb3[rows, a3 << l3 | m3]
+    s23 = x2 ^ x3
+    # the shorter index of the pair fills the leading digits of the sum's
+    a_s = a2 << (ks - k2) ^ a3 << (ks - k3)
+    m_s = m2 << (ls - l2) ^ m3 << (ls - l3)
+    if not np.array_equal(cbs[rows, a_s << ls | m_s], s23):
         raise NumericalFailure("sum of codewords left the predicted sum coset")
 
-    y1 = _pack((x1 + s23 + (rng.random(n) < cfg.delta[0])) % 2)
-    y2 = _pack((x2 + (rng.random(n) < cfg.delta[1])) % 2)
-    y3 = _pack((x3 + (rng.random(n) < cfg.delta[2])) % 2)
-
-    cb1, cb2, cb3 = _all_codewords(code1), _all_codewords(pair.code2), _all_codewords(pair.code3)
-    cbs = _all_codewords(sumc)
-
-    err2 = _ml_single(y2, cb2) % 2 ** l2 != _digits_to_index(m2, 2)
-    err3 = _ml_single(y3, cb3) % 2 ** l3 != _digits_to_index(m3, 2)
+    flips = _pack(d.noise.reshape(-1, 3, n) < np.array(cfg.delta)[:, None])
+    y1 = x1 ^ s23 ^ flips[:, 0]
+    err2 = _nearest(cb2, x2 ^ flips[:, 1]) % 2 ** l2 != m2
+    err3 = _nearest(cb3, x3 ^ flips[:, 2]) % 2 ** l3 != m3
     if cfg.decoder == "ml_joint":
-        i1, iw = _ml_joint_pair(y1, cb1, cbs)
+        i1, iw = _nearest_pair(cb1, cbs, y1)
     else:
-        iw = _ml_single(y1, cbs)
-        i1 = _ml_single(y1 ^ cbs[iw], cb1)
-    err1 = (i1 % 2 ** l1 != _digits_to_index(m1, 2)
-            or not np.array_equal(cbs[iw], _pack(s23)))
+        iw = _nearest(cbs, y1)
+        i1 = _nearest(cb1, y1 ^ cbs[rows, iw])
+    err1 = (i1 % 2 ** l1 != m1) | (cbs[rows, iw] != s23).any(axis=-1)
 
-    types = (float(x1.mean()), float(x2.mean()), float(x3.mean()))
-    return (bool(err1), bool(err2), bool(err3)), types, retries
+    types = np.bitwise_count(np.stack([x1, x2, x3])).sum(axis=-1) / n
+    return np.stack([err1, err2, err3]), types
+
+
+def _run_block(cfg: SimConfig, trials: range):
+    """Error flags, codeword types and bias retries of a block of trials.
+
+    Every trial of a block of several is drawn as if no code were redrawn;
+    the few whose codes fail a check are drawn again, checked, before the
+    block decodes.  A block of one trial is drawn checked straight away.
+    """
+    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+    size, n = len(trials), cfg.n
+    d = _Draws(np.empty((size, ks + ls + 2, n), np.uint8),
+               np.empty((size, k1 + l1 + 1, n), np.uint8),
+               np.zeros((size, l1 + k1 + k2 + l2 + k3 + l3), np.int64),
+               np.zeros(size), np.empty((size, 3 * n)),
+               np.zeros(size, np.int64))
+    for b, t in enumerate(trials):
+        _draw_trial(cfg, t, d, b, checked=size == 1)
+    if size > 1:
+        ok = _injective(_pair_stacks(cfg, d.pair)
+                        + _code1_stacks(cfg, d.pair, d.code1))
+        if cfg.tau1 is not None:
+            ok &= _coset_weights(cfg, _book(d.code1),
+                                 _index(d.msg[:, :l1])).sum(axis=-1) > 0.0
+        for b in np.flatnonzero(~ok):
+            _draw_trial(cfg, trials[b], d, b, checked=True)
+    return (*_decode(cfg, d), d.retries)
 
 
 def run_ex1_sim(cfg: SimConfig, threads: int = 1) -> SimResult:
@@ -454,21 +606,21 @@ def run_ex1_sim(cfg: SimConfig, threads: int = 1) -> SimResult:
     """
     if threads < 1:
         raise DomainError("threads must be at least 1")
-    if cfg.decoder == "ml_joint":
-        k1, l1 = cfg.coset_dims[0], cfg.message_dims[0]
-        ks = max(cfg.coset_dims[1], cfg.coset_dims[2])
-        ls = max(cfg.message_dims[1], cfg.message_dims[2])
-        if 2 ** (k1 + l1 + ks + ls) > ENUMERATION_CAP:
-            raise BudgetExceeded("joint hypothesis space exceeds the enumeration cap")
-    if threads == 1:
-        outs = [_ex1_trial(cfg, t) for t in range(cfg.trials)]
+    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+    if cfg.decoder == "ml_joint" and 2 ** (k1 + l1 + ks + ls) > ENUMERATION_CAP:
+        raise BudgetExceeded("joint hypothesis space exceeds the enumeration cap")
+    size = _block_size(cfg)
+    blocks = [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
+    if threads == 1 or len(blocks) == 1:
+        outs = [_run_block(cfg, block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(_ex1_trial, repeat(cfg), range(cfg.trials)))
+            outs = list(pool.map(_run_block, repeat(cfg), blocks))
 
-    counts = tuple(sum(out[0][j] for out in outs) for j in range(3))
-    types = tuple(float(np.mean([out[1][j] for out in outs])) for j in range(3))
-    retries = sum(out[2] for out in outs)
+    errs, types, retries = (np.concatenate(part, axis=-1) for part in zip(*outs))
+    counts = tuple(int(c) for c in errs.sum(axis=1))
+    types = tuple(float(np.mean(row)) for row in types)
+    retries = int(retries.sum())
     return SimResult(
         config=cfg,
         error_counts=counts,

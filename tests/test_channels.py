@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqic.channels import (Capacities, ChannelSpec, ClassicalIC, CostVector,
+from cqic.channels import (Capacities, ChannelSpec, ClassicalIC,
                            NonCommuting, OR_RECOVERY_TABLE, build_ex1,
                            build_ex2, build_ex3, classical_equivalent,
                            condition_eq1, coset_sufficiency_threshold,

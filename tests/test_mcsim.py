@@ -1,16 +1,21 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqic.errors import BudgetExceeded, DomainError, TooLarge, ZeroMassCoset
+from cqic import mcsim
+from cqic.errors import (BudgetExceeded, DomainError, NumericalFailure,
+                         TooLarge, ZeroMassCoset)
 from cqic.gfcoset import NestedCosetCode, index_tuples, random_nested_code
-from cqic.mcsim import (SimConfig, SimResult, _all_codewords, _coset_labels,
-                        _gf_rank, _gf_rref, _ml_joint_pair, _ml_single, _pack,
+from cqic.mcsim import (SimConfig, SimResult, _book, _coset_labels, _gf2_ranks,
+                        _gf_rank, _gf_rref, _nearest, _nearest_pair, _pack,
                         likelihood_encode, run_ex1_sim, selection_probabilities,
                         soft_covering_tv, wilson_interval)
+from sim_oracle import oracle_sim
 
 
 def _f3_code():
@@ -152,6 +157,11 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return bits[..., :n]
 
 
+def _codebook(code: NestedCosetCode) -> np.ndarray:
+    # the block engine's codebook of one code
+    return _book(np.vstack([code.g_i, code.g_oi, code.bias])[None])[0]
+
+
 class TestPackedKernels:
     """The packed GF(2) kernels against the int64 arithmetic they replaced."""
 
@@ -168,7 +178,12 @@ class TestPackedKernels:
         if rows >= 2:
             m[rng.integers(rows)] = 0
             m[rng.integers(rows)] = m[rng.integers(rows)]
-        assert _gf_rank(m, 2) == len(_gf_rref(m, 2)[1])
+        rank = len(_gf_rref(m, 2)[1])
+        assert _gf_rank(m, 2) == rank
+        # the block elimination, alone and beside a zero and a full-rank copy
+        assert _gf2_ranks(_pack(m)) == rank
+        batch = np.stack([m, np.zeros_like(m), np.eye(rows, cols, dtype=m.dtype)])
+        assert _gf2_ranks(_pack(batch)).tolist() == [rank, 0, min(rows, cols)]
 
     @pytest.mark.parametrize("n", [1, 12, 63, 64, 65, 130])
     @settings(max_examples=15, deadline=None)
@@ -177,7 +192,7 @@ class TestPackedKernels:
         code = random_nested_code(n, k, l, 2, seed)
         stack = np.vstack([code.g_i, code.g_oi])
         want = (index_tuples(2, k + l) @ stack + code.bias) % 2
-        assert np.array_equal(_unpack(_all_codewords(code), n), want)
+        assert np.array_equal(_unpack(_codebook(code), n), want)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1, 3, 12, 64, 65, 130, 257]), st.integers(0, 3),
@@ -187,14 +202,15 @@ class TestPackedKernels:
         rng = np.random.default_rng(seed)
         own = random_nested_code(n, k1, l1, 2, int(rng.integers(2 ** 63)))
         sc = random_nested_code(n, 0, ls, 2, int(rng.integers(2 ** 63)))
-        cb_own, cb_sum = _all_codewords(own), _all_codewords(sc)
+        cb_own, cb_sum = _codebook(own), _codebook(sc)
         bits_own, bits_sum = _unpack(cb_own, n), _unpack(cb_sum, n)
         y = rng.integers(0, 2, n)
-        assert _ml_single(_pack(y), cb_own) == int(
+        assert _nearest(cb_own[None], _pack(y)[None]) == int(
             np.argmin(np.abs(bits_own - y).sum(axis=1)))
         eff = (bits_own + y) % 2
         dist = np.abs(eff[:, None, :] - bits_sum[None, :, :]).sum(axis=2)
-        assert _ml_joint_pair(_pack(y), cb_own, cb_sum) == divmod(
+        got = _nearest_pair(cb_own[None], cb_sum[None], _pack(y)[None])
+        assert (int(got[0][0]), int(got[1][0])) == divmod(
             int(np.argmin(dist)), len(bits_sum))
 
     def test_distances_past_255_bits(self):
@@ -206,9 +222,9 @@ class TestPackedKernels:
                                np.ones(300), 2)
         zero = NestedCosetCode(300, 0, 0, np.zeros((0, 300)), np.zeros((0, 300)),
                                np.zeros(300), 2)
-        y = _pack(np.zeros(300, dtype=np.int64))
-        assert _ml_single(y, _all_codewords(code)) == 1
-        assert _ml_joint_pair(y, _all_codewords(zero), _all_codewords(code)) == (0, 1)
+        y = _pack(np.zeros(300, dtype=np.int64))[None]
+        assert _nearest(_codebook(code)[None], y) == 1
+        assert _nearest_pair(_codebook(zero)[None], _codebook(code)[None], y) == (0, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 14), st.integers(0, 2 ** 31 - 1))
@@ -352,3 +368,78 @@ class TestRunEx1:
                         delta=(0.0, 0.0, 0.0), trials=1)
         with pytest.raises(DomainError):
             run_ex1_sim(cfg, threads=0)
+
+
+def _oracle_or_error(cfg):
+    try:
+        return oracle_sim(cfg), None
+    except (NumericalFailure, ZeroMassCoset) as exc:
+        return None, type(exc)
+
+
+class TestBlockEngine:
+    """The block engine against ``sim_oracle``, one trial at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 5, 8, 12, 65, 70]),
+           coset=st.tuples(*[st.integers(0, 3)] * 3),
+           message=st.tuples(*[st.integers(0, 3)] * 3),
+           decoder=st.sampled_from(["ml_joint", "sum_coset"]),
+           tau1=st.sampled_from([None, 0.0, 0.2, 0.5]),
+           trials=st.integers(1, 23), seed=st.integers(0, 2 ** 31 - 1),
+           cap=st.sampled_from([1, 40, 300, mcsim._BLOCK_TABLE]),
+           threads=st.sampled_from([1, 2, 4]))
+    # rank-deficient draws at n = 8 and n = 2; forced bias retries (tau1 = 0
+    # keeps only cosets through the zero word); two words; the criterion-10
+    # point at a block size that splits 23 trials unevenly
+    @example(8, (6, 0, 0), (0, 3, 3), "sum_coset", 0.0, 23, 5, 300, 2)
+    @example(2, (1, 1, 0), (1, 1, 1), "ml_joint", None, 23, 3, 40, 4)
+    @example(70, (2, 1, 2), (3, 3, 3), "sum_coset", 0.2, 9, 70, 1, 1)
+    @example(20, (0, 0, 0), (5, 5, 5), "ml_joint", None, 23, 2026, 10_000, 2)
+    def test_matches_oracle(self, n, coset, message, decoder, tau1, trials,
+                            seed, cap, threads):
+        cfg = SimConfig(n, coset, message, (0.05, 0.2, 0.3), trials=trials,
+                        rng_seed=seed, decoder=decoder, tau1=tau1)
+        want, error = _oracle_or_error(cfg)
+        with mock.patch.object(mcsim, "_BLOCK_TABLE", cap):
+            if error is not None:
+                with pytest.raises(error):
+                    run_ex1_sim(cfg, threads=threads)
+                return
+            res = run_ex1_sim(cfg, threads=threads)
+        assert (res.error_counts, res.codeword_types, res.bias_retries) == want
+
+    def test_retries_and_redraws_are_exercised(self):
+        # the examples above must reach both fallbacks, not only the blocks
+        shaped = SimConfig(8, (6, 0, 0), (0, 3, 3), (0.05, 0.2, 0.3), trials=23,
+                           rng_seed=5, decoder="sum_coset", tau1=0.0)
+        assert oracle_sim(shaped)[2] > 0
+        cfg = SimConfig(2, (1, 1, 0), (1, 1, 1), (0.05, 0.2, 0.3), trials=23,
+                        rng_seed=3)
+        with mock.patch.object(mcsim, "_draw_trial",
+                               wraps=mcsim._draw_trial) as draw:
+            run_ex1_sim(cfg)
+        checked = [c for c in draw.call_args_list if c.kwargs["checked"]]
+        assert 0 < len(checked) < cfg.trials
+
+    def test_block_sizes_follow_the_table_cap(self):
+        light = SimConfig(20, (0, 0, 0), (5, 5, 5), (0.05, 0.1, 0.1))
+        assert mcsim._block_size(light) == mcsim._BLOCK_TABLE // (1024 + 64)
+        for heavy in (SimConfig(20, (0, 0, 0), (10, 10, 10), (0.05, 0.1, 0.1)),
+                      SimConfig(16, (0, 0, 0), (0, 16, 0), (0.05, 0.1, 0.1))):
+            assert mcsim._block_size(heavy) == 1
+
+    def test_heavy_point_memory_stays_one_trial_deep(self):
+        # n = 20, dims (10, 10, 10): one trial's joint table has 2^20
+        # entries.  The per-trial engine this replaced peaked at 9.05 MiB
+        # under tracemalloc here; a block of two such trials would need
+        # over 18 MiB.
+        cfg = SimConfig(20, (0, 0, 0), (10, 10, 10), (0.05, 0.1, 0.1),
+                        trials=3, rng_seed=1)
+        tracemalloc.start()
+        try:
+            run_ex1_sim(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20

@@ -6,7 +6,7 @@ import pytest
 from cqic.channels import gamma_state
 from cqic.errors import (DimOverflow, DomainError, InvalidOperands,
                          LengthMismatch, NotUnit)
-from cqic.linalg import operator_norm, trace_norm
+from cqic.linalg import operator_norm
 from cqic.tiltlab import (TiltSpace, closeness, closeness_chain,
                           four_user_omega, four_user_smoothing_report,
                           four_user_tilt_report, hayashi_nagaoka_check,
