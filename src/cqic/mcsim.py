@@ -74,34 +74,22 @@ def selection_probabilities(code: NestedCosetCode, m, p) -> np.ndarray:
     parr = _target_pmf(p, code.modulus)
     rows = enumerate_coset(code, m)
     weights = parr[rows].prod(axis=1)
-    if float(weights.sum()) <= 0.0:
+    total = float(weights.sum())
+    if total <= 0.0:
         raise ZeroMassCoset("every codeword in the coset has zero target mass")
-    return _normalize(weights[None])[0]
-
-
-def _normalize(weights: np.ndarray) -> np.ndarray:
-    """Weight rows (B, N) over their sums, each row's dominant entry
-    nudged (at most 8 times) until its float sum is exactly one."""
-    probs = weights / weights.sum(axis=-1, keepdims=True)
+    probs = weights / total
+    # nudge the dominant entry until the float sum is exactly one
     for _ in range(8):
-        gap = probs.sum(axis=-1) - 1.0
-        if not gap.any():
+        gap = float(probs.sum()) - 1.0
+        if gap == 0.0:
             break
-        # a row already at one takes a zero nudge, which changes no bit
-        probs[np.arange(len(probs)), probs.argmax(axis=-1)] -= gap
+        probs[int(np.argmax(probs))] -= gap
     return probs
 
 
-def _inverse_cdf(probs: np.ndarray, u) -> np.ndarray:
-    """Index drawn from each row of probs by its uniform in u: the count of
-    cdf entries at most u (searchsorted, side right), capped at the last."""
-    cdf = np.cumsum(probs, axis=-1)
-    return np.minimum((cdf <= np.asarray(u)[..., None]).sum(axis=-1),
-                      probs.shape[-1] - 1)
-
-
 def _draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    return int(_inverse_cdf(probs, rng.random()))
+    cdf = np.cumsum(probs)
+    return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(probs) - 1)
 
 
 def likelihood_encode(code: NestedCosetCode, m, p, rng: np.random.Generator):
@@ -460,6 +448,26 @@ def _coset_weights(cfg: SimConfig, cb1: np.ndarray, m1: np.ndarray) -> np.ndarra
     return np.array([1.0 - cfg.tau1, cfg.tau1])[bits].prod(axis=-1)
 
 
+def _shaped_dithers(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Coset index picked by each uniform in u from its row of weights.
+
+    Row by row the bits of selection_probabilities (the nudge toward a
+    unit sum) and _draw_index (searchsorted on the cdf, side right, is
+    the count of cdf entries at most u); kept apart from them because the
+    array form costs a one-row call about a quarter more.
+    """
+    probs = weights / weights.sum(axis=-1, keepdims=True)
+    rows = np.arange(len(probs))
+    for _ in range(8):
+        gap = probs.sum(axis=-1) - 1.0
+        if not gap.any():
+            break
+        # a row already at one takes a zero nudge, which changes no bit
+        probs[rows, probs.argmax(axis=-1)] -= gap
+    cdf = np.cumsum(probs, axis=-1)
+    return np.minimum((cdf <= u[:, None]).sum(axis=-1), probs.shape[1] - 1)
+
+
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # bit distances between broadcast packed rows, one word at a time so
     # the temporaries stay the size of the result
@@ -540,7 +548,7 @@ def _decode(cfg: SimConfig, d: _Draws):
     m1, a1, a2, m2, a3, m3 = (_index(part) for part in np.split(
         d.msg, np.cumsum([l1, k1, k2, l2, k3]), axis=1))
     if cfg.tau1 is not None:
-        a1 = _inverse_cdf(_normalize(_coset_weights(cfg, cb1, m1)), d.u)
+        a1 = _shaped_dithers(_coset_weights(cfg, cb1, m1), d.u)
     x1 = cb1[rows, a1 << l1 | m1]
     x2 = cb2[rows, a2 << l2 | m2]
     x3 = cb3[rows, a3 << l3 | m3]

@@ -11,8 +11,9 @@ from cqic import mcsim
 from cqic.errors import (BudgetExceeded, DomainError, NumericalFailure,
                          TooLarge, ZeroMassCoset)
 from cqic.gfcoset import NestedCosetCode, index_tuples, random_nested_code
-from cqic.mcsim import (SimConfig, SimResult, _book, _coset_labels, _gf2_ranks,
-                        _gf_rank, _gf_rref, _nearest, _nearest_pair, _pack,
+from cqic.mcsim import (SimConfig, SimResult, _book, _coset_labels,
+                        _coset_weights, _gf2_ranks, _gf_rank, _gf_rref, _index,
+                        _nearest, _nearest_pair, _pack, _shaped_dithers,
                         likelihood_encode, run_ex1_sim, selection_probabilities,
                         soft_covering_tv, wilson_interval)
 from sim_oracle import oracle_sim
@@ -225,6 +226,23 @@ class TestPackedKernels:
         y = _pack(np.zeros(300, dtype=np.int64))[None]
         assert _nearest(_codebook(code)[None], y) == 1
         assert _nearest_pair(_codebook(zero)[None], _codebook(code)[None], y) == (0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 6), st.integers(0, 2),
+           st.sampled_from([0.05, 0.1, 0.2, 0.35, 0.5]),
+           st.integers(0, 2 ** 31 - 1))
+    def test_shaped_dithers_match_scalar_encoder(self, n, k, l, tau, seed):
+        # uniforms on every cdf value of the scalar encoder, where a missing
+        # nudge or a strict comparison would pick the neighbouring index
+        code = random_nested_code(n, k, l, 2, seed)
+        m = np.random.default_rng(seed).integers(0, 2, size=(1, l))
+        cdf = np.cumsum(selection_probabilities(code, m[0], (1 - tau, tau)))
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0]])
+        cfg = SimConfig(n, (k, 0, 0), (l, 0, 0), (0.0, 0.0, 0.0), tau1=tau)
+        weights = _coset_weights(cfg, _codebook(code)[None], _index(m))
+        got = _shaped_dithers(np.repeat(weights, len(u), axis=0), u)
+        want = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+        assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 14), st.integers(0, 2 ** 31 - 1))
