@@ -25,6 +25,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -819,16 +820,67 @@ class ScanResult:
                 "grid_value": self.grid_value}
 
 
+@functools.lru_cache(maxsize=16)
 def _lattice_pmfs(n_atoms, denominator):
-    """All pmfs with masses i/denominator, in lexicographic order."""
-    out = []
+    """All pmfs with masses i/denominator, in lexicographic order.
+
+    One read-only ``(count, n_atoms)`` array, built once per argument
+    pair.
+    """
+    rows = []
     for comp in itertools.combinations_with_replacement(range(n_atoms),
                                                         denominator):
         counts = [0] * n_atoms
         for c in comp:
             counts[c] += 1
-        out.append(np.array(counts, dtype=float) / denominator)
-    return out
+        rows.append(counts)
+    pmfs = np.array(rows, dtype=float).reshape(len(rows), n_atoms)
+    pmfs = pmfs / denominator
+    pmfs.setflags(write=False)
+    return pmfs
+
+
+#: one user's scan configs in (pmf, map) lexicographic order, one row
+#: each: pmf ``p``, deterministic cloud->input map ``f``, probability
+#: ``q`` of input 1 (binary inputs only, else None) and expected ``cost``
+_UserGrid = namedtuple("_UserGrid", "p f q cost")
+
+
+def _binary_user_grid(channel, j, n_sym, denominator):
+    """Enumerate (pmf, map) configs for user j; maps are deterministic."""
+    return _user_grid(channel.input_sizes[j], channel.costs[j].tobytes(),
+                      n_sym, denominator)
+
+
+@functools.lru_cache(maxsize=16)
+def _user_grid(x_size, kappa_bytes, n_sym, denominator):
+    """Read-only :data:`_UserGrid` arrays, built once per argument set.
+
+    ``q`` and ``cost`` are summed left to right over the symbols u, as
+    a scalar ``sum`` over u would, so each row has the scalar bits.
+    """
+    kappa = np.frombuffer(kappa_bytes)
+    pmfs = _lattice_pmfs(n_sym, denominator)
+    maps = np.array(list(itertools.product(range(x_size), repeat=n_sym)),
+                    dtype=int).reshape(-1, n_sym)
+    p = np.repeat(pmfs, len(maps), axis=0)
+    f = np.tile(maps, (len(pmfs), 1))
+    q = np.zeros(len(p)) if x_size == 2 else None
+    cost = np.zeros(len(p))
+    for u in range(n_sym):
+        if q is not None:
+            q = q + np.where(f[:, u] == 1, p[:, u], 0.0)
+        cost = cost + p[:, u] * kappa[f[:, u]]
+    grid = _UserGrid(p, f, q, cost)
+    for a in grid:
+        if a is not None:
+            a.setflags(write=False)
+    return grid
+
+
+def _grid_rows(grid, rows):
+    """The configs of ``grid`` at ``rows`` (a slice or a boolean mask)."""
+    return _UserGrid(*(None if a is None else a[rows] for a in grid))
 
 
 def _hb_arr(t):
@@ -878,62 +930,71 @@ def _parity_gamma_form(channel: ChannelSpec):
                for i in range(2)]
     except DomainError:
         return None
-    for x in itertools.product((0, 1), repeat=3):
-        par = (x[0] + x[1] + x[2]) % 2
-        if not np.allclose(channel.reduced(0, x), g[par], atol=atol):
+    # every rho^{Y_j}_x against its expected state, one stack per receiver
+    xs = list(itertools.product((0, 1), repeat=3))
+    expected = ([g[sum(x) % 2] for x in xs], [sig[0][x[1]] for x in xs],
+                [sig[1][x[2]] for x in xs])
+    for j, want in enumerate(expected):
+        if not np.allclose(channel.reduced_table(j).reshape(8, 2, 2),
+                           np.array(want), atol=atol):
             return None
-        for j in (1, 2):
-            if not np.allclose(channel.reduced(j, x), sig[j - 1][x[j]],
-                               atol=atol):
-                return None
     return phi, tuple(deltas)
 
 
-def _binary_user_grid(channel, j, n_sym, denominator):
-    """Enumerate (pmf, map) pairs for user j; map is deterministic."""
-    x_size = channel.input_sizes[j]
-    kappa = channel.costs[j]
-    pmfs = _lattice_pmfs(n_sym, denominator)
-    maps = list(itertools.product(range(x_size), repeat=n_sym))
-    cfgs = []
-    for p in pmfs:
-        for f in maps:
-            q = float(sum(p[u] for u in range(n_sym) if f[u] == 1)) \
-                if x_size == 2 else None
-            cost = float(sum(p[u] * kappa[f[u]] for u in range(n_sym)))
-            cfgs.append((p, f, q, cost))
-    return cfgs
+#: distinct float64 arguments and, shaped like the argument, the index
+#: of each entry's key
+_Distinct = namedtuple("_Distinct", "keys inv")
 
 
-def _closed_bounds(form, evaluator, p1v, g2, g3):
-    """Rate-bound values of the plane-rotation/flip family in closed form.
+def _distinct(x):
+    """Distinct float64 bit patterns of ``x`` (the uint64 view is the key,
+    so -0.0 and 0.0 stay apart)."""
+    x = np.ascontiguousarray(x, dtype=float)
+    keys, inv = np.unique(x.view(np.uint64), return_inverse=True)
+    return _Distinct(keys.view(np.float64), inv.reshape(x.shape))
 
-    ``form`` is ``(phi, (d2, d3))`` from :func:`_parity_gamma_form`,
-    ``p1v`` the user-1 'on' probabilities and ``g2``/``g3`` user grid
-    entries with deterministic maps.  Returns the rate keys of
-    :func:`_unstructured_bounds` / :func:`_thm1_bounds` as arrays that
-    broadcast to ``(len(p1v), len(g2), len(g3))``.
+
+def _spread(values, d):
+    """Values over ``d.keys`` (last axis) taken back to every entry."""
+    return values.take(d.inv, axis=-1)
+
+
+def _once(fn, x):
+    """``fn(x)``, evaluated once per distinct bit pattern of ``x``."""
+    d = _distinct(x)
+    return _spread(fn(d.keys), d)
+
+
+#: the p1-free part of the closed forms over a user-2 x user-3 grid.
+#: ``terms`` holds arrays whose last two axes run over the stage grid
+#: (size-1 axes broadcast) and, for the Thm 1 p1 terms, the distinct
+#: arguments w0, w1, w_tot.  ``rows2``/``rows3`` take the stage grid
+#: back to the configs; None when it is the config grid.
+_ClosedStage = namedtuple("_ClosedStage", "phi evaluator terms rows2 rows3")
+
+
+def _closed_stage(form, evaluator, g2, g3):
+    """The p1-free stage of the plane-rotation/flip closed forms.
+
+    ``form`` is ``(phi, (d2, d3))`` from :func:`_parity_gamma_form` and
+    ``g2``/``g3`` are user grids with deterministic maps.  Every entropy
+    term is evaluated once per distinct bit pattern of its argument.
+    The unstructured bounds depend on a config only through (q2, q3),
+    so their stage grid is distinct q2 x distinct q3; the Thm 1 stage
+    grid is the config grid, whose terms combine in the order of the
+    per-config formulas.
     """
     phi, (d2, d3) = form
-    p1 = np.asarray(p1v, dtype=float)[:, None, None]
-    q2 = np.array([c[2] for c in g2])[None, :, None]
-    q3 = np.array([c[2] for c in g3])[None, None, :]
-    b = {"own2": _hb_arr(_conv_arr(q2, d2)) - _hb_arr(np.full_like(q2, d2)),
-         "own3": _hb_arr(_conv_arr(q3, d3)) - _hb_arr(np.full_like(q3, d3))}
-
+    (q2, rows2), (q3, rows3) = _distinct(g2.q), _distinct(g3.q)
+    own2 = _hb_arr(_conv_arr(q2, d2)) - _hb_arr(d2)
+    own3 = _hb_arr(_conv_arr(q3, d3)) - _hb_arr(d3)
     if evaluator == "unstructured":
-        # deterministic maps make the private refinement terms vanish
-        b.update(r1_rhs=_haf_arr(p1, phi),
-                 pair2=_haf_arr(_conv_arr(p1, q2), phi),
-                 pair3=_haf_arr(_conv_arr(p1, q3), phi),
-                 total1=_haf_arr(_conv_arr(_conv_arr(p1, q2), q3), phi),
-                 refine2=0.0, refine3=0.0)
-        return b
+        terms = {"q2": q2[None, :, None], "q3": q3[None, None, :],
+                 "own2": own2[None, :, None], "own3": own3[None, None, :]}
+        return _ClosedStage(phi, evaluator, terms, rows2, rows3)
 
-    p2 = np.array([c[0] for c in g2])[:, None, :]     # (m2, 1, 2)
-    f2 = np.array([c[1] for c in g2])[:, None, :]
-    p3 = np.array([c[0] for c in g3])[None, :, :]     # (1, m3, 2)
-    f3 = np.array([c[1] for c in g3])[None, :, :]
+    p2, f2 = g2.p[:, None, :], g2.f[:, None, :]     # (m2, 1, 2)
+    p3, f3 = g3.p[None, :, :], g3.f[None, :, :]     # (1, m3, 2)
     pu0 = p2[..., 0] * p3[..., 0] + p2[..., 1] * p3[..., 1]
     pu1 = p2[..., 0] * p3[..., 1] + p2[..., 1] * p3[..., 0]
     n0 = (p2[..., 0] * p3[..., 0] * ((f2[..., 0] + f3[..., 0]) % 2)
@@ -943,14 +1004,64 @@ def _closed_bounds(form, evaluator, p1v, g2, g3):
     with np.errstate(invalid="ignore", divide="ignore"):
         w0 = np.where(pu0 > 0.0, n0 / np.where(pu0 > 0, pu0, 1.0), 0.0)
         w1 = np.where(pu1 > 0.0, n1 / np.where(pu1 > 0, pu1, 1.0), 0.0)
-    w_tot = n0 + n1
-    base = pu0 * _haf_arr(w0, phi) + pu1 * _haf_arr(w1, phi)
-    hu = _hb_arr(pu1)
-    hmin = np.minimum(_hb_arr(p2[..., 1]), _hb_arr(p3[..., 1]))
-    b.update(r1_rhs=(pu0 * _haf_arr(_conv_arr(p1, w0), phi)
-                     + pu1 * _haf_arr(_conv_arr(p1, w1), phi) - base),
-             cross_rhs=(_haf_arr(w_tot, phi) - base - hu + hmin)[None],
-             sum_rhs=_haf_arr(_conv_arr(p1, w_tot), phi) - base - hu + hmin)
+    w = {"w0": _distinct(w0), "w1": _distinct(w1),
+         "w_tot": _distinct(n0 + n1)}
+    haf = {k: _spread(_haf_arr(d.keys, phi), d) for k, d in w.items()}
+    base = pu0 * haf["w0"] + pu1 * haf["w1"]
+    hu = _once(_hb_arr, pu1)
+    hmin = np.minimum(_once(_hb_arr, p2[..., 1]), _once(_hb_arr, p3[..., 1]))
+    terms = dict(w, own2=own2.take(rows2)[None, :, None],
+                 own3=own3.take(rows3)[None, None, :], pu0=pu0, pu1=pu1,
+                 base=base, hu=hu, hmin=hmin,
+                 cross_rhs=(haf["w_tot"] - base - hu + hmin)[None])
+    return _ClosedStage(phi, evaluator, terms, None, None)
+
+
+def _closed_cell(stage, a2, a3):
+    """The stage at the single config (a2, a3) of its config grid."""
+    if stage.rows2 is not None:
+        a2, a3 = stage.rows2[a2], stage.rows3[a3]
+    terms = {}
+    for name, v in stage.terms.items():
+        if isinstance(v, _Distinct):
+            terms[name] = _Distinct(v.keys[[v.inv[a2, a3]]],
+                                    np.zeros((1, 1), dtype=np.intp))
+        else:
+            i2 = a2 if v.shape[-2] > 1 else 0
+            i3 = a3 if v.shape[-1] > 1 else 0
+            terms[name] = v[..., i2:i2 + 1, i3:i3 + 1]
+    return stage._replace(terms=terms, rows2=None, rows3=None)
+
+
+def _closed_bounds(stage, p1v):
+    """Rate-bound values of a closed-form stage at user-1 'on'
+    probabilities ``p1v``.
+
+    Only the p1 terms are evaluated here.  Returns the rate keys of
+    :func:`_unstructured_bounds` / :func:`_thm1_bounds` as arrays that
+    broadcast to ``(len(p1v),)`` plus the stage grid.
+    """
+    t, phi = stage.terms, stage.phi
+    p1 = np.asarray(p1v, dtype=float)[:, None, None]
+    b = {"own2": t["own2"], "own3": t["own3"]}
+    if stage.evaluator == "unstructured":
+        q2, q3 = t["q2"], t["q3"]
+        # deterministic maps make the private refinement terms vanish
+        b.update(r1_rhs=_haf_arr(p1, phi),
+                 pair2=_haf_arr(_conv_arr(p1, q2), phi),
+                 pair3=_haf_arr(_conv_arr(p1, q3), phi),
+                 total1=_haf_arr(_conv_arr(_conv_arr(p1, q2), q3), phi),
+                 refine2=0.0, refine3=0.0)
+        return b
+
+    def at_p1(d):  # _haf_arr at the convolution of p1 and each distinct w
+        return _spread(_haf_arr(_conv_arr(p1[:, :, 0], d.keys), phi), d)
+
+    base = t["base"]
+    b.update(r1_rhs=t["pu0"] * at_p1(t["w0"]) + t["pu1"] * at_p1(t["w1"])
+             - base,
+             cross_rhs=t["cross_rhs"],
+             sum_rhs=at_p1(t["w_tot"]) - base - t["hu"] + t["hmin"])
     return b
 
 
@@ -958,10 +1069,10 @@ def _grid_bounds(channel, evaluator, p1s, g2, g3):
     """Direct bound values over the config product, one array per key."""
     if evaluator == "unstructured":
         sizes = channel.input_sizes
-        users = [[_map_table(c[0], c[1], sizes[j]) for c in grid]
-                 for j, grid in ((1, g2), (2, g3))]
+        users = [[_map_table(p, f, sizes[j]) for p, f in zip(g.p, g.f)]
+                 for j, g in ((1, g2), (2, g3))]
     else:
-        users = [[(c[0], c[1]) for c in grid] for grid in (g2, g3)]
+        users = [list(zip(g.p, g.f)) for g in (g2, g3)]
     return direct_bounds(channel, evaluator, p1s, *users)
 
 
@@ -977,10 +1088,14 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     rows; the scan keeps the best config (first in enumeration order on
     ties) and then zooms the user-1 input probability around it.
     Channels in the plane-rotation/flip family take their bound values
-    from vectorized closed forms; everything else from the batched
-    engine of :mod:`cqic.direct`, which evaluates the grid in blocks of
-    configs, bit for bit as the checkers evaluate one config (the two
-    sources agree to 1e-12 on every bound value, checked in the tests).
+    from vectorized closed forms, evaluated once per distinct argument:
+    the user-1-free terms once per scan, the rest once per user-1 grid
+    or zoom level.  The unstructured bounds are evaluated on distinct
+    (q2, q3) pairs only and taken back to the configs.  Everything else
+    takes its bound values from the batched engine of
+    :mod:`cqic.direct`, which evaluates the grid in blocks of configs,
+    bit for bit as the checkers evaluate one config (the two sources
+    agree to 1e-12 on every bound value, checked in the tests).
     """
     tol = active_tolerances()
     r2, r3 = float(r2), float(r3)
@@ -1006,37 +1121,49 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     grid2 = _binary_user_grid(channel, 1, n2, denominator)
     grid3 = _binary_user_grid(channel, 2, n3, denominator)
 
-    total = len(p1s) * len(grid2) * len(grid3)
+    total = len(p1s) * len(grid2.p) * len(grid3.p)
     if total > scan_cap:
         raise BudgetExceeded(f"scan grid has {total} configs, cap is {scan_cap}")
 
     kappa1 = channel.costs[0]
-    p1_ok = [p for p in p1s if float(p @ kappa1) <= taus[0] + tol.prob]
-    g2_ok = [c for c in grid2 if c[3] <= taus[1] + tol.prob]
-    g3_ok = [c for c in grid3 if c[3] <= taus[2] + tol.prob]
+    p1_ok = p1s[np.array([float(p @ kappa1) <= taus[0] + tol.prob
+                          for p in p1s], dtype=bool)]
+    g2_ok = _grid_rows(grid2, grid2.cost <= taus[1] + tol.prob)
+    g3_ok = _grid_rows(grid3, grid3.cost <= taus[2] + tol.prob)
 
     form = _parity_gamma_form(channel)
     if evaluator == "thm1" and field_size != 2:
         form = None
 
-    def sup_at(p1_list, g2_list, g3_list):
-        if form is not None:
-            b = _closed_bounds(form, evaluator, [p[1] for p in p1_list],
-                               g2_list, g3_list)
-        else:
-            b = _grid_bounds(channel, evaluator, p1_list, g2_list, g3_list)
-        return _r1_sup(rows, b, r2, r3, tol.rate)
+    def sup_at(p1_list, source):
+        """R1 suprema over p1_list x the configs of ``source``: the user
+        grids for the engine, a closed-form stage otherwise."""
+        if form is None:
+            b = _grid_bounds(channel, evaluator, p1_list, *source)
+            return _r1_sup(rows, b, r2, r3, tol.rate)
+        sup = _r1_sup(rows, _closed_bounds(source, p1_list[:, 1]), r2, r3,
+                      tol.rate)
+        if source.rows2 is None:
+            return sup
+        return sup.take(source.rows2, axis=1).take(source.rows3, axis=2)
 
     best_val, best_cfg = -math.inf, None
-    evaluations = len(p1_ok) * len(g2_ok) * len(g3_ok)
+    evaluations = len(p1_ok) * len(g2_ok.p) * len(g3_ok.p)
     if evaluations:
-        sup = sup_at(p1_ok, g2_ok, g3_ok)
+        source = (g2_ok, g3_ok) if form is None else \
+            _closed_stage(form, evaluator, g2_ok, g3_ok)
+        sup = sup_at(p1_ok, source)
         i1, a2, a3 = np.unravel_index(int(np.argmax(sup)), sup.shape)
         best_val = float(sup[i1, a2, a3])
     grid_value = best_val
     if best_val > -math.inf:
-        c2, c3, best_p1 = g2_ok[a2], g3_ok[a3], p1_ok[i1]
+        best_p1 = p1_ok[i1]
         if refine and sizes[0] == 2:
+            if form is None:
+                cell = (_grid_rows(g2_ok, slice(a2, a2 + 1)),
+                        _grid_rows(g3_ok, slice(a3, a3 + 1)))
+            else:
+                cell = _closed_cell(source, a2, a3)
             # zoom the user-1 'on' probability around the grid argmax:
             # eight levels of 17 points, the window shrinking eightfold
             center, width = float(best_p1[1]), 1.0 / denominator
@@ -1044,18 +1171,20 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
                 pts = np.linspace(max(0.0, center - width),
                                   min(1.0, center + width), 17)
                 evaluations += len(pts)
-                cands = [np.array([1.0 - p, p]) for p in map(float, pts)]
-                cands = [p1 for p1 in cands
-                         if float(p1 @ kappa1) <= taus[0] + tol.prob]
-                if cands:
-                    vals = sup_at(cands, [c2], [c3]).ravel()
+                cands = np.array([[1.0 - p, p] for p in map(float, pts)])
+                cands = cands[np.array([float(p1 @ kappa1)
+                                        <= taus[0] + tol.prob
+                                        for p1 in cands], dtype=bool)]
+                if len(cands):
+                    vals = sup_at(cands, cell).ravel()
                     k = int(np.argmax(vals))
                     if vals[k] > best_val:
                         best_val, best_p1 = float(vals[k]), cands[k]
                         center = float(best_p1[1])
                 width /= 8.0
-        best_cfg = _materialize(evaluator, channel, field_size,
-                                best_p1, c2, c3)
+        best_cfg = _materialize(evaluator, channel, field_size, best_p1,
+                                (g2_ok.p[a2], g2_ok.f[a2]),
+                                (g3_ok.p[a3], g3_ok.f[a3]))
     return ScanResult(float(best_val), best_cfg, evaluations,
                       float(grid_value))
 
@@ -1069,13 +1198,15 @@ def _map_table(p, f, x_size):
 
 
 def _materialize(evaluator, channel, field_size, p1, c2, c3):
+    """The config of user-1 pmf ``p1`` and user (pmf, map) pairs c2, c3."""
     if evaluator == "unstructured":
         sizes = channel.input_sizes
-        return UnstructuredConfig(np.asarray(p1, dtype=float),
+        return UnstructuredConfig(np.array(p1, dtype=float),
                                   _map_table(c2[0], c2[1], sizes[1]),
                                   _map_table(c3[0], c3[1], sizes[2]))
     return Thm1Config(field_size, tuple(np.asarray(p1, dtype=float)),
-                      tuple(c2[0]), tuple(c3[0]), tuple(c2[1]), tuple(c3[1]))
+                      tuple(c2[0]), tuple(c3[0]), tuple(map(int, c2[1])),
+                      tuple(map(int, c3[1])))
 
 
 def boundary_slice(feasible_fn, r2_values, r3: float = 0.0,

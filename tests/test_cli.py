@@ -424,3 +424,48 @@ def test_no_subcommand_exits_2():
 def test_version_flag_exits_0(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_one_parser_per_process_carries_no_state(tmp_path, capsys,
+                                                  monkeypatch):
+    # main builds its parser once; a subcommand run after the others must
+    # write what it writes as the first command of a process
+    from cqic import cli
+
+    monkeypatch.chdir(tmp_path)
+    chan = _rotation_channel(tmp_path / "rot.json")
+    pmf = _pmf(tmp_path / "pmf.json", [[[0.5]], [[0.5]]])
+    cases = {
+        "info": ["info", chan, pmf, "--query", "I(X1;Y1)"],
+        "example": ["example", "ex1", "--tau", "0.2"],
+        "scan": ["scan", "--example", "ex2", "--r2", "0.1", "0.2",
+                 "--denominator", "4"],
+        "sim": TestSim.ARGS,
+        "tiltlab": ["tiltlab", "--cases", "2", "--sizes", "2", "--seed", "3"],
+        "tiltlab_defaults": ["tiltlab", "--cases", "2", "--seed", "4"],
+        "bad_flag": ["scan", "--example", "ex2", "--r2", "x"],
+    }
+
+    def run(name):
+        out = tmp_path / name
+        rc = main(cases[name] + ["--out", str(out)])
+        files = {}
+        for path in sorted(out.iterdir()) if out.exists() else ():
+            doc = path.read_text()
+            if path.name == "manifest.json":
+                doc = json.loads(doc)
+                del doc["wall_clock_s"], doc["started_utc"]
+            files[path.name] = doc
+        std = capsys.readouterr()
+        return rc, std.out, std.err, files
+
+    first = {}
+    for name in cases:
+        cli._parser.cache_clear()
+        first[name] = run(name)
+    assert first["bad_flag"][0] == 2
+    parser = cli._parser()
+    for order in (list(cases), list(reversed(cases))):
+        for name in order:
+            assert run(name) == first[name], name
+    assert cli._parser() is parser

@@ -1,0 +1,176 @@
+"""The staged closed-form scan against the per-call oracle, bit for bit.
+
+``closed_oracle`` keeps the closed form as one call over the full
+broadcast grid; ``cqic.regions`` evaluates a p1-free stage once per scan
+and every entropy term once per distinct argument.  Every bound value,
+user grid entry and scan result must agree exactly (compared as uint64
+views, so -0.0 against 0.0 counts as a difference).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import closed_oracle as co
+from cqic import regions as rg
+from cqic.channels import ChannelSpec, CostVector, build_ex1, build_ex2, \
+    build_ex3
+
+PHI = 0.9
+#: (user-symbol counts, denominator) of the unstructured scans of
+#: criterion 4; Thm 1 runs on the binary field only
+SIZES = {"unstructured": (((2, 2), 32), ((3, 3), 6), ((4, 4), 3)),
+         "thm1": (((2, 2), 32),)}
+#: user-1 budgets 1/32 and 2/32 and none, and 0.3, off every grid, so
+#: that the zoom moves past the grid value; "costed" channels also charge
+#: users 2 and 3, so the user grids lose rows to the budget masks
+BUDGETS = (("ex2", 1 / 32), ("costed", 2 / 32), ("costed", None),
+           ("ex2", 0.3))
+CASES = [(ev, sizes, denom, kind, tau)
+         for ev in ("unstructured", "thm1")
+         for sizes, denom in SIZES[ev] for kind, tau in BUDGETS]
+
+
+def _channel(kind, tau):
+    spec = build_ex2(PHI, 0.1, 0.15, 0.5)
+    costs, budget = spec.costs, None
+    if kind == "costed":
+        costs = (np.arange(2.0),) * 3
+    if tau is not None:
+        budget = CostVector(tau, *((0.3, 0.2) if kind == "costed"
+                                   else (0.0, 0.0)))
+    return ChannelSpec(spec.input_sizes, spec.output_dims, spec.states,
+                       costs, budget)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+def _taus(spec):
+    budget = spec.budget
+    return budget.as_tuple() if budget is not None else (math.inf,) * 3
+
+
+def _grids(spec, evaluator, sizes, denom):
+    """The budget-filtered user-1 pmfs and user grids, staged and oracle."""
+    prob = rg.active_tolerances().prob
+    taus = _taus(spec)
+    p1s = [p for p in co.lattice_pmfs(2, denom)
+           if float(p @ spec.costs[0]) <= taus[0] + prob]
+    new, old = [], []
+    for j, n in ((1, sizes[0]), (2, sizes[1])):
+        grid = rg._binary_user_grid(spec, j, n, denom)
+        new.append(rg._grid_rows(grid, grid.cost <= taus[j] + prob))
+        old.append([c for c in co.binary_user_grid(spec, j, n, denom)
+                    if c[3] <= taus[j] + prob])
+    return p1s, new, old
+
+
+@pytest.mark.parametrize("n_sym,denom", [(2, 32), (3, 6), (4, 3)])
+def test_user_grids_match_oracle(n_sym, denom):
+    spec = _channel("costed", 2 / 32)
+    for j in (1, 2):
+        grid = rg._binary_user_grid(spec, j, n_sym, denom)
+        old = co.binary_user_grid(spec, j, n_sym, denom)
+        assert len(grid.p) == len(old)
+        assert _same_bits(grid.p, [c[0] for c in old])
+        assert grid.f.tolist() == [list(c[1]) for c in old]
+        assert _same_bits(grid.q, [c[2] for c in old])
+        assert _same_bits(grid.cost, [c[3] for c in old])
+        # point masses on either input
+        assert grid.q.min() == 0.0 and grid.q.max() == 1.0
+        assert not any(a.flags.writeable for a in grid if a is not None)
+        assert rg._binary_user_grid(spec, j, n_sym, denom) is grid
+    assert _same_bits(rg._lattice_pmfs(n_sym, denom),
+                      co.lattice_pmfs(n_sym, denom))
+
+
+@pytest.mark.parametrize("evaluator,sizes,denom,kind,tau", CASES)
+def test_bound_values_match_oracle(evaluator, sizes, denom, kind, tau):
+    spec = _channel(kind, tau)
+    form = rg._parity_gamma_form(spec)
+    p1s, (g2, g3), (o2, o3) = _grids(spec, evaluator, sizes, denom)
+    p1v = [p[1] for p in p1s]
+    old = co.closed_bounds(form, evaluator, p1v, o2, o3)
+    new = co.staged_bounds(form, evaluator, np.array(p1v), g2, g3)
+    assert sorted(new) == sorted(old)
+    shape = (len(p1s), len(o2), len(o3))
+    for key, val in old.items():
+        assert _same_bits(new[key], np.broadcast_to(val, shape)), key
+
+
+@pytest.mark.parametrize("evaluator", ["unstructured", "thm1"])
+def test_cell_values_match_oracle(evaluator):
+    # the refinement evaluates single configs of the stage
+    spec = _channel("costed", None)
+    p1s, (g2, g3), (o2, o3) = _grids(spec, evaluator, (2, 2), 8)
+    form = rg._parity_gamma_form(spec)
+    stage = rg._closed_stage(form, evaluator, g2, g3)
+    p1v = np.linspace(0.0, 1.0, 17)
+    for a2, a3 in ((0, 0), (5, 17), (len(o2) - 1, 3), (len(o2) - 1,
+                                                       len(o3) - 1)):
+        old = co.closed_bounds(form, evaluator, p1v, [o2[a2]], [o3[a3]])
+        new = rg._closed_bounds(rg._closed_cell(stage, a2, a3), p1v)
+        for key, val in old.items():
+            assert _same_bits(np.broadcast_to(new[key], (17, 1, 1)),
+                              np.broadcast_to(val, (17, 1, 1))), key
+
+
+def _same_config(a, b):
+    assert type(a) is type(b)
+    for x, y in zip(vars(a).values(), vars(b).values()):
+        if isinstance(y, np.ndarray):
+            assert _same_bits(x, y)
+        else:
+            assert repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("evaluator,sizes,denom,kind,tau", CASES)
+def test_scan_results_match_oracle(evaluator, sizes, denom, kind, tau):
+    spec = _channel(kind, tau)
+    refined = 0
+    for r2, r3 in ((0.0, 0.0), (0.2, 0.1), (0.45, 0.05), (0.9, 0.9)):
+        for refine in (True, False):
+            kw = dict(evaluator=evaluator, u_sizes=sizes, denominator=denom,
+                      refine=refine)
+            new = rg.max_r1_scan(spec, r2, r3, **kw)
+            old = co.scan(spec, r2, r3, **kw)
+            assert _same_bits(new.r1_max, old.r1_max)
+            assert _same_bits(new.grid_value, old.grid_value)
+            assert new.evaluations == old.evaluations
+            if old.best is None:
+                assert new.best is None
+            else:
+                _same_config(new.best, old.best)
+            refined += new.r1_max > new.grid_value
+    # within 0.3 the denominator-3 grid has only p1 = 0, where R1 = 0
+    assert refined or tau != 0.3 or denom == 3
+
+
+def _mixed(spec, j_state, eps):
+    """spec with the state at input (1, 0, 1) moved toward I/8 by eps."""
+    states = dict(spec.states)
+    x = (1, 0, 1)
+    states[x] = (1.0 - eps) * states[x] + eps * np.eye(8) / 8.0
+    return ChannelSpec(spec.input_sizes, spec.output_dims, states,
+                       spec.costs, spec.budget)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_ex1(0.1, 0.1, 0.2, 0.3),
+    lambda: build_ex2(PHI, 0.1, 0.15, 0.3),
+    lambda: build_ex2(1.2, 0.3, 0.05, 0.1),
+    lambda: build_ex3(0.1, 0.2, 0.3, 0.4, 0.4, 0.4),
+    lambda: _mixed(build_ex2(PHI, 0.1, 0.15, 0.3), 0, 1e-13),
+    lambda: _mixed(build_ex2(PHI, 0.1, 0.15, 0.3), 0, 1e-6),
+])
+def test_family_verdicts_match_oracle(build):
+    spec = build()
+    assert rg._parity_gamma_form(spec) == co.parity_gamma_form(spec)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_oracle import staged_bounds
 from cqic import regions as rg
 from cqic.channels import (ChannelSpec, build_ex1, build_ex2,
                            condition_eq1, example_capacities, gamma_state,
@@ -469,10 +470,9 @@ class TestScan:
         p1s = rg._lattice_pmfs(2, 8)
         g2 = rg._binary_user_grid(spec, 1, 2, 8)
         g3 = rg._binary_user_grid(spec, 2, 2, 8)
-        shape = (len(p1s), len(g2), len(g3))
+        shape = (len(p1s), len(g2.p), len(g3.p))
         for evaluator in ("unstructured", "thm1"):
-            closed = rg._closed_bounds(form, evaluator,
-                                       [p[1] for p in p1s], g2, g3)
+            closed = staged_bounds(form, evaluator, p1s[:, 1], g2, g3)
             engine = rg._grid_bounds(spec, evaluator, p1s, g2, g3)
             for key, val in closed.items():
                 diff = np.abs(np.broadcast_to(val, shape) - engine[key])
