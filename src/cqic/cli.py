@@ -174,7 +174,7 @@ def _emit(args, command: str, files: dict, t0: float, started: str) -> None:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     params = {k: _json_safe(v) for k, v in vars(args).items()
-              if k != "func" and not k.startswith("_")}
+              if not k.startswith("_")}
     names = []
     for name, text in files.items():
         _write_new(outdir / name, text)
@@ -575,14 +575,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. 'I(X1;Y1)', 'H(Y2|X2)', 'I(X1;Y1|X2,X3)'; "
                         "repeatable")
     _add_out(p)
-    p.set_defaults(func=cmd_info)
 
     p = subs.add_parser("example", help="capacities, sum condition and "
                                         "region verdicts of one instance")
     p.add_argument("name", choices=("ex1", "ex2", "ex3"))
     _add_example_flags(p)
     _add_out(p)
-    p.set_defaults(func=cmd_example)
 
     p = subs.add_parser("region", help="evaluate one inner-bound report "
                                        "at explicit rates")
@@ -597,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-dont-care", action="store_true",
                    help="drop packing rows that fix no message part")
     _add_out(p)
-    p.set_defaults(func=cmd_region)
 
     p = subs.add_parser("scan", help="largest feasible R1 over a config "
                                      "grid, along fixed (R2, R3) rays")
@@ -623,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-refine", action="store_true",
                    help="skip the local refinement pass")
     _add_out(p)
-    p.set_defaults(func=cmd_scan)
 
     p = subs.add_parser("sim", help="Monte-Carlo block-error run of the "
                                     "binary additive channel")
@@ -645,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workers over blocks of trials; results do not "
                         "depend on it")
     _add_out(p)
-    p.set_defaults(func=cmd_sim)
 
     p = subs.add_parser("tiltlab", help="batch reports for the tilting / "
                                         "smoothing operator toolkit")
@@ -658,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True,
                    help="RNG seed (stochastic command)")
     _add_out(p)
-    p.set_defaults(func=cmd_tiltlab)
 
     p = subs.add_parser("verify", help="run the numbered verification "
                                        "battery (exit 5 on any failure)")
@@ -667,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="workers over blocks of simulation trials")
     _add_out(p)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -686,7 +679,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
     try:
-        return int(args.func(args))
+        # looked up per call, so that the parser, built once, pins no
+        # command function
+        return int(globals()[f"cmd_{args.command}"](args))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -469,3 +469,6 @@ def test_one_parser_per_process_carries_no_state(tmp_path, capsys,
         for name in order:
             assert run(name) == first[name], name
     assert cli._parser() is parser
+    # nor does it pin the command functions it was built with
+    monkeypatch.setattr(cli, "cmd_example", lambda args: 7)
+    assert main(cases["example"]) == 7
