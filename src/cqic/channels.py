@@ -3,8 +3,8 @@
 The three worked channel families share one shape: user 1's output
 carries an XOR (or XOR-of-OR) of all inputs, users 2 and 3 see only
 their own input.  ``sigma_state`` / ``gamma_state`` are the two qubit
-output families; everything else is tensor-product assembly plus
-single-user capacity scans.
+output families; everything else is tensor-product assembly, one stack
+per family, plus single-user capacity scans.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .config import active_tolerances
 from .errors import (ConfigMismatch, DomainError, Unsupported)
 from .linalg import eig_hermitian, operator_norm, partial_trace, tensor_all
 from .states import (DensityOperator, Pmf, binary_convolve, binary_entropy,
-                     fact1_f, shannon_entropy, von_neumann_entropies,
-                     von_neumann_entropy)
+                     fact1_f, shannon_entropy, validate_densities,
+                     von_neumann_entropies, von_neumann_entropy)
 
 
 def sigma_state(delta: float, x: int) -> np.ndarray:
@@ -66,10 +66,11 @@ class CostVector:
 class ChannelSpec:
     """State family x -> rho_x on Y1 (x) Y2 (x) Y3, with per-user costs.
 
-    ``costs[j]`` maps each input symbol of user j+1 to a nonnegative
-    cost; ``budget`` carries the cost constraints the instance was
-    built with (zero for unconstrained users, whose cost function is
-    identically zero).
+    ``state_table`` holds every rho_x in one read-only ``(|X1|, |X2|,
+    |X3|, D, D)`` array, ``states`` maps x to its row.  ``costs[j]``
+    maps each input symbol of user j+1 to a nonnegative cost; ``budget``
+    carries the cost constraints the instance was built with (zero for
+    unconstrained users, whose cost function is identically zero).
     """
 
     def __init__(self, input_sizes, output_dims, states: Mapping, costs,
@@ -78,43 +79,52 @@ class ChannelSpec:
         self.output_dims = tuple(int(d) for d in output_dims)
         if len(self.input_sizes) != 3 or len(self.output_dims) != 3:
             raise DomainError("exactly three users required")
-        self.costs = tuple(np.asarray(c, dtype=float) for c in costs)
+        self.costs = tuple(np.array(c, dtype=float) for c in costs)
         for j, c in enumerate(self.costs):
             if c.shape != (self.input_sizes[j],):
                 raise DomainError(f"cost table {j} has wrong length")
             if c.min() < 0:
                 raise DomainError("costs must be nonnegative")
         total_dim = int(np.prod(self.output_dims))
-        self.states = {}
+        mats = []
         for x in np.ndindex(*self.input_sizes):
             if x not in states:
+                break
+            m = np.array(getattr(states[x], "mat", states[x]), dtype=complex)
+            if m.shape != (total_dim, total_dim):
+                break
+            mats.append(m)
+        # the states before the first missing or misshapen one, in one pass
+        flat = np.array(mats, dtype=complex).reshape(-1, total_dim, total_dim)
+        validate_densities(flat)
+        if len(mats) < np.prod(self.input_sizes):
+            if x not in states:
                 raise DomainError(f"state family missing input {x}")
-            op = DensityOperator(states[x])
-            if op.dim != total_dim:
-                raise DomainError(f"state at {x} has dim {op.dim} != {total_dim}")
-            self.states[x] = op.mat
+            op = DensityOperator(m)  # a non-square state raises here
+            raise DomainError(f"state at {x} has dim {op.dim} != {total_dim}")
+        self.state_table = flat.reshape(self.input_sizes + (total_dim,) * 2)
+        self._tables = tuple(partial_trace(self.state_table, self.output_dims,
+                                           {j}) for j in range(3))
+        for table in (self.state_table,) + self._tables:
+            table.setflags(write=False)  # before any view is taken
+        self.states = {x: self.state_table[x]
+                       for x in np.ndindex(*self.input_sizes)}
         self.budget = budget
-        self._reduced: dict = {}
-        self._tables: dict = {}
+        self._verdicts: dict = {}
 
     def reduced(self, j: int, x) -> np.ndarray:
-        """rho^{Y_j}_x, cached."""
-        key = (j, tuple(int(v) for v in x))
-        if key not in self._reduced:
-            self._reduced[key] = partial_trace(self.states[key[1]],
-                                               self.output_dims, {j})
-        return self._reduced[key]
+        """rho^{Y_j}_x, a read-only view into :meth:`reduced_table`."""
+        return self._tables[j][tuple(int(v) for v in x)]
 
     def reduced_table(self, j: int) -> np.ndarray:
-        """Every rho^{Y_j}_x in one ``(|X1|, |X2|, |X3|, d, d)`` array."""
-        if j not in self._tables:
-            n = self.input_sizes
-            d = self.output_dims[j]
-            table = np.array([self.reduced(j, x) for x in np.ndindex(*n)])
-            table = table.reshape(n + (d, d))
-            table.setflags(write=False)
-            self._tables[j] = table
+        """Every rho^{Y_j}_x, read-only, ``(|X1|, |X2|, |X3|, d, d)``."""
         return self._tables[j]
+
+    def verdict(self, check: Callable):
+        """``check(self)``, kept with the channel (unless it raises)."""
+        if check not in self._verdicts:
+            self._verdicts[check] = check(self)
+        return self._verdicts[check]
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -145,20 +155,16 @@ class ChannelSpec:
                    CostVector(*budget) if budget is not None else None)
 
 
-def _hamming(size=2):
-    return np.arange(size, dtype=float)
-
-
-def _zero_cost(size=2):
-    return np.zeros(size)
-
-
-def _product_channel(fam1: Callable, fam2: Callable, fam3: Callable,
-                     costs, budget) -> ChannelSpec:
-    states = {}
-    for x in np.ndindex(2, 2, 2):
-        states[x] = tensor_all([fam1(*x), fam2(*x), fam3(*x)])
-    return ChannelSpec((2, 2, 2), (2, 2, 2), states, costs, budget)
+def _product_channel(first: Callable, delta2, delta3, costs,
+                     budget) -> ChannelSpec:
+    """Receiver 1 sees ``first(x1, x2, x3)``, receivers 2 and 3 their own
+    input through flips; the eight states are built as one stack."""
+    xs = list(np.ndindex(2, 2, 2))
+    table = tensor_all([np.array([first(*x) for x in xs]),
+                        np.array([sigma_state(delta2, x[1]) for x in xs]),
+                        np.array([sigma_state(delta3, x[2]) for x in xs])])
+    return ChannelSpec((2, 2, 2), (2, 2, 2), dict(zip(xs, table)), costs,
+                       budget)
 
 
 def build_ex1(delta1, delta2, delta3, tau) -> ChannelSpec:
@@ -166,11 +172,8 @@ def build_ex1(delta1, delta2, delta3, tau) -> ChannelSpec:
     if not (0.0 <= tau <= 0.5):
         raise DomainError(f"tau {tau} outside [0, 1/2]")
     return _product_channel(
-        lambda x1, x2, x3: sigma_state(delta1, x1 ^ x2 ^ x3),
-        lambda x1, x2, x3: sigma_state(delta2, x2),
-        lambda x1, x2, x3: sigma_state(delta3, x3),
-        (_hamming(), _zero_cost(), _zero_cost()),
-        CostVector(tau, 0.0, 0.0))
+        lambda x1, x2, x3: sigma_state(delta1, x1 ^ x2 ^ x3), delta2, delta3,
+        (np.arange(2.0), np.zeros(2), np.zeros(2)), CostVector(tau, 0.0, 0.0))
 
 
 def build_ex2(phi, delta2, delta3, tau) -> ChannelSpec:
@@ -178,11 +181,8 @@ def build_ex2(phi, delta2, delta3, tau) -> ChannelSpec:
     if not (0.0 <= tau <= 0.5):
         raise DomainError(f"tau {tau} outside [0, 1/2]")
     return _product_channel(
-        lambda x1, x2, x3: gamma_state(phi, x1 ^ x2 ^ x3),
-        lambda x1, x2, x3: sigma_state(delta2, x2),
-        lambda x1, x2, x3: sigma_state(delta3, x3),
-        (_hamming(), _zero_cost(), _zero_cost()),
-        CostVector(tau, 0.0, 0.0))
+        lambda x1, x2, x3: gamma_state(phi, x1 ^ x2 ^ x3), delta2, delta3,
+        (np.arange(2.0), np.zeros(2), np.zeros(2)), CostVector(tau, 0.0, 0.0))
 
 
 def build_ex3(phi, delta2, delta3, tau1, tau2, tau3) -> ChannelSpec:
@@ -191,11 +191,8 @@ def build_ex3(phi, delta2, delta3, tau1, tau2, tau3) -> ChannelSpec:
         if not (0.0 < t < 0.5):
             raise DomainError(f"tau {t} outside (0, 1/2)")
     return _product_channel(
-        lambda x1, x2, x3: gamma_state(phi, x1 ^ (x2 | x3)),
-        lambda x1, x2, x3: sigma_state(delta2, x2),
-        lambda x1, x2, x3: sigma_state(delta3, x3),
-        (_hamming(), _hamming(), _hamming()),
-        CostVector(tau1, tau2, tau3))
+        lambda x1, x2, x3: gamma_state(phi, x1 ^ (x2 | x3)), delta2, delta3,
+        (np.arange(2.0),) * 3, CostVector(tau1, tau2, tau3))
 
 
 @dataclass(frozen=True)
@@ -237,9 +234,10 @@ def classical_equivalent(spec: ChannelSpec):
     """ClassicalIC if every receiver's family commutes, else NonCommuting."""
     tol = active_tolerances()
     inputs = list(np.ndindex(*spec.input_sizes))
+    fams = [list(spec.reduced_table(j).reshape(-1, d, d))
+            for j, d in enumerate(spec.output_dims)]
     worst = (0.0, None)
-    for j in range(3):
-        fam = [spec.reduced(j, x) for x in inputs]
+    for j, fam in enumerate(fams):
         for a in range(len(fam)):
             for b in range(a + 1, len(fam)):
                 nrm = operator_norm(fam[a] @ fam[b] - fam[b] @ fam[a])
@@ -248,8 +246,7 @@ def classical_equivalent(spec: ChannelSpec):
     if worst[0] > tol.commute:
         return NonCommuting(worst[0], worst[1])
     tables = []
-    for j in range(3):
-        fam = [spec.reduced(j, x) for x in inputs]
+    for j, fam in enumerate(fams):
         basis = _simultaneous_eigenbasis(fam)
         t = np.zeros(spec.input_sizes + (spec.output_dims[j],))
         for x, m in zip(inputs, fam):
@@ -258,10 +255,6 @@ def classical_equivalent(spec: ChannelSpec):
             t[x] /= t[x].sum()
         tables.append(t)
     return ClassicalIC(tuple(tables))
-
-
-def _zero_cost_symbol(spec: ChannelSpec, j: int) -> int:
-    return int(np.argmin(spec.costs[j]))
 
 
 def interference_free_family(spec: ChannelSpec, j: int,
@@ -277,26 +270,22 @@ def interference_free_family(spec: ChannelSpec, j: int,
     fams = []
     for xj in range(spec.input_sizes[j]):
         if others == "zero_cost":
-            x = [0, 0, 0]
-            for i in other_idx:
-                x[i] = _zero_cost_symbol(spec, i)
+            x = [int(np.argmin(c)) for c in spec.costs]
             x[j] = xj
-            fams.append(spec.reduced(j, tuple(x)))
+            fams.append(spec.reduced(j, x))
         elif others == "at_budget":
             if spec.budget is None:
                 raise ConfigMismatch("channel has no cost budget configured")
             taus = spec.budget.as_tuple()
             acc = np.zeros((spec.output_dims[j],) * 2, dtype=complex)
             for xo in np.ndindex(*(spec.input_sizes[i] for i in other_idx)):
-                w = 1.0
-                x = [0, 0, 0]
-                x[j] = xj
+                w, x = 1.0, [xj] * 3
                 for i, xi in zip(other_idx, xo):
                     if spec.input_sizes[i] != 2:
                         raise Unsupported("at_budget convention needs binary users")
                     w *= taus[i] if xi == 1 else 1.0 - taus[i]
                     x[i] = xi
-                acc += w * spec.reduced(j, tuple(x))
+                acc += w * spec.reduced(j, x)
             fams.append(acc)
         else:
             raise DomainError(f"unknown interference convention {others!r}")

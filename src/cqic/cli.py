@@ -23,7 +23,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import sys
@@ -213,9 +212,7 @@ def _parse_group(text: str):
 def _assemble_state(channel: ChannelSpec, table: np.ndarray,
                     receiver: int) -> CqState:
     sizes = channel.input_sizes
-    ranges = [range(s) for s in sizes]
-    smap = {x: channel.reduced(receiver, x)
-            for x in itertools.product(*ranges)}
+    smap = {x: channel.reduced(receiver, x) for x in np.ndindex(*sizes)}
     regs = [(f"X{j + 1}", sizes[j]) for j in range(3)]
     return CqState(regs, table.ravel(), smap)
 

@@ -94,41 +94,47 @@ def eigvals_hermitian(m) -> np.ndarray:
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; index of the first factor varies slowest."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    return tensor_all((a, b))
 
 
 def tensor_all(factors) -> np.ndarray:
-    out = _as_matrix(factors[0])
+    """Kronecker product of matrices, or row by row (bit for bit ``np.kron``)
+    of stacks ``(..., d, d)`` whose leading axes broadcast."""
+    out = _as_matrices(factors[0])
     for f in factors[1:]:
-        out = np.kron(out, _as_matrix(f))
+        b = _as_matrices(f)
+        out = out[..., :, None, :, None] * b[..., None, :, None, :]
+        n = out.shape[-4] * out.shape[-3]
+        out = out.reshape(out.shape[:-4] + (n, n))
     return out
 
 
 def partial_trace(rho, dims, keep):
-    """Trace out the factors not listed in ``keep``.
+    """Trace out the factors not listed in ``keep``, of a matrix or of each
+    matrix of a stack ``(..., d, d)`` in one pass.
 
     ``dims`` are the tensor-factor dimensions in slowest-varying-first
     order; ``keep`` is a set of factor indices.  The relative order of
-    kept factors is preserved.  Accepts a raw matrix or anything with a
+    kept factors is preserved.  Accepts a raw array or anything with a
     ``.mat`` attribute, and returns the same kind.
     """
-    arr = _as_matrix(rho)
+    arr = _as_matrices(rho)
     dims = [int(d) for d in dims]
     keep_sorted = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep_sorted):
         raise DimensionMismatch("keep indices outside factor range")
-    if int(np.prod(dims)) != arr.shape[0]:
+    if int(np.prod(dims)) != arr.shape[-1]:
         raise DimensionMismatch(
-            f"factor dims {dims} do not match operator dim {arr.shape[0]}")
+            f"factor dims {dims} do not match operator dim {arr.shape[-1]}")
     traced = [i for i in range(len(dims)) if i not in keep_sorted]
-    t = arr.reshape(tuple(dims) + tuple(dims))
+    t = arr.reshape(arr.shape[:-2] + tuple(dims) + tuple(dims))
     cur = list(range(len(dims)))
     for factor in sorted(traced, reverse=True):
-        pos = cur.index(factor)
+        pos = arr.ndim - 2 + cur.index(factor)
         t = np.trace(t, axis1=pos, axis2=pos + len(cur))
         cur.remove(factor)
     d_keep = int(np.prod([dims[i] for i in keep_sorted])) if keep_sorted else 1
-    out = np.ascontiguousarray(t.reshape(d_keep, d_keep))
+    out = np.ascontiguousarray(t.reshape(arr.shape[:-2] + (d_keep, d_keep)))
     if hasattr(rho, "mat"):
         from .states import DensityOperator
         return DensityOperator(out)
@@ -136,19 +142,19 @@ def partial_trace(rho, dims, keep):
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values (descending)."""
+    """Singular values (descending) of a matrix or a stack ``(..., d, d)``."""
     try:
-        return np.linalg.svd(_as_matrix(a), compute_uv=False)
+        return np.linalg.svd(_as_matrices(a), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
 
 
 def trace_norm(a) -> float:
     """Sum of singular values."""
-    return float(np.sum(singular_values(a)))
+    return float(np.sum(singular_values(_as_matrix(a))))
 
 
 def operator_norm(a) -> float:
     """Largest singular value."""
-    sv = singular_values(a)
+    sv = singular_values(_as_matrix(a))
     return float(sv[0]) if sv.size else 0.0

@@ -40,7 +40,7 @@ from .direct import direct_bounds
 from .errors import (BudgetExceeded, ConfigMismatch, DomainError, Not3to1,
                      Unsupported)
 from .gfcoset import _check_modulus
-from .linalg import operator_norm
+from .linalg import singular_values
 from .lp import feasible_point
 from .states import Pmf, cq_entropies, receiver_layout, shannon_entropy
 
@@ -269,22 +269,16 @@ class UnstructuredConfig:
 
 
 def _require_3to1(channel: ChannelSpec):
-    """Receivers 2 and 3 must see only their own input."""
+    """Receivers 2 and 3 must see only their own input (within ``commute``)."""
     tol = active_tolerances().commute
-    sizes = channel.input_sizes
     for j in (1, 2):
-        for xj in range(sizes[j]):
-            base = None
-            for x in itertools.product(*(range(s) for s in sizes)):
-                if x[j] != xj:
-                    continue
-                op = channel.reduced(j, x)
-                if base is None:
-                    base = op
-                elif operator_norm(base - op) > tol:
-                    raise Not3to1(
-                        f"receiver {j + 1} output varies with other users' "
-                        f"inputs at x_{j + 1}={xj}")
+        t = np.moveaxis(channel.reduced_table(j), j, 0)
+        t = t.reshape(t.shape[:1] + (-1,) + t.shape[-2:])
+        varies = (singular_values(t[:, :1] - t[:, 1:])[..., 0] > tol).any(1)
+        if varies.any():
+            raise Not3to1(
+                f"receiver {j + 1} output varies with other users' "
+                f"inputs at x_{j + 1}={int(np.argmax(varies))}")
 
 
 def _unstructured_bounds(channel: ChannelSpec, cfg: UnstructuredConfig):
@@ -314,7 +308,7 @@ def unstructured_3to1_check(channel: ChannelSpec, cfg: UnstructuredConfig,
     than its own.
     """
     rates = _rate_triple(rates)
-    _require_3to1(channel)
+    channel.verdict(_require_3to1)
     return _direct_report(channel, _UNSTR_ROWS,
                           _unstructured_bounds(channel, cfg), rates, budget)
 
@@ -912,33 +906,24 @@ def _parity_gamma_form(channel: ChannelSpec):
     """
     if channel.input_sizes != (2, 2, 2) or channel.output_dims != (2, 2, 2):
         return None
-    atol = 1e-12
     g1 = channel.reduced(0, (1, 0, 0))
     c, s = math.sqrt(max(0.0, g1[0, 0].real)), math.sqrt(max(0.0, g1[1, 1].real))
     phi = math.atan2(s, c)
-    if not 0.0 < phi < math.pi / 2:
+    deltas = tuple(float(channel.reduced(j, (0, 0, 0))[0, 0].real)
+                   for j in (1, 2))
+    if not 0.0 < phi < math.pi / 2 or not all(0.0 < d < 0.5 for d in deltas):
         return None
-    deltas = []
-    for j in (1, 2):
-        d = float(channel.reduced(j, (0, 0, 0))[0, 0].real)
-        if not 0.0 < d < 0.5:
-            return None
-        deltas.append(d)
-    try:
-        g = (gamma_state(phi, 0), gamma_state(phi, 1))
-        sig = [(sigma_state(deltas[i], 0), sigma_state(deltas[i], 1))
-               for i in range(2)]
-    except DomainError:
-        return None
+    g = (gamma_state(phi, 0), gamma_state(phi, 1))
+    sig = [(sigma_state(d, 0), sigma_state(d, 1)) for d in deltas]
     # every rho^{Y_j}_x against its expected state, one stack per receiver
     xs = list(itertools.product((0, 1), repeat=3))
     expected = ([g[sum(x) % 2] for x in xs], [sig[0][x[1]] for x in xs],
                 [sig[1][x[2]] for x in xs])
     for j, want in enumerate(expected):
         if not np.allclose(channel.reduced_table(j).reshape(8, 2, 2),
-                           np.array(want), atol=atol):
+                           np.array(want), atol=1e-12):
             return None
-    return phi, tuple(deltas)
+    return phi, deltas
 
 
 #: distinct float64 arguments and, shaped like the argument, the index
@@ -959,12 +944,6 @@ def _spread(values, d):
     return values.take(d.inv, axis=-1)
 
 
-def _once(fn, x):
-    """``fn(x)``, evaluated once per distinct bit pattern of ``x``."""
-    d = _distinct(x)
-    return _spread(fn(d.keys), d)
-
-
 #: the p1-free part of the closed forms over a user-2 x user-3 grid.
 #: ``terms`` holds arrays whose last two axes run over the stage grid
 #: (size-1 axes broadcast) and, for the Thm 1 p1 terms, the distinct
@@ -977,12 +956,13 @@ def _closed_stage(form, evaluator, g2, g3):
     """The p1-free stage of the plane-rotation/flip closed forms.
 
     ``form`` is ``(phi, (d2, d3))`` from :func:`_parity_gamma_form` and
-    ``g2``/``g3`` are user grids with deterministic maps.  Every entropy
-    term is evaluated once per distinct bit pattern of its argument.
-    The unstructured bounds depend on a config only through (q2, q3),
-    so their stage grid is distinct q2 x distinct q3; the Thm 1 stage
-    grid is the config grid, whose terms combine in the order of the
-    per-config formulas.
+    ``g2``/``g3`` are user grids with deterministic maps.  The terms of
+    q2, q3 and the w arguments are evaluated once per distinct bit
+    pattern of their argument; ``hu`` and ``hmin`` (cheaper than finding
+    the distinct values of the grid) directly.  The unstructured bounds
+    depend on a config only through (q2, q3), so their stage grid is
+    distinct q2 x distinct q3; the Thm 1 stage grid is the config grid,
+    whose terms combine in the order of the per-config formulas.
     """
     phi, (d2, d3) = form
     (q2, rows2), (q3, rows3) = _distinct(g2.q), _distinct(g3.q)
@@ -1008,8 +988,8 @@ def _closed_stage(form, evaluator, g2, g3):
          "w_tot": _distinct(n0 + n1)}
     haf = {k: _spread(_haf_arr(d.keys, phi), d) for k, d in w.items()}
     base = pu0 * haf["w0"] + pu1 * haf["w1"]
-    hu = _once(_hb_arr, pu1)
-    hmin = np.minimum(_once(_hb_arr, p2[..., 1]), _once(_hb_arr, p3[..., 1]))
+    hu = _hb_arr(pu1)
+    hmin = np.minimum(_hb_arr(p2[..., 1]), _hb_arr(p3[..., 1]))
     terms = dict(w, own2=own2.take(rows2)[None, :, None],
                  own3=own3.take(rows3)[None, None, :], pu0=pu0, pu1=pu1,
                  base=base, hu=hu, hmin=hmin,
@@ -1105,7 +1085,7 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     if evaluator not in ("unstructured", "thm1"):
         raise Unsupported(f"unknown scan evaluator {evaluator!r}")
     if evaluator == "unstructured":
-        _require_3to1(channel)
+        channel.verdict(_require_3to1)
 
     budget = channel.budget
     taus = budget.as_tuple() if budget is not None else (math.inf,) * 3
@@ -1131,7 +1111,7 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     g2_ok = _grid_rows(grid2, grid2.cost <= taus[1] + tol.prob)
     g3_ok = _grid_rows(grid3, grid3.cost <= taus[2] + tol.prob)
 
-    form = _parity_gamma_form(channel)
+    form = channel.verdict(_parity_gamma_form)
     if evaluator == "thm1" and field_size != 2:
         form = None
 

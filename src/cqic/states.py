@@ -15,6 +15,7 @@ second stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -24,7 +25,8 @@ import numpy as np
 from .config import active_tolerances
 from .errors import (DomainError, InvalidState, NotHermitian,
                      OverlappingQueries, UnknownRegister)
-from .linalg import eig_hermitian, eigvals_hermitian
+# eig_hermitian stays bound here: cqbench's tracer self-test checks it
+from .linalg import eig_hermitian, eigvals_hermitian  # noqa: F401
 
 _TINY = np.finfo(float).tiny  # smallest normal float
 _SCALE = 2.0 ** 64            # lifts every subnormal to a normal float
@@ -72,6 +74,34 @@ def shannon_entropy(probs: np.ndarray) -> float:
     return float(0.0 - np.sum(p * np.log2(p)))
 
 
+def validate_densities(arr: np.ndarray) -> None:
+    """Check a complex stack ``(..., d, d)`` of density operators in one pass.
+
+    Each must be finite, Hermitian within ``herm`` (absolute), of unit
+    trace within ``trace`` and PSD within ``psd`` (its least eigenvalue,
+    from one :func:`eigvals_hermitian` call).  The first failing matrix
+    raises :class:`InvalidState` for its first failing check.
+    """
+    tol = active_tolerances()
+    flat = arr.reshape((-1,) + arr.shape[-2:])
+    with np.errstate(invalid="ignore"):
+        tr = np.trace(flat, axis1=1, axis2=2).real
+        dev = np.abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    faults = [~np.isfinite(flat).all(axis=(1, 2)), dev > tol.herm,
+              np.abs(tr - 1.0) > tol.trace]
+    sane = ~np.any(faults, axis=0)
+    least = np.zeros(len(flat))
+    least[sane] = eigvals_hermitian(flat[sane]).min(axis=1)
+    faults.append(least < -tol.psd)
+    # (matrix, check) pairs in order: the first one raises
+    for i, check in np.argwhere(np.transpose(faults))[:1]:
+        raise InvalidState((
+            "density operator has non-finite entries",
+            "density operator is not Hermitian within tolerance",
+            f"trace {tr[i]} differs from 1",
+            f"negative eigenvalue {least[i]} beyond tolerance")[check])
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Validated density operator (Hermitian, PSD, unit trace)."""
@@ -80,18 +110,9 @@ class DensityOperator:
 
     def __init__(self, mat):
         arr = np.array(getattr(mat, "mat", mat), dtype=complex)
-        tol = active_tolerances()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidState(f"density operator must be square, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidState("density operator has non-finite entries")
-        if float(np.abs(arr - arr.conj().T).max()) > tol.herm:
-            raise InvalidState("density operator is not Hermitian within tolerance")
-        if abs(float(np.trace(arr).real) - 1.0) > tol.trace:
-            raise InvalidState(f"trace {np.trace(arr).real} differs from 1")
-        w, _ = eig_hermitian(arr)
-        if float(w.min()) < -tol.psd:
-            raise InvalidState(f"negative eigenvalue {w.min()} beyond tolerance")
+        validate_densities(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 
@@ -274,18 +295,23 @@ class CqState:
         return [n for n, _ in self.registers]
 
 
+@functools.lru_cache(maxsize=64)
+def _pooled_layout(regs, subsets):
+    """:func:`receiver_layout` of a pooled state, whose every point is its
+    own register value; built once per (registers, subsets) and shared."""
+    return receiver_layout(regs, np.arange(math.prod(a for _, a in regs)),
+                           subsets)
+
+
 def _query_entropies(state: CqState, queries) -> list:
     """Each query's entropy, from one call of the kernel's subset stage."""
-    subsets = dict.fromkeys(q.classical_subset for q in queries)
+    subsets = tuple(dict.fromkeys(q.classical_subset for q in queries))
     unknown = set().union(*subsets) - set(state.register_names())
     if unknown:
         raise UnknownRegister(f"unknown register(s) {sorted(unknown)}")
-    n = state.prob_table.size
-    # every point is its own register value: the state is pooled already
-    layout = receiver_layout(state.registers, np.arange(n), subsets)
-    p = state.prob_table.reshape(1, n)
-    h = _subset_entropies([layout], [(p, state.outputs[None])],
-                          _has_subnormal(p))
+    p = state.prob_table.reshape(1, -1)
+    h = _subset_entropies([_pooled_layout(state.registers, subsets)],
+                          [(p, state.outputs[None])], _has_subnormal(p))
     return [float(h[0, q.classical_subset, q.include_quantum][0])
             for q in queries]
 
