@@ -101,9 +101,8 @@ def tensor_all(factors) -> np.ndarray:
     """Kronecker product of matrices, or row by row (bit for bit ``np.kron``)
     of stacks ``(..., d, d)`` whose leading axes broadcast."""
     out = _as_matrices(factors[0])
-    for f in factors[1:]:
-        b = _as_matrices(f)
-        out = out[..., :, None, :, None] * b[..., None, :, None, :]
+    for f in map(_as_matrices, factors[1:]):
+        out = out[..., :, None, :, None] * f[..., None, :, None, :]
         n = out.shape[-4] * out.shape[-3]
         out = out.reshape(out.shape[:-4] + (n, n))
     return out

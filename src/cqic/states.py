@@ -84,17 +84,18 @@ def validate_densities(arr: np.ndarray) -> None:
     """
     tol = active_tolerances()
     flat = arr.reshape((-1,) + arr.shape[-2:])
+    faults = np.zeros((4, len(flat)), dtype=bool)  # check x matrix
+    faults[0] = ~np.isfinite(flat).all(axis=(1, 2))
     with np.errstate(invalid="ignore"):
-        tr = np.trace(flat, axis1=1, axis2=2).real
         dev = np.abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    faults = [~np.isfinite(flat).all(axis=(1, 2)), dev > tol.herm,
-              np.abs(tr - 1.0) > tol.trace]
-    sane = ~np.any(faults, axis=0)
+        tr = np.trace(flat, axis1=1, axis2=2).real
+    faults[1], faults[2] = dev > tol.herm, np.abs(tr - 1.0) > tol.trace
+    sane = ~faults.any(axis=0)
     least = np.zeros(len(flat))
     least[sane] = eigvals_hermitian(flat[sane]).min(axis=1)
-    faults.append(least < -tol.psd)
-    # (matrix, check) pairs in order: the first one raises
-    for i, check in np.argwhere(np.transpose(faults))[:1]:
+    faults[3] = least < -tol.psd
+    if faults.any():  # the first faulty matrix, at its first failing check
+        i, check = np.argwhere(faults.T)[0]
         raise InvalidState((
             "density operator has non-finite entries",
             "density operator is not Hermitian within tolerance",
