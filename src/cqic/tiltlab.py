@@ -6,6 +6,9 @@ each unit vector into the direction slots; everything here is small enough
 to verify the resulting isometry, trace-norm closeness, smoothing
 decomposition, the Hayashi-Nagaoka operator inequality, and square-root
 measurements by direct eigensolves.
+
+One slot writer builds every tilted vector, and each function validates and
+eigensolves its state once, however many directions it averages over.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TILT_DIM_CAP, active_tolerances
-from .errors import (DegenerateEnsemble, DimOverflow, DomainError,
-                     InvalidOperands, LengthMismatch, NotUnit,
+from .errors import (DegenerateEnsemble, DimensionMismatch, DimOverflow,
+                     DomainError, InvalidOperands, LengthMismatch, NotUnit,
                      NumericalFailure)
 from .linalg import eig_hermitian, operator_norm, trace_norm
 from .states import DensityOperator
@@ -66,6 +69,30 @@ def embed_vector(h, space: TiltSpace) -> np.ndarray:
     return out
 
 
+def _slot_vector(vec: np.ndarray, space: TiltSpace, slots) -> np.ndarray:
+    """Embed ``vec`` and write ``weight * (vec ⊗ d)`` into each ``(slot, weight, d)``."""
+    out = embed_vector(vec, space)
+    for s, weight, d in slots:
+        off = space.slot_offset(s)
+        out[off:off + vec.size * d.size] = weight * np.kron(vec, d)
+    return out
+
+
+def _tilted_mixture(eig, space: TiltSpace, slots, norm_sq: float) -> np.ndarray:
+    """Σ λ |t><t|, term by term, with t = slot vector / √norm_sq of each
+    eigenpair of ``eig = (w, v)`` above ``eig_floor``."""
+    w, v = eig
+    floor = active_tolerances().eig_floor
+    scale = math.sqrt(norm_sq)
+    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for lam, vec in zip(w, v.T):
+        if lam < floor:
+            continue
+        t = _slot_vector(vec, space, slots) / scale
+        out += lam * np.outer(t, t.conj())
+    return out
+
+
 def tilt_vector(h, directions, eta: float) -> np.ndarray:
     """Isometric tilt of a unit vector along one direction per aux slot.
 
@@ -77,10 +104,7 @@ def tilt_vector(h, directions, eta: float) -> np.ndarray:
     hv = _unit(h, "input vector")
     dirs = [_unit(d, f"direction {s}") for s, d in enumerate(directions)]
     space = TiltSpace(hv.size, tuple(d.size for d in dirs))
-    out = embed_vector(hv, space)
-    for s, d in enumerate(dirs):
-        off = space.slot_offset(s)
-        out[off:off + hv.size * d.size] = eta * np.kron(hv, d)
+    out = _slot_vector(hv, space, [(s, eta, d) for s, d in enumerate(dirs)])
     return out / math.sqrt(1.0 + len(dirs) * eta * eta)
 
 
@@ -97,6 +121,10 @@ def printed_omega(eta: float) -> float:
     return 1.0 + 16.0 * e2 + 36.0 * e2 ** 2 + 16.0 * e2 ** 3
 
 
+# |S| of each nonempty proper subset S of the four message indices, by bitmask
+_SUBSET_SIZES = tuple(bin(mask).count("1") for mask in range(1, 15))
+
+
 def four_user_tilt_report(h, direction_dim: int, eta: float) -> dict:
     """Aggregate 4-user tilt normalized by the printed Ω(η); norm reported.
 
@@ -108,16 +136,12 @@ def four_user_tilt_report(h, direction_dim: int, eta: float) -> dict:
     """
     eta = _check_eta(eta)
     hv = _unit(h, "input vector")
-    sizes = [len(s) for s in _proper_subsets()]
+    sizes = _SUBSET_SIZES
     space = TiltSpace(hv.size, tuple(direction_dim for _ in sizes))
-    out = embed_vector(hv, space)
-    d0 = np.zeros(direction_dim, dtype=complex)
-    d0[0] = 1.0
-    for s, size in enumerate(sizes):
-        off = space.slot_offset(s)
-        out[off:off + hv.size * direction_dim] = eta ** size * np.kron(hv, d0)
+    d0 = np.eye(direction_dim, dtype=complex)[0]
+    slots = [(s, eta ** size, d0) for s, size in enumerate(sizes)]
     exact_sq = 1.0 + sum(eta ** (2 * size) for size in sizes)
-    scaled = out / math.sqrt(printed_omega(eta))
+    scaled = _slot_vector(hv, space, slots) / math.sqrt(printed_omega(eta))
     return {
         "eta": eta,
         "printed_omega": printed_omega(eta),
@@ -127,13 +151,6 @@ def four_user_tilt_report(h, direction_dim: int, eta: float) -> dict:
         "per_subset_omega": {str(size): four_user_omega(size, eta)
                              for size in (1, 2, 3)},
     }
-
-
-def _proper_subsets():
-    out = []
-    for mask in range(1, 15):
-        out.append(tuple(i for i in range(4) if mask >> i & 1))
-    return out
 
 
 @dataclass(frozen=True)
@@ -153,23 +170,22 @@ def tilt_state(rho, d1, d2, eta: float) -> TiltedState:
     dens = DensityOperator(rho)
     dirs = (_unit(d1, "d1"), _unit(d2, "d2"))
     space = TiltSpace(dens.dim, (dirs[0].size, dirs[1].size))
-    tol = active_tolerances()
-    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    w, v = eig_hermitian(dens.mat)
-    for lam, vec in zip(w, v.T):
-        if lam < tol.eig_floor:
-            continue
-        t = tilt_vector(vec, dirs, eta)
-        out += lam * np.outer(t, t.conj())
+    out = _tilted_mixture(eig_hermitian(dens.mat), space,
+                          [(0, eta, dirs[0]), (1, eta, dirs[1])],
+                          1.0 + 2 * eta * eta)
     return TiltedState(out, dens.mat, dirs, eta, space)
 
 
 def closeness(rho, tilted: TiltedState) -> float:
     """Trace-norm distance between the embedded original and its tilt."""
     space = tilted.space
-    emb = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     d = space.base_dim
-    emb[:d, :d] = np.asarray(getattr(rho, "mat", rho), dtype=complex)
+    mat = np.asarray(getattr(rho, "mat", rho), dtype=complex)
+    if mat.shape != (d, d):
+        raise DimensionMismatch(
+            f"state of shape {mat.shape} does not match base dimension {d}")
+    emb = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    emb[:d, :d] = mat
     return trace_norm(emb - tilted.operator)
 
 
@@ -189,37 +205,26 @@ def smoothing_residual(rho, aux_dims, eta: float, d2_index: int = 0):
     """
     eta = _check_eta(eta)
     dens = DensityOperator(rho)
-    dim1, dim2 = (int(d) for d in aux_dims)
+    dims = tuple(int(d) for d in aux_dims)
+    if len(dims) != 2:
+        raise DomainError(f"need two direction-set sizes, got {len(dims)}")
+    dim1, dim2 = dims
     if dim1 < 1 or dim2 < 1:
         raise DomainError("direction-set sizes must be positive")
     if not 0 <= d2_index < dim2:
         raise DomainError(f"d2 index {d2_index} outside range 0..{dim2 - 1}")
     space = TiltSpace(dens.dim, (dim1, dim2))
-    d2 = np.zeros(dim2, dtype=complex)
-    d2[d2_index] = 1.0
+    eig = eig_hermitian(dens.mat)
+    d2 = np.eye(dim2, dtype=complex)[d2_index]
 
     avg = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for i in range(dim1):
-        d1 = np.zeros(dim1, dtype=complex)
-        d1[i] = 1.0
-        avg += tilt_state(dens.mat, d1, d2, eta).operator
+    for d1 in np.eye(dim1, dtype=complex):
+        avg += _tilted_mixture(eig, space, [(0, eta, d1), (1, eta, d2)],
+                               1.0 + 2 * eta * eta)
     avg /= dim1
 
     # d2-only tilt, embedded with an (empty) D1 slot to match layouts
-    tol = active_tolerances()
-    single = np.zeros_like(avg)
-    w, v = eig_hermitian(dens.mat)
-    base = dens.dim
-    for lam, vec in zip(w, v.T):
-        if lam < tol.eig_floor:
-            continue
-        t = np.zeros(space.total_dim, dtype=complex)
-        t[:base] = vec
-        off = space.slot_offset(1)
-        t[off:off + base * dim2] = eta * np.kron(vec, d2)
-        t /= math.sqrt(1.0 + eta * eta)
-        single += lam * np.outer(t, t.conj())
-
+    single = _tilted_mixture(eig, space, [(1, eta, d2)], 1.0 + eta * eta)
     structured = ((1.0 + eta * eta) / (1.0 + 2.0 * eta * eta)) * single
     return structured, operator_norm(avg - structured)
 
@@ -234,45 +239,23 @@ def four_user_smoothing_report(rho, direction_dim: int, eta: float) -> dict:
     """
     eta = _check_eta(eta)
     dens = DensityOperator(rho)
-    subsets = _proper_subsets()
-    sizes = [len(s) for s in subsets]
-    space = TiltSpace(dens.dim, tuple(direction_dim for _ in subsets))
-    tol = active_tolerances()
-    base = dens.dim
-
-    def aggregate(d_first: np.ndarray, include_first: bool) -> np.ndarray:
-        norm_sq = 1.0 + sum(eta ** (2 * sz) for s, sz in enumerate(sizes)
-                            if include_first or s != 0)
-        out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-        w, v = eig_hermitian(dens.mat)
-        d0 = np.zeros(direction_dim, dtype=complex)
-        d0[0] = 1.0
-        for lam, vec in zip(w, v.T):
-            if lam < tol.eig_floor:
-                continue
-            t = np.zeros(space.total_dim, dtype=complex)
-            t[:base] = vec
-            for s, sz in enumerate(sizes):
-                if s == 0 and not include_first:
-                    continue
-                d = d_first if s == 0 else d0
-                off = space.slot_offset(s)
-                t[off:off + base * direction_dim] = eta ** sz * np.kron(vec, d)
-            t /= math.sqrt(norm_sq)
-            out += lam * np.outer(t, t.conj())
-        return out
-
-    avg = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for i in range(direction_dim):
-        d = np.zeros(direction_dim, dtype=complex)
-        d[i] = 1.0
-        avg += aggregate(d, True)
-    avg /= direction_dim
+    sizes = _SUBSET_SIZES
+    space = TiltSpace(dens.dim, tuple(direction_dim for _ in sizes))
+    eig = eig_hermitian(dens.mat)
+    basis = np.eye(direction_dim, dtype=complex)
+    # every slot but the averaged first keeps the first basis direction
+    rest = [(s, eta ** sz, basis[0]) for s, sz in enumerate(sizes) if s != 0]
 
     with_first = 1.0 + sum(eta ** (2 * sz) for sz in sizes)
+    avg = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for d in basis:
+        avg += _tilted_mixture(eig, space, [(0, eta ** sizes[0], d), *rest],
+                               with_first)
+    avg /= direction_dim
+
     without_first = with_first - eta ** 2
-    structured = (without_first / with_first) * aggregate(
-        np.zeros(direction_dim), False)
+    structured = (without_first / with_first) * _tilted_mixture(
+        eig, space, rest, 1.0 + sum(eta ** (2 * sz) for sz in sizes[1:]))
     measured = operator_norm(avg - structured)
     root = math.sqrt(direction_dim)
     return {

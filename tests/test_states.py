@@ -443,6 +443,9 @@ class TestCqStateProperties:
         s = data.draw(cq_states(d))
         tol = DEFAULT_TOL.info
         assert conditional_mutual_info(s, _q("A"), _Y, _q("C")) >= -tol
+        # strong subadditivity across the classical-quantum split
+        by = EntropyQuery(("B",), True)
+        assert conditional_mutual_info(s, _q("A"), by, _q("C")) >= -tol
         # chain rule I(AB; Y) = I(A; Y) + I(B; Y | A)
         whole = conditional_mutual_info(s, _q("A", "B"), _Y)
         parts = (conditional_mutual_info(s, _q("A"), _Y)

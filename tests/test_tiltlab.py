@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cqic.channels import gamma_state
-from cqic.errors import (DimOverflow, DomainError, InvalidOperands,
-                         LengthMismatch, NotUnit)
+from cqic.errors import (DimensionMismatch, DimOverflow, DomainError,
+                         InvalidOperands, LengthMismatch, NotUnit)
 from cqic.linalg import operator_norm
 from cqic.tiltlab import (TiltSpace, closeness, closeness_chain,
                           four_user_omega, four_user_smoothing_report,
@@ -132,6 +132,12 @@ class TestTiltState:
         assert np.array_equal(ts.original, rho)
         assert ts.space.total_dim == 2 * (1 + 2 + 2)
 
+    def test_closeness_rejects_other_dimension(self):
+        tilted = tilt_state(np.diag([0.5, 0.5]), [1, 0], [0, 1], 0.1)
+        for rho in (np.eye(3) / 3, np.eye(1), np.array([0.5, 0.5])):
+            with pytest.raises(DimensionMismatch):
+                closeness(rho, tilted)
+
 
 class TestSmoothing:
     def test_residual_shrinks_with_direction_count(self):
@@ -163,6 +169,12 @@ class TestSmoothing:
     def test_dim_guard(self):
         with pytest.raises(DimOverflow):
             smoothing_residual(np.diag([1.0, 0.0]), (2048, 2), 0.1)
+
+    def test_rejects_other_than_two_sizes(self):
+        rho = np.diag([0.5, 0.5])
+        for dims in ((4, 2, 2), (4,), ()):
+            with pytest.raises(DomainError):
+                smoothing_residual(rho, dims, 0.1)
 
     def test_four_user_report(self):
         rng = np.random.default_rng(5)
