@@ -19,7 +19,7 @@ from .errors import (ConfigMismatch, DomainError, Unsupported)
 from .linalg import eig_hermitian, operator_norm, partial_trace, tensor_all
 from .states import (DensityOperator, Pmf, binary_convolve, binary_entropy,
                      fact1_f, shannon_entropy, validate_densities,
-                     von_neumann_entropies, von_neumann_entropy)
+                     von_neumann_entropies)
 
 
 def sigma_state(delta: float, x: int) -> np.ndarray:
@@ -292,20 +292,13 @@ def interference_free_family(spec: ChannelSpec, j: int,
     return fams
 
 
-def _binary_mutual_info(rho0, rho1, p1, h0, h1):
-    avg = (1.0 - p1) * rho0 + p1 * rho1
-    return von_neumann_entropy(avg) - (1.0 - p1) * h0 - p1 * h1
+#: the golden-section ratio 1/phi
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def user_capacity_cost(spec: ChannelSpec, j: int, tau: float | None,
-                       grid: float = 1e-3,
-                       others: str = "zero_cost") -> tuple[float, Pmf]:
-    """Cost-constrained single-user capacity over p(1) in [0, 1/2].
-
-    Grid scan at the given resolution followed by golden-section
-    refinement to 1e-9; ``tau=None`` drops the cost constraint.
-    Only binary-input users are supported.
-    """
+def _search_family(spec: ChannelSpec, j: int, tau, grid, others):
+    """Check one capacity search; returns its family ``(rho0, rho1, h0,
+    h1)`` and its grid over p(1) in [0, upper]."""
     if spec.input_sizes[j] != 2:
         raise Unsupported("capacity scan implemented for binary inputs only")
     if grid <= 0:
@@ -319,36 +312,94 @@ def user_capacity_cost(spec: ChannelSpec, j: int, tau: float | None,
             upper = min(0.5, (tau - c0) / (c1 - c0))
     rho0, rho1 = interference_free_family(spec, j, others)
     h0, h1 = von_neumann_entropies(np.array([rho0, rho1])).tolist()
-
-    def info(p):
-        return _binary_mutual_info(rho0, rho1, p, h0, h1)
-
     npts = max(2, int(np.ceil(upper / grid)) + 1)
-    ps = np.linspace(0.0, upper, npts)
-    # the grid as one stack: per element the same operations as info(p)
-    avg = (1.0 - ps)[:, None, None] * rho0 + ps[:, None, None] * rho1
-    vals = von_neumann_entropies(avg) - (1.0 - ps) * h0 - ps * h1
-    best = int(np.argmax(vals))
-    lo = ps[max(0, best - 1)]
-    hi = ps[min(npts - 1, best + 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = info(x1), info(x2)
+    return (rho0, rho1, h0, h1), np.linspace(0.0, upper, npts)
+
+
+def _binary_infos(fams, points):
+    """S((1-p) rho0 + p rho1) - (1-p) h0 - p h1 of each family at each of
+    its points, one eigensolve stack per output dimension."""
+    out = [None] * len(fams)
+    by_dim = {}
+    for i, fam in enumerate(fams):
+        by_dim.setdefault(fam[0].shape[-1], []).append(i)
+    for idx in by_dim.values():
+        ents = von_neumann_entropies(np.concatenate(
+            [(1.0 - points[i])[:, None, None] * fams[i][0]
+             + points[i][:, None, None] * fams[i][1] for i in idx]))
+        at = 0
+        for i in idx:
+            ps, (_, _, h0, h1) = points[i], fams[i]
+            out[i] = ents[at:at + len(ps)] - (1.0 - ps) * h0 - ps * h1
+            at += len(ps)
+    return out
+
+
+def _golden(a, b):
+    """Golden-section search for a maximum on [a, b], to width 1e-9.  A
+    coroutine: it yields the points it wants evaluated, takes their
+    values by ``send`` and returns its last two (value, point) pairs."""
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = yield [x1, x2]
     while b - a > 1e-9:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = info(x1)
+            x1 = b - _INVPHI * (b - a)
+            [f1] = yield [x1]
         else:
             a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = info(x2)
-    candidates = [(vals[best], ps[best]), (f1, x1), (f2, x2),
-                  (info(upper), upper), (info(0.0), 0.0)]
-    cbest, pbest = max(candidates, key=lambda t: t[0])
-    return float(cbest), Pmf([1.0 - pbest, pbest])
+            x2 = a + _INVPHI * (b - a)
+            [f2] = yield [x2]
+    return (f1, x1), (f2, x2)
+
+
+def _capacity_searches(spec: ChannelSpec, jobs, grid: float = 1e-3,
+                       others: str = "zero_cost"):
+    """:func:`user_capacity_cost` of each ``(j, tau)`` in ``jobs``.
+
+    Every search is checked first, in order.  The grids are then
+    evaluated as one stack, and the golden-section searches step in lock
+    step: each step evaluates the new point of every unfinished search
+    as one stack.  Each value is bit for bit the one-search value.
+    """
+    fams, grids = zip(*(_search_family(spec, j, tau, grid, others)
+                        for j, tau in jobs))
+    # each grid, then its two end points again as separate candidates
+    vals = _binary_infos(fams, [np.concatenate([ps, ps[[-1, 0]]])
+                                for ps in grids])
+    best = [int(np.argmax(v[:-2])) for v in vals]
+    searches = [_golden(ps[max(0, k - 1)], ps[min(len(ps) - 1, k + 1)])
+                for ps, k in zip(grids, best)]
+    want = {i: s.send(None) for i, s in enumerate(searches)}
+    last = {}
+    while want:  # the points every unfinished search wants next
+        got = _binary_infos([fams[i] for i in want],
+                            [np.array(w) for w in want.values()])
+        for i, f in zip(list(want), got):
+            try:
+                want[i] = searches[i].send(list(f))
+            except StopIteration as stop:
+                last[i] = stop.value
+                del want[i]
+    out = []
+    for i, (ps, v, k) in enumerate(zip(grids, vals, best)):
+        candidates = [(v[k], ps[k]), *last[i], (v[-2], ps[-1]), (v[-1], 0.0)]
+        cbest, pbest = max(candidates, key=lambda t: t[0])
+        out.append((float(cbest), Pmf([1.0 - pbest, pbest])))
+    return out
+
+
+def user_capacity_cost(spec: ChannelSpec, j: int, tau: float | None,
+                       grid: float = 1e-3,
+                       others: str = "zero_cost") -> tuple[float, Pmf]:
+    """Cost-constrained single-user capacity over p(1) in [0, 1/2].
+
+    Grid scan at the given resolution followed by golden-section
+    refinement to 1e-9; ``tau=None`` drops the cost constraint.
+    Only binary-input users are supported.
+    """
+    return _capacity_searches(spec, [(j, tau)], grid, others)[0]
 
 
 @dataclass(frozen=True)
@@ -372,12 +423,10 @@ def example_capacities(spec: ChannelSpec) -> Capacities:
     if spec.budget is None:
         raise ConfigMismatch("channel has no cost budget configured")
     taus = spec.budget.as_tuple()
-    caps = []
-    for j in range(3):
-        tau = taus[j] if spec.costs[j].max() > 0 else None
-        caps.append(user_capacity_cost(spec, j, tau)[0])
-    c1_free = user_capacity_cost(spec, 0, None)[0]
-    return Capacities(caps[0], caps[1], caps[2], c1_free)
+    jobs = [(j, taus[j] if spec.costs[j].max() > 0 else None)
+            for j in range(3)]
+    caps = _capacity_searches(spec, jobs + [(0, None)])
+    return Capacities(*(c for c, _ in caps))
 
 
 OR_RECOVERY_TABLE = {0: 0, 1: 1, 2: 1}

@@ -417,41 +417,52 @@ class _Atom:
     copies: tuple = ()   # for the sum atom: ((label_suffix, charge names), ...)
 
 
-def _rx_entropies(channel: ChannelSpec, blocks, fields, j, atoms, subsets):
-    """H(S, Y) of each register subset S of receiver j's cq state.
+def _rx_entropies(channel: ChannelSpec, blocks, fields, receivers):
+    """H(S, Y) of each register subset S of each receiver's cq state.
 
-    The registers are the decoded-content atoms.  Points run over the
-    product of the three users' factor tables in row-major order, with
-    mass (p1 * p2) * p3; zero-mass points are skipped when pooled.
+    ``receivers`` lists ``(j, atoms, subsets)``: receiver j's registers
+    are its decoded-content atoms.  Points run over the product of the
+    three users' factor tables in row-major order, with mass (p1 * p2) *
+    p3 for every receiver, so one kernel call takes them all; zero-mass
+    points are skipped when pooled.  Returns one dict per receiver.
     """
-    i, k = _OTHERS[j]
+    if not receivers:
+        return []
     # user t's table coordinates and masses along axis t of the product
     at = [(1,) * t + (-1,) + (1,) * (2 - t) for t in range(3)]
     c = [np.indices(b.shape).reshape((5,) + s) for b, s in zip(blocks, at)]
     w = [b.reshape(s) for b, s in zip(blocks, at)]
-    key = np.zeros((1, 1, 1), dtype=int)
-    for a in atoms:
-        if a.is_sum:
-            val = (c[i][_u_axis(i, j)] + c[k][_u_axis(k, j)]) % fields[j]
-        elif a.pair is None:  # X_j
-            val = c[j][4]
-        else:
-            t, r = a.pair
-            val = c[t][_u_axis(t, r) if a.reg.startswith("U")
-                       else _v_axis(t, r)]
-        key = key * a.size + val
     mass = (w[0] * w[1]) * w[2]
-    layout = receiver_layout([(a.reg, a.size) for a in atoms],
-                             np.broadcast_to(key, mass.shape), subsets)
-    h = cq_entropies([layout], [channel.reduced_table(j)],
+    layouts = []
+    for j, atoms, subsets in receivers:
+        i, k = _OTHERS[j]
+        key = np.zeros((1, 1, 1), dtype=int)
+        for a in atoms:
+            if a.is_sum:
+                val = (c[i][_u_axis(i, j)] + c[k][_u_axis(k, j)]) % fields[j]
+            elif a.pair is None:  # X_j
+                val = c[j][4]
+            else:
+                t, r = a.pair
+                val = c[t][_u_axis(t, r) if a.reg.startswith("U")
+                           else _v_axis(t, r)]
+            key = key * a.size + val
+        layouts.append(receiver_layout([(a.reg, a.size) for a in atoms],
+                                       np.broadcast_to(key, mass.shape),
+                                       subsets))
+    h = cq_entropies(layouts, [channel.reduced_table(j)
+                               for j, _, _ in receivers],
                      mass.reshape(1, -1), (c[0][4], c[1][4], c[2][4]))
-    return {sub: float(h[0, sub, True][0]) for sub in subsets}
+    return [{sub: float(h[rx, sub, True][0]) for sub in subsets}
+            for rx, (_, _, subsets) in enumerate(receivers)]
 
 
 #: a config's rows (label, kind, coeffs, sense, rhs) and their dense
 #: form A x <= b.  Rates enter only the coupling rows, which come last
 #: with rhs None: the last six entries of b are their equality pairs.
-_LayeredSystem = namedtuple("_LayeredSystem", "names col rows a b")
+#: ``idx`` and ``coef`` hold each row's lhs terms in coefficient-dict
+#: order, padded with coefficient 1.0 at index ``len(names)``.
+_LayeredSystem = namedtuple("_LayeredSystem", "names col rows a b idx coef")
 
 
 def _layered_system(channel, cfg, theorem, drop_dont_care):
@@ -535,6 +546,7 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
                                      - _src_entropy(t, a_set, c_set, True)))
 
     # --- channel (packing) bounds, one family per receiver ----------------
+    packing = []  # per receiver: its H(S, Y) queries and error events
     for j in range(3):
         i, k = _OTHERS[j]
         atoms = []
@@ -578,9 +590,11 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
                   or (len(g) == 1 and g[0].is_sum and not drop_dont_care)]
         full = frozenset(a.reg for a in atoms)
         rest = [full - {a.reg for a in g} for g in events]
-        h = _rx_entropies(channel, blocks, fields, j, atoms,
-                          dict.fromkeys([full] + rest))
+        packing.append((j, atoms, dict.fromkeys([full] + rest), full,
+                        events, rest))
 
+    hs = _rx_entropies(channel, blocks, fields, [p[:3] for p in packing])
+    for (j, _, _, full, events, rest), h in zip(packing, hs):
         for g, r in zip(events, rest):
             # H(Z_wrong | Z_rest, Y)
             rhs = sum(a.corr for a in g) - (h[full] - h[r])
@@ -621,29 +635,31 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
         rows.append((f"{prefix}.rate.j={t + 1}", "coupling", coeffs, "=",
                      None))
 
+    width = max(len(coeffs) for _, _, coeffs, _, _ in rows)
+    idx = np.full((len(rows), width), len(names))
+    coef = np.ones((len(rows), width))
+    for r, (_, _, coeffs, _, _) in enumerate(rows):
+        idx[r, :len(coeffs)] = [col[nm] for nm in coeffs]
+        coef[r, :len(coeffs)] = list(coeffs.values())
+    dense = np.zeros((len(rows), len(names) + 1))
+    np.put_along_axis(dense, idx, coef, axis=1)
+
     tol = active_tolerances()
     a, b = [], []
-
-    def _vec(coeffs, sign=1.0):
-        v = np.zeros(len(names))
-        for nm, c in coeffs.items():
-            v[col[nm]] = sign * c
-        return v
-
-    for _, _, coeffs, sense, rhs in rows:
+    for row, (_, _, _, sense, rhs) in zip(dense[:, :-1], rows):
         if sense == "<":
-            a.append(_vec(coeffs))
+            a.append(row)
             b.append(rhs - tol.rate)
         elif sense == ">":
-            a.append(_vec(coeffs, -1.0))
+            a.append(0.0 - row)  # not -row: absent variables stay +0.0
             b.append(-(rhs + tol.rate))
         else:  # equality via a pair of closed inequalities; rates go in later
-            a += [_vec(coeffs), _vec(coeffs, -1.0)]
+            a += [row, 0.0 - row]
             b += [0.0, 0.0]
     a, b = np.array(a), np.array(b)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return _LayeredSystem(tuple(names), col, tuple(rows), a, b)
+    for arr in (a, b, idx, coef):
+        arr.setflags(write=False)
+    return _LayeredSystem(tuple(names), col, tuple(rows), a, b, idx, coef)
 
 
 #: built layered systems by content key, least recently used first
@@ -684,9 +700,13 @@ def _layered_feasible(channel, cfg, rates, theorem, drop_dont_care):
     col = system.col
     rows = system.rows[:-3] + tuple(row[:4] + (r,) for row, r
                                     in zip(system.rows[-3:], rates))
+    # each row's lhs as Python's sum of its terms: 0 first, then left to
+    # right; a padded term is -0.0, which adds exactly nothing
+    terms = system.coef * np.append(x, -0.0)[system.idx]
+    lhs_all = np.add.accumulate(np.hstack([np.zeros((len(rows), 1)), terms]),
+                                axis=1)[:, -1]
     records = []
-    for label, kind, coeffs, sense, rhs in rows:
-        lhs = float(sum(c * x[col[nm]] for nm, c in coeffs.items()))
+    for (label, kind, _, sense, rhs), lhs in zip(rows, lhs_all.tolist()):
         if sense == "<":
             slack = rhs - lhs
         elif sense == ">":

@@ -439,27 +439,21 @@ def _subset_entropies(receivers, pooled, lift):
     ``pooled`` holds one ``(p, smap)`` per receiver, as stage 1 of
     :func:`cq_entropies` makes it; the result is keyed as there.
     ``lift`` is :func:`_has_subnormal` of the point masses behind ``p``.
+
+    Receivers of one output dimension are pooled together: their pmfs
+    and states are laid end to end, and the subsets of one group width
+    (of any of them) form one rectangular stack ``(values, width)``.
     """
     g = pooled[0][0].shape[0]
-    margs, queued = {}, []
-    for rx, ((shape, _, subsets), (p, smap)) in enumerate(zip(receivers,
-                                                              pooled)):
+    margs = {}
+    for rx, ((shape, _, subsets), (p, _)) in enumerate(zip(receivers,
+                                                           pooled)):
         # numpy orders a multi-axis sum by memory layout: sum C-ordered
         # tables, as the scalar marginal does
         p_table = np.ascontiguousarray(p).reshape((g,) + shape)
-        for sub, (dropped, groups) in subsets.items():
+        for sub, (dropped, _) in subsets.items():
             marg = p_table.sum(axis=dropped) if dropped else p_table
             margs[rx, sub, False] = marg.reshape(g, -1)
-            pk = np.take(p, groups, axis=1)
-            live = pk > 0.0
-            wts = 0.0 + _seq_sum(pk)
-            if lift:
-                pk = pk * mass_scale(wts)[..., None]
-            parts = pk[..., None, None] * np.take(smap, groups, axis=1)
-            parts[~live] = _SKIP
-            first = np.where(live, groups, groups.size).min(axis=2)
-            queued.append(((rx, sub, True), wts, 0.0 + _seq_sum(parts),
-                           np.argsort(first, axis=1, kind="stable")))
 
     # H(S) of every subset in one pass; the zero padding is not summed
     width = max(m.shape[1] for m in margs.values())
@@ -472,22 +466,54 @@ def _subset_entropies(receivers, pooled, lift):
     # H(S, Y) = H(S) + sum_s p(s) S(rho_s): one eigensolve per output
     # dimension over every conditional state of the block
     by_dim = {}
-    for item in queued:
-        by_dim.setdefault(item[2].shape[-1], []).append(item)
-    for items in by_dim.values():
-        present = [wts > 0.0 for _, wts, _, _ in items]
-        ents = von_neumann_entropies(np.concatenate(
-            [mass_quotient(acc[m], wts[m])
-             for (_, wts, acc, _), m in zip(items, present)]))
-        at = 0
-        for (key, wts, _, order), m in zip(items, present):
-            n = np.count_nonzero(m)
-            ws = np.zeros_like(wts)
-            ws[m] = wts[m] * ents[at:at + n]
-            at += n
-            ws = np.take_along_axis(ws, order, axis=1)
-            total = h[key[0], key[1], False]
-            for i in range(ws.shape[1]):
-                total = total + ws[:, i]
-            h[key] = total
+    for rx, (_, smap) in enumerate(pooled):
+        by_dim.setdefault(smap.shape[-1], []).append(rx)
+    for rxs in by_dim.values():
+        p = np.concatenate([pooled[rx][0] for rx in rxs], axis=1)
+        smap = np.concatenate([pooled[rx][1] for rx in rxs], axis=1)
+        n = p.shape[1]  # after every point: a zero-mass value sorts last
+        keys, by_width, start = [], {}, 0
+        for rx in rxs:
+            for sub, (_, groups) in receivers[rx][2].items():
+                by_width.setdefault(groups.shape[1], []).append(
+                    (len(keys), start + groups))
+                keys.append((rx, sub, True))
+            start += pooled[rx][0].shape[1]
+        wts, acc, first, which, pos = [], [], [], [], []
+        for stack in by_width.values():
+            at, parts_of = zip(*stack)
+            groups = np.concatenate(parts_of)
+            pk = np.take(p, groups, axis=1)
+            live = pk > 0.0
+            wts.append(0.0 + _seq_sum(pk))
+            if lift:
+                pk = pk * mass_scale(wts[-1])[..., None]
+            parts = pk[..., None, None] * np.take(smap, groups, axis=1)
+            parts[~live] = _SKIP
+            acc.append(0.0 + _seq_sum(parts))
+            first.append(np.where(live, groups, n).min(axis=2))
+            # each value's subset row and position among its values
+            counts = [len(part) for part in parts_of]
+            which.append(np.repeat(at, counts))
+            pos.append(np.arange(len(groups))
+                       - np.repeat(np.cumsum([0] + counts[:-1]), counts))
+        wts, acc = np.concatenate(wts, axis=1), np.concatenate(acc, axis=1)
+        which, pos = np.concatenate(which), np.concatenate(pos)
+        present = wts > 0.0
+        ws = np.zeros_like(wts)
+        ws[present] = wts[present] * von_neumann_entropies(
+            mass_quotient(acc[present], wts[present]))
+        # per subset: H(S), then each p(s) S(rho_s) in order of first
+        # occurrence; zero-mass values go last, in value order, as +0.0,
+        # and the -0.0 that pads short rows adds exactly nothing
+        shape = (g, len(keys), int(pos.max()) + 1)
+        order = np.full(shape, n)
+        order[:, which, pos] = np.concatenate(first, axis=1)
+        terms = np.full(shape, -0.0)
+        terms[:, which, pos] = ws
+        terms = np.take_along_axis(
+            terms, np.argsort(order, axis=2, kind="stable"), axis=2)
+        hs = np.stack([h[rx, sub, False] for rx, sub, _ in keys], axis=1)
+        total = _seq_sum(np.concatenate([hs[..., None], terms], axis=2))
+        h.update(zip(keys, total.T))
     return h

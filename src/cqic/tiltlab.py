@@ -14,6 +14,7 @@ eigensolves its state once, however many directions it averages over.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,14 @@ def _check_eta(eta: float) -> float:
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"tilt strength {eta} outside [0, 1]")
     return eta
+
+
+def _index(value, what: str) -> int:
+    """An integer argument (a float such as 2.0 is not one) as an int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def embed_vector(h, space: TiltSpace) -> np.ndarray:
@@ -136,6 +145,7 @@ def four_user_tilt_report(h, direction_dim: int, eta: float) -> dict:
     """
     eta = _check_eta(eta)
     hv = _unit(h, "input vector")
+    direction_dim = _index(direction_dim, "direction-set size")
     sizes = _SUBSET_SIZES
     space = TiltSpace(hv.size, tuple(direction_dim for _ in sizes))
     d0 = np.eye(direction_dim, dtype=complex)[0]
@@ -205,12 +215,13 @@ def smoothing_residual(rho, aux_dims, eta: float, d2_index: int = 0):
     """
     eta = _check_eta(eta)
     dens = DensityOperator(rho)
-    dims = tuple(int(d) for d in aux_dims)
+    dims = tuple(_index(d, "direction-set size") for d in aux_dims)
     if len(dims) != 2:
         raise DomainError(f"need two direction-set sizes, got {len(dims)}")
     dim1, dim2 = dims
     if dim1 < 1 or dim2 < 1:
         raise DomainError("direction-set sizes must be positive")
+    d2_index = _index(d2_index, "d2 index")
     if not 0 <= d2_index < dim2:
         raise DomainError(f"d2 index {d2_index} outside range 0..{dim2 - 1}")
     space = TiltSpace(dens.dim, (dim1, dim2))
@@ -239,6 +250,7 @@ def four_user_smoothing_report(rho, direction_dim: int, eta: float) -> dict:
     """
     eta = _check_eta(eta)
     dens = DensityOperator(rho)
+    direction_dim = _index(direction_dim, "direction-set size")
     sizes = _SUBSET_SIZES
     space = TiltSpace(dens.dim, tuple(direction_dim for _ in sizes))
     eig = eig_hermitian(dens.mat)

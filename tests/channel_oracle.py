@@ -9,16 +9,25 @@ it replaced, one state at a time: ``tensor_all`` by ``np.kron``,
 apart from the names; ``cqic.channels`` must give the same states and
 tables bit for bit, and the same exceptions.  Nothing here calls the
 stacked code.
+
+``user_capacity_cost`` and ``example_capacities`` are the capacity
+searches one after the other, each golden-section step one scalar
+``von_neumann_entropy``; the lock-step searches of ``cqic.channels``
+must give the same values and points bit for bit, and the same
+exceptions in the same user order.
 """
 
 import itertools
 
 import numpy as np
 
-from cqic.channels import gamma_state, sigma_state
+from cqic.channels import (Capacities, gamma_state, interference_free_family,
+                           sigma_state)
 from cqic.config import active_tolerances
-from cqic.errors import DimensionMismatch, DomainError, InvalidState, Not3to1
+from cqic.errors import (ConfigMismatch, DimensionMismatch, DomainError,
+                         InvalidState, Not3to1, Unsupported)
 from cqic.linalg import _as_matrix, eig_hermitian, operator_norm
+from cqic.states import Pmf, von_neumann_entropies, von_neumann_entropy
 
 
 def tensor_all(factors):
@@ -145,3 +154,67 @@ def require_3to1(states, input_sizes, output_dims):
                     raise Not3to1(
                         f"receiver {j + 1} output varies with other users' "
                         f"inputs at x_{j + 1}={xj}")
+
+
+def _binary_mutual_info(rho0, rho1, p1, h0, h1):
+    avg = (1.0 - p1) * rho0 + p1 * rho1
+    return von_neumann_entropy(avg) - (1.0 - p1) * h0 - p1 * h1
+
+
+def user_capacity_cost(spec, j, tau, grid=1e-3, others="zero_cost"):
+    """Grid scan as one stack, then a scalar golden-section refinement."""
+    if spec.input_sizes[j] != 2:
+        raise Unsupported("capacity scan implemented for binary inputs only")
+    if grid <= 0:
+        raise DomainError("grid resolution must be positive")
+    c0, c1 = spec.costs[j]
+    upper = 0.5
+    if tau is not None:
+        if c0 > tau + active_tolerances().prob:
+            raise DomainError("cost budget below the cheapest symbol")
+        if c1 > c0:
+            upper = min(0.5, (tau - c0) / (c1 - c0))
+    rho0, rho1 = interference_free_family(spec, j, others)
+    h0, h1 = von_neumann_entropies(np.array([rho0, rho1])).tolist()
+
+    def info(p):
+        return _binary_mutual_info(rho0, rho1, p, h0, h1)
+
+    npts = max(2, int(np.ceil(upper / grid)) + 1)
+    ps = np.linspace(0.0, upper, npts)
+    avg = (1.0 - ps)[:, None, None] * rho0 + ps[:, None, None] * rho1
+    vals = von_neumann_entropies(avg) - (1.0 - ps) * h0 - ps * h1
+    best = int(np.argmax(vals))
+    lo = ps[max(0, best - 1)]
+    hi = ps[min(npts - 1, best + 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = info(x1), info(x2)
+    while b - a > 1e-9:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = info(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = info(x2)
+    candidates = [(vals[best], ps[best]), (f1, x1), (f2, x2),
+                  (info(upper), upper), (info(0.0), 0.0)]
+    cbest, pbest = max(candidates, key=lambda t: t[0])
+    return float(cbest), Pmf([1.0 - pbest, pbest])
+
+
+def example_capacities(spec):
+    """The four headline capacities, one search after the other."""
+    if spec.budget is None:
+        raise ConfigMismatch("channel has no cost budget configured")
+    taus = spec.budget.as_tuple()
+    caps = []
+    for j in range(3):
+        tau = taus[j] if spec.costs[j].max() > 0 else None
+        caps.append(user_capacity_cost(spec, j, tau)[0])
+    c1_free = user_capacity_cost(spec, 0, None)[0]
+    return Capacities(caps[0], caps[1], caps[2], c1_free)

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from cqic import direct
 from cqic import regions as rg
 from cqic.channels import build_ex1, build_ex2, build_ex3
+from cqic.config import active_tolerances
+from cqic.lp import feasible_point
 from cqic.regions import (Thm1Config, Thm2Config, Thm3Config,
                           UnstructuredConfig, max_r1_scan, thm1_check,
                           thm2_feasible, thm3_feasible,
@@ -450,7 +452,14 @@ def oracle_unstructured(channel, cfg):
     }
 
 
-def oracle_rx_entropies(channel, blocks, fields, j, atoms, subsets):
+def oracle_rx_entropies(channel, blocks, fields, receivers):
+    """H(S, Y) per register subset of each ``(j, atoms, subsets)``, one
+    receiver at a time, each from one pooled ``CqState``."""
+    return [oracle_one_rx(channel, blocks, fields, j, atoms, subsets)
+            for j, atoms, subsets in receivers]
+
+
+def oracle_one_rx(channel, blocks, fields, j, atoms, subsets):
     """H(S, Y) per register subset, from one pooled ``CqState``.
 
     Points run over the product of the factor tables' supports, one
@@ -698,6 +707,47 @@ def test_thm2_matches_oracle(channel, cfg, rates, drop):
 @given(channels(), layered_configs(3), _small_rates, st.booleans())
 def test_thm3_matches_oracle(channel, cfg, rates, drop):
     _layered_vs_oracle(thm3_feasible, channel, cfg, rates, drop)
+
+
+def oracle_records(channel, cfg, rates, theorem, drop):
+    """Every record as the row loop wrote it, one Python ``sum`` per row,
+    from the same cached system and LP point."""
+    rates = rg._rate_triple(rates)
+    system = rg._cached_system(channel, cfg, theorem, drop)
+    b = system.b.copy()
+    b[-6:] = [v for r in rates for v in (r, -r)]
+    _, x = feasible_point(system.a, b, active_tolerances().lp_residual)
+    rows = system.rows[:-3] + tuple(row[:4] + (r,) for row, r
+                                    in zip(system.rows[-3:], rates))
+    records = []
+    for label, kind, coeffs, sense, rhs in rows:
+        lhs = float(sum(c * x[system.col[nm]] for nm, c in coeffs.items()))
+        if sense == "<":
+            slack = rhs - lhs
+        elif sense == ">":
+            slack = lhs - rhs
+        else:
+            slack = -abs(lhs - rhs)
+        records.append(rg.InequalityRecord(label, lhs, float(rhs),
+                                           float(slack), kind))
+    return tuple(records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(channels(), st.sampled_from((2, 3)), st.data(),
+       st.tuples(*[st.floats(0.0, 0.5)] * 3), st.booleans())
+def test_records_match_row_loop(channel, theorem, data, rates, drop):
+    # feasible and infeasible LP points alike
+    cfg = data.draw(layered_configs(theorem))
+    check = thm2_feasible if theorem == 2 else thm3_feasible
+    try:
+        rep = check(channel, cfg, rates, drop)
+    except Exception as exc:  # compared, not swallowed
+        with pytest.raises(type(exc)):
+            oracle_records(channel, cfg, rates, theorem, drop)
+        return
+    assert repr(rep.records) == \
+        repr(oracle_records(channel, cfg, rates, theorem, drop))
 
 
 def test_subnormal_group_matches_oracle():

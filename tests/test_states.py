@@ -11,9 +11,9 @@ from cqic.errors import (DomainError, InvalidState, OverlappingQueries,
                          UnknownRegister)
 from cqic.linalg import eig_hermitian
 from cqic.states import (CqState, DensityOperator, EntropyQuery, Pmf,
-                         binary_convolve, binary_entropy,
+                         _subset_entropies, binary_convolve, binary_entropy,
                          conditional_mutual_info, entropy, fact1_f,
-                         shannon_entropies, shannon_entropy,
+                         receiver_layout, shannon_entropies, shannon_entropy,
                          von_neumann_entropies,
                          von_neumann_entropy)
 
@@ -454,6 +454,55 @@ class TestCqStateProperties:
         for sub in _SUBSETS:
             assert entropy(s, EntropyQuery(sub, True)) >= \
                 entropy(s, EntropyQuery(sub)) - tol
+
+
+@st.composite
+def pooled_blocks(draw):
+    """Stage-2 input: 1..3 receivers of a block of 1..3 configs.
+
+    Each receiver has 1..3 registers of sizes 1..3 and its own output
+    dimension 1..3, and lays out the empty and the full subset plus a
+    few drawn ones.  Pooled masses may be zero (whole groups too) or
+    subnormal; ``lift`` is drawn, and set where a mass is subnormal.
+    """
+    g = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    receivers, pooled, subnormal = [], [], False
+    for _ in range(draw(st.integers(1, 3))):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        names = [f"R{i}" for i in range(len(sizes))]
+        n = math.prod(sizes)
+        drawn = draw(st.lists(st.sets(st.sampled_from(names)), max_size=4))
+        subsets = dict.fromkeys([frozenset(), frozenset(names)]
+                                + [frozenset(d) for d in drawn])
+        receivers.append(receiver_layout(list(zip(names, sizes)),
+                                         np.arange(n), subsets))
+        kinds = np.array(draw(st.lists(
+            st.sampled_from(("zero", "subnormal", "normal")),
+            min_size=g * n, max_size=g * n))).reshape(g, n)
+        p = np.where(kinds == "normal", rng.uniform(0.01, 1.0, (g, n)), 0.0)
+        tiny = kinds == "subnormal"
+        p[tiny] = rng.integers(1, 1 << 20, int(tiny.sum())) * 5e-324
+        subnormal |= bool(tiny.any())
+        d = draw(st.integers(1, 3))
+        a = rng.normal(size=(g, n, d, d)) + 1j * rng.normal(size=(g, n, d, d))
+        rho = a @ a.conj().swapaxes(-1, -2)
+        smap = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+        pooled.append((p, smap))
+    return receivers, pooled, draw(st.booleans()) or subnormal
+
+
+def _bits(h):
+    return {key: np.asarray(v).tobytes() for key, v in h.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_blocks())
+def test_stacked_stage2_matches_per_subset_oracle(block):
+    # the subsets of one group width pooled as one stack against the
+    # per-subset stage, key for key and bit for bit
+    assert _bits(_subset_entropies(*block)) == \
+        _bits(cq_oracle.subset_entropies(*block))
 
 
 def test_shannon_entropy_ignores_zeros():

@@ -176,6 +176,31 @@ class TestSmoothing:
             with pytest.raises(DomainError):
                 smoothing_residual(rho, dims, 0.1)
 
+    # integer arguments given as floats: an IndexError, a TypeError or a
+    # silent truncation to int before they were checked
+    def test_rejects_float_d2_index(self):
+        with pytest.raises(DomainError, match="d2 index must be an integer"):
+            smoothing_residual(np.diag([0.5, 0.5]), (2, 2), 0.1, 1.0)
+
+    def test_rejects_non_integral_sizes(self):
+        with pytest.raises(DomainError, match="must be an integer, got 2.5"):
+            smoothing_residual(np.diag([0.5, 0.5]), (2.5, 2), 0.1)
+
+    def test_rejects_float_four_user_dim(self):
+        with pytest.raises(DomainError, match="must be an integer, got 2.0"):
+            four_user_smoothing_report(np.diag([0.5, 0.5]), 2.0, 0.1)
+
+    def test_rejects_float_four_user_tilt_dim(self):
+        with pytest.raises(DomainError, match="must be an integer, got 2.0"):
+            four_user_tilt_report([1.0, 0.0], 2.0, 0.1)
+
+    def test_numpy_integers_accepted(self):
+        rho = np.diag([0.5, 0.5])
+        want = smoothing_residual(rho, (3, 2), 0.1, 1)
+        got = smoothing_residual(rho, (np.int64(3), np.int32(2)), 0.1,
+                                 np.int64(1))
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
     def test_four_user_report(self):
         rng = np.random.default_rng(5)
         rep = four_user_smoothing_report(_random_density(rng), 4, 0.2)
