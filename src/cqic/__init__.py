@@ -12,6 +12,7 @@ from .channels import (Capacities, ChannelSpec, CostVector, build_ex1,
 from .config import DEFAULT_TOL, Tolerances, active_tolerances
 from .gfcoset import (CodePair, NestedCosetCode, enumerate_coset,
                       random_code_pair, random_nested_code, sum_code)
+from .layered import source_divergence_pair
 from .linalg import (eig_hermitian, eigvals_hermitian, operator_norm,
                      partial_trace, tensor, trace_norm)
 from .lp import feasible_point
@@ -21,8 +22,7 @@ from .mcsim import (SimConfig, SimResult, likelihood_encode, run_ex1_sim,
 from .regions import (InequalityRecord, RateAllocation, RegionReport,
                       ScanResult, Thm1Config, Thm2Config, Thm3Config,
                       UnstructuredConfig, boundary_slice, max_r1_scan,
-                      source_divergence_pair, thm1_check,
-                      thm2_config_from_thm1, thm2_feasible,
+                      thm1_check, thm2_config_from_thm1, thm2_feasible,
                       thm3_config_from_unstructured, thm3_feasible,
                       unstructured_3to1_check)
 from .states import (CqState, DensityOperator, EntropyQuery, Pmf,

@@ -4,7 +4,9 @@
 (Thm 1 sum decoding and unstructured superposition), conditional mutual
 informations I(A; Y | C) of one receiver's state, over every config of a
 product grid, ``BLOCK`` configs per call of the cq-state kernel
-:func:`~cqic.states.cq_entropies`.
+:func:`~cqic.states.cq_entropies`.  :func:`grid_source` is where a grid
+scan takes its bound values: the closed forms of the plane-rotation/flip
+family, or this engine over the scan's user grids.
 
 The points are (a2, a3, x1) with mass (w2[a2] * w3[a3]) * p1[x1], where
 a_j is user j's field symbol (Thm 1) or its (cloud, input) pair
@@ -16,10 +18,13 @@ give for the one config.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
+from .channels import ChannelSpec, gamma_state, sigma_state
 from .states import cq_entropies, receiver_layout, shannon_entropies
 
 #: configs per pass; bounds the working arrays whatever the grid size
@@ -159,3 +164,272 @@ def direct_bounds(channel, evaluator, p1s, users2, users3):
     out["e2"] = np.broadcast_to(e2[None, :, None], grid)
     out["e3"] = np.broadcast_to(e3[None, None, :], grid)
     return out
+
+
+# ---------------------------------------------------------------------------
+# scan bound sources: user grids, closed forms and the engine
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_pmfs(n_atoms, denominator):
+    """All pmfs with masses i/denominator, in lexicographic order.
+
+    One read-only ``(count, n_atoms)`` array, built once per argument
+    pair.
+    """
+    rows = []
+    for comp in itertools.combinations_with_replacement(range(n_atoms),
+                                                        denominator):
+        counts = [0] * n_atoms
+        for c in comp:
+            counts[c] += 1
+        rows.append(counts)
+    pmfs = np.array(rows, dtype=float).reshape(len(rows), n_atoms)
+    pmfs = pmfs / denominator
+    pmfs.setflags(write=False)
+    return pmfs
+
+
+#: one user's scan configs in (pmf, map) lexicographic order, one row
+#: each: pmf ``p``, deterministic cloud->input map ``f``, probability
+#: ``q`` of input 1 (binary inputs only, else None) and expected ``cost``
+_UserGrid = namedtuple("_UserGrid", "p f q cost")
+
+
+def _binary_user_grid(channel, j, n_sym, denominator):
+    """Enumerate (pmf, map) configs for user j; maps are deterministic."""
+    return _user_grid(channel.input_sizes[j], channel.costs[j].tobytes(),
+                      n_sym, denominator)
+
+
+@functools.lru_cache(maxsize=16)
+def _user_grid(x_size, kappa_bytes, n_sym, denominator):
+    """Read-only :data:`_UserGrid` arrays, built once per argument set.
+
+    ``q`` and ``cost`` are summed left to right over the symbols u, as
+    a scalar ``sum`` over u would, so each row has the scalar bits.
+    """
+    kappa = np.frombuffer(kappa_bytes)
+    pmfs = _lattice_pmfs(n_sym, denominator)
+    maps = np.array(list(itertools.product(range(x_size), repeat=n_sym)),
+                    dtype=int).reshape(-1, n_sym)
+    p = np.repeat(pmfs, len(maps), axis=0)
+    f = np.tile(maps, (len(pmfs), 1))
+    q = np.zeros(len(p)) if x_size == 2 else None
+    cost = np.zeros(len(p))
+    for u in range(n_sym):
+        if q is not None:
+            q = q + np.where(f[:, u] == 1, p[:, u], 0.0)
+        cost = cost + p[:, u] * kappa[f[:, u]]
+    grid = _UserGrid(p, f, q, cost)
+    for a in grid:
+        if a is not None:
+            a.setflags(write=False)
+    return grid
+
+
+def _grid_size(x_size, n_sym, denominator):
+    """The number of configs :func:`_user_grid` enumerates, unbuilt."""
+    return math.comb(n_sym + denominator - 1, denominator) * x_size ** n_sym
+
+
+def _grid_rows(grid, rows):
+    """The configs of ``grid`` at ``rows`` (a slice or a boolean mask)."""
+    return _UserGrid(*(None if a is None else a[rows] for a in grid))
+
+
+def _hb_arr(t):
+    t = np.asarray(t, dtype=float)
+    inner = (t > 0.0) & (t < 1.0)  # h is 0 on and beyond the end points
+    ti = np.where(inner, t, 0.5)
+    return np.where(inner, -ti * np.log2(ti) - (1.0 - ti) * np.log2(1.0 - ti),
+                    0.0)
+
+
+def _haf_arr(t, phi):
+    t = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), 1.0)
+    f = (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * t * (1.0 - t)
+                                  * math.sin(phi) ** 2, 0.0))) / 2.0
+    return _hb_arr(f)
+
+
+def _conv_arr(p, q):
+    return p + q - 2.0 * p * q
+
+
+def _parity_gamma_form(channel: ChannelSpec):
+    """Detect the plane-rotation interference family with flip channels.
+
+    Returns (phi, (d2, d3)) when receiver 1 sees gamma(x1 xor x2 xor x3)
+    and receivers 2/3 see their own input through a symmetric flip;
+    None otherwise.
+    """
+    if channel.input_sizes != (2, 2, 2) or channel.output_dims != (2, 2, 2):
+        return None
+    g1 = channel.reduced(0, (1, 0, 0))
+    c, s = math.sqrt(max(0.0, g1[0, 0].real)), math.sqrt(max(0.0, g1[1, 1].real))
+    phi = math.atan2(s, c)
+    deltas = tuple(float(channel.reduced(j, (0, 0, 0))[0, 0].real)
+                   for j in (1, 2))
+    if not 0.0 < phi < math.pi / 2 or not all(0.0 < d < 0.5 for d in deltas):
+        return None
+    g = (gamma_state(phi, 0), gamma_state(phi, 1))
+    sig = [(sigma_state(d, 0), sigma_state(d, 1)) for d in deltas]
+    # every rho^{Y_j}_x against its expected state, one stack per receiver
+    xs = list(itertools.product((0, 1), repeat=3))
+    expected = ([g[sum(x) % 2] for x in xs], [sig[0][x[1]] for x in xs],
+                [sig[1][x[2]] for x in xs])
+    for j, want in enumerate(expected):
+        if not np.allclose(channel.reduced_table(j).reshape(8, 2, 2),
+                           np.array(want), atol=1e-12):
+            return None
+    return phi, deltas
+
+
+#: distinct float64 arguments and, shaped like the argument, the index
+#: of each entry's key
+_Distinct = namedtuple("_Distinct", "keys inv")
+
+
+def _distinct(x):
+    """Distinct float64 bit patterns of ``x`` (the uint64 view is the key,
+    so -0.0 and 0.0 stay apart)."""
+    x = np.ascontiguousarray(x, dtype=float)
+    keys, inv = np.unique(x.view(np.uint64), return_inverse=True)
+    return _Distinct(keys.view(np.float64), inv.reshape(x.shape))
+
+
+def _spread(values, d):
+    """Values over ``d.keys`` (last axis) taken back to every entry."""
+    return values.take(d.inv, axis=-1)
+
+
+#: the p1-free part of the closed forms over a user-2 x user-3 grid.
+#: ``terms`` holds arrays whose last two axes run over the stage grid
+#: (size-1 axes broadcast) and, for the Thm 1 p1 terms, the distinct
+#: arguments w0, w1, w_tot.  ``rows2``/``rows3`` take the stage grid
+#: back to the configs; None when it is the config grid.
+_ClosedStage = namedtuple("_ClosedStage", "phi evaluator terms rows2 rows3")
+
+
+def _closed_stage(form, evaluator, g2, g3):
+    """The p1-free stage of the plane-rotation/flip closed forms.
+
+    ``form`` is ``(phi, (d2, d3))`` from :func:`_parity_gamma_form` and
+    ``g2``/``g3`` are user grids with deterministic maps.  The terms of
+    q2, q3 and the w arguments are evaluated once per distinct bit
+    pattern of their argument; ``hu`` and ``hmin`` (cheaper than finding
+    the distinct values of the grid) directly.  The unstructured bounds
+    depend on a config only through (q2, q3), so their stage grid is
+    distinct q2 x distinct q3; the Thm 1 stage grid is the config grid,
+    whose terms combine in the order of the per-config formulas.
+    """
+    phi, (d2, d3) = form
+    (q2, rows2), (q3, rows3) = _distinct(g2.q), _distinct(g3.q)
+    own2 = _hb_arr(_conv_arr(q2, d2)) - _hb_arr(d2)
+    own3 = _hb_arr(_conv_arr(q3, d3)) - _hb_arr(d3)
+    if evaluator == "unstructured":
+        terms = {"q2": q2[None, :, None], "q3": q3[None, None, :],
+                 "own2": own2[None, :, None], "own3": own3[None, None, :]}
+        return _ClosedStage(phi, evaluator, terms, rows2, rows3)
+
+    p2, f2 = g2.p[:, None, :], g2.f[:, None, :]     # (m2, 1, 2)
+    p3, f3 = g3.p[None, :, :], g3.f[None, :, :]     # (1, m3, 2)
+    pu0 = p2[..., 0] * p3[..., 0] + p2[..., 1] * p3[..., 1]
+    pu1 = p2[..., 0] * p3[..., 1] + p2[..., 1] * p3[..., 0]
+    n0 = (p2[..., 0] * p3[..., 0] * ((f2[..., 0] + f3[..., 0]) % 2)
+          + p2[..., 1] * p3[..., 1] * ((f2[..., 1] + f3[..., 1]) % 2))
+    n1 = (p2[..., 0] * p3[..., 1] * ((f2[..., 0] + f3[..., 1]) % 2)
+          + p2[..., 1] * p3[..., 0] * ((f2[..., 1] + f3[..., 0]) % 2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w0 = np.where(pu0 > 0.0, n0 / np.where(pu0 > 0, pu0, 1.0), 0.0)
+        w1 = np.where(pu1 > 0.0, n1 / np.where(pu1 > 0, pu1, 1.0), 0.0)
+    w = {"w0": _distinct(w0), "w1": _distinct(w1),
+         "w_tot": _distinct(n0 + n1)}
+    haf = {k: _spread(_haf_arr(d.keys, phi), d) for k, d in w.items()}
+    base = pu0 * haf["w0"] + pu1 * haf["w1"]
+    hu = _hb_arr(pu1)
+    hmin = np.minimum(_hb_arr(p2[..., 1]), _hb_arr(p3[..., 1]))
+    terms = dict(w, own2=own2.take(rows2)[None, :, None],
+                 own3=own3.take(rows3)[None, None, :], pu0=pu0, pu1=pu1,
+                 base=base, hu=hu, hmin=hmin,
+                 cross_rhs=(haf["w_tot"] - base - hu + hmin)[None])
+    return _ClosedStage(phi, evaluator, terms, None, None)
+
+
+def _closed_bounds(stage, p1v):
+    """Rate-bound values of a closed-form stage at user-1 'on'
+    probabilities ``p1v``.
+
+    Only the p1 terms are evaluated here.  Returns the rate keys of the
+    evaluator's rate rows as arrays that broadcast to ``(len(p1v),)``
+    plus the stage grid.
+    """
+    t, phi = stage.terms, stage.phi
+    p1 = np.asarray(p1v, dtype=float)[:, None, None]
+    b = {"own2": t["own2"], "own3": t["own3"]}
+    if stage.evaluator == "unstructured":
+        q2, q3 = t["q2"], t["q3"]
+        # deterministic maps make the private refinement terms vanish
+        b.update(r1_rhs=_haf_arr(p1, phi),
+                 pair2=_haf_arr(_conv_arr(p1, q2), phi),
+                 pair3=_haf_arr(_conv_arr(p1, q3), phi),
+                 total1=_haf_arr(_conv_arr(_conv_arr(p1, q2), q3), phi),
+                 refine2=0.0, refine3=0.0)
+        return b
+
+    def at_p1(d):  # _haf_arr at the convolution of p1 and each distinct w
+        return _spread(_haf_arr(_conv_arr(p1[:, :, 0], d.keys), phi), d)
+
+    base = t["base"]
+    b.update(r1_rhs=t["pu0"] * at_p1(t["w0"]) + t["pu1"] * at_p1(t["w1"])
+             - base,
+             cross_rhs=t["cross_rhs"],
+             sum_rhs=at_p1(t["w_tot"]) - base - t["hu"] + t["hmin"])
+    return b
+
+
+def _map_tables(p, f, x_size):
+    """Joint (cloud, input) tables of users sending ``f[..., u]`` for
+    cloud u: pmfs ``p`` and maps ``f`` of one shape ``(..., clouds)``."""
+    tab = np.zeros(np.shape(p) + (x_size,))
+    np.put_along_axis(tab, np.asarray(f)[..., None],
+                      np.asarray(p, dtype=float)[..., None], axis=-1)
+    return tab
+
+
+def _grid_bounds(channel, evaluator, p1s, g2, g3):
+    """Direct bound values over the config product, one array per key."""
+    if evaluator == "unstructured":
+        sizes = channel.input_sizes
+        users = [_map_tables(g.p, g.f, sizes[j])
+                 for j, g in ((1, g2), (2, g3))]
+    else:
+        users = [list(zip(g.p, g.f)) for g in (g2, g3)]
+    return direct_bounds(channel, evaluator, p1s, *users)
+
+
+def grid_source(channel, evaluator, g2, g3):
+    """Where a scan takes its bound values over the user grids g2 x g3.
+
+    Returns ``(bounds, spread)``.  ``bounds(p1s)`` gives the keys of the
+    evaluator's rate rows over ``p1s`` x a source grid, and ``spread``
+    takes an array over that grid back to the configs.  The
+    plane-rotation/flip family (Thm 1 on the binary field only) takes
+    the closed forms: their user-1-free terms are evaluated here, once,
+    and the unstructured source grid is distinct q2 x distinct q3.
+    Every other channel takes the batched engine over the configs,
+    whose values agree with the closed forms to 1e-12.
+    """
+    form = channel.verdict(_parity_gamma_form)
+    if form is None or (evaluator == "thm1" and g2.p.shape[1] != 2):
+        return (lambda p1s: _grid_bounds(channel, evaluator, p1s, g2, g3),
+                lambda values: values)
+    stage = _closed_stage(form, evaluator, g2, g3)
+
+    def spread(values):
+        if stage.rows2 is None:
+            return values
+        return values.take(stage.rows2, axis=1).take(stage.rows3, axis=2)
+
+    return lambda p1s: _closed_bounds(stage, p1s[:, 1]), spread

@@ -7,9 +7,13 @@ on the full broadcast config grid, rebuilt from Python lists of user
 configs on each call.  ``scan`` is the closed-form path of
 ``max_r1_scan`` around it, and ``parity_gamma_form`` the per-input
 family check.  The function bodies are unchanged apart from the names;
-``cqic.regions`` must give the same values bit for bit.  Nothing here
-calls the staged code, except ``staged_bounds``, which spreads its
-values back to the full grid for the comparison.
+``cqic.direct`` and ``max_r1_scan`` must give the same values bit for
+bit.  ``map_table`` is the per-config loop that
+``cqic.direct._map_tables`` vectorizes, and ``hb_arr``/``haf_arr`` the
+masked and clipped entropy terms before ``cqic.direct`` dropped the
+clips and the masked assignment.  Nothing here calls the staged
+code, except ``staged_bounds``, which spreads its values back to the
+full grid for the comparison.
 """
 
 import itertools
@@ -17,11 +21,28 @@ import math
 
 import numpy as np
 
+from cqic import direct
 from cqic import regions as rg
 from cqic.channels import gamma_state, sigma_state
+from cqic.direct import _conv_arr
 from cqic.errors import DomainError
-from cqic.regions import (ScanResult, Thm1Config, UnstructuredConfig,
-                          _conv_arr, _haf_arr, _hb_arr, _map_table, _r1_sup)
+from cqic.regions import ScanResult, Thm1Config, UnstructuredConfig, _r1_sup
+
+
+def hb_arr(t):
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    out = np.zeros_like(t)
+    inner = (t > 0.0) & (t < 1.0)
+    ti = t[inner]
+    out[inner] = -ti * np.log2(ti) - (1.0 - ti) * np.log2(1.0 - ti)
+    return out
+
+
+def haf_arr(t, phi):
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    f = (1.0 + np.sqrt(np.clip(1.0 - 4.0 * t * (1.0 - t)
+                               * math.sin(phi) ** 2, 0.0, None))) / 2.0
+    return hb_arr(f)
 
 
 def lattice_pmfs(n_atoms, denominator):
@@ -103,15 +124,15 @@ def closed_bounds(form, evaluator, p1v, g2, g3):
     p1 = np.asarray(p1v, dtype=float)[:, None, None]
     q2 = np.array([c[2] for c in g2])[None, :, None]
     q3 = np.array([c[2] for c in g3])[None, None, :]
-    b = {"own2": _hb_arr(_conv_arr(q2, d2)) - _hb_arr(np.full_like(q2, d2)),
-         "own3": _hb_arr(_conv_arr(q3, d3)) - _hb_arr(np.full_like(q3, d3))}
+    b = {"own2": hb_arr(_conv_arr(q2, d2)) - hb_arr(np.full_like(q2, d2)),
+         "own3": hb_arr(_conv_arr(q3, d3)) - hb_arr(np.full_like(q3, d3))}
 
     if evaluator == "unstructured":
         # deterministic maps make the private refinement terms vanish
-        b.update(r1_rhs=_haf_arr(p1, phi),
-                 pair2=_haf_arr(_conv_arr(p1, q2), phi),
-                 pair3=_haf_arr(_conv_arr(p1, q3), phi),
-                 total1=_haf_arr(_conv_arr(_conv_arr(p1, q2), q3), phi),
+        b.update(r1_rhs=haf_arr(p1, phi),
+                 pair2=haf_arr(_conv_arr(p1, q2), phi),
+                 pair3=haf_arr(_conv_arr(p1, q3), phi),
+                 total1=haf_arr(_conv_arr(_conv_arr(p1, q2), q3), phi),
                  refine2=0.0, refine3=0.0)
         return b
 
@@ -129,22 +150,30 @@ def closed_bounds(form, evaluator, p1v, g2, g3):
         w0 = np.where(pu0 > 0.0, n0 / np.where(pu0 > 0, pu0, 1.0), 0.0)
         w1 = np.where(pu1 > 0.0, n1 / np.where(pu1 > 0, pu1, 1.0), 0.0)
     w_tot = n0 + n1
-    base = pu0 * _haf_arr(w0, phi) + pu1 * _haf_arr(w1, phi)
-    hu = _hb_arr(pu1)
-    hmin = np.minimum(_hb_arr(p2[..., 1]), _hb_arr(p3[..., 1]))
-    b.update(r1_rhs=(pu0 * _haf_arr(_conv_arr(p1, w0), phi)
-                     + pu1 * _haf_arr(_conv_arr(p1, w1), phi) - base),
-             cross_rhs=(_haf_arr(w_tot, phi) - base - hu + hmin)[None],
-             sum_rhs=_haf_arr(_conv_arr(p1, w_tot), phi) - base - hu + hmin)
+    base = pu0 * haf_arr(w0, phi) + pu1 * haf_arr(w1, phi)
+    hu = hb_arr(pu1)
+    hmin = np.minimum(hb_arr(p2[..., 1]), hb_arr(p3[..., 1]))
+    b.update(r1_rhs=(pu0 * haf_arr(_conv_arr(p1, w0), phi)
+                     + pu1 * haf_arr(_conv_arr(p1, w1), phi) - base),
+             cross_rhs=(haf_arr(w_tot, phi) - base - hu + hmin)[None],
+             sum_rhs=haf_arr(_conv_arr(p1, w_tot), phi) - base - hu + hmin)
     return b
+
+
+def map_table(p, f, x_size):
+    """Joint (cloud, input) table of a user sending f[u] for cloud u."""
+    tab = np.zeros((len(p), x_size))
+    for u in range(len(p)):
+        tab[u, f[u]] = p[u]
+    return tab
 
 
 def materialize(evaluator, channel, field_size, p1, c2, c3):
     if evaluator == "unstructured":
         sizes = channel.input_sizes
         return UnstructuredConfig(np.asarray(p1, dtype=float),
-                                  _map_table(c2[0], c2[1], sizes[1]),
-                                  _map_table(c3[0], c3[1], sizes[2]))
+                                  map_table(c2[0], c2[1], sizes[1]),
+                                  map_table(c3[0], c3[1], sizes[2]))
     return Thm1Config(field_size, tuple(np.asarray(p1, dtype=float)),
                       tuple(c2[0]), tuple(c3[0]), tuple(c2[1]), tuple(c3[1]))
 
@@ -214,10 +243,10 @@ def scan(channel, r2, r3, evaluator="unstructured", u_sizes=(2, 2),
 
 
 def staged_bounds(form, evaluator, p1v, g2, g3):
-    """``cqic.regions``' staged bound values, spread to the full grid
+    """``cqic.direct``'s staged bound values, spread to the full grid
     ``(len(p1v), len(g2.p), len(g3.p))`` of the user grids g2, g3."""
-    stage = rg._closed_stage(form, evaluator, g2, g3)
-    b = rg._closed_bounds(stage, p1v)
+    stage = direct._closed_stage(form, evaluator, g2, g3)
+    b = direct._closed_bounds(stage, p1v)
     shape = np.broadcast_shapes(*(np.shape(v) for v in b.values()))
     out = {}
     for key, val in b.items():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import channel_oracle as oracle
-from cqic import cli, regions as rg
+from cqic import cli, direct, regions as rg
 from cqic.channels import (ChannelSpec, CostVector, build_ex1, build_ex2,
                            build_ex3, gamma_state, sigma_state)
 from cqic.errors import Not3to1
@@ -271,11 +271,11 @@ class TestReadOnly:
 
 def test_two_ray_scan_checks_the_family_once(monkeypatch, tmp_path, capsys):
     calls = {"_require_3to1": 0, "_parity_gamma_form": 0}
-    for name in calls:
-        def counted(channel, _fn=getattr(rg, name), _name=name):
+    for module, name in ((rg, "_require_3to1"), (direct, "_parity_gamma_form")):
+        def counted(channel, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
             return _fn(channel)
-        monkeypatch.setattr(rg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert cli.main(["scan", "--example", "ex2", "--r2", "0.1", "0.2",
                      "--denominator", "4", "--out", str(tmp_path)]) == 0
     capsys.readouterr()

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -317,6 +318,21 @@ class TestScan:
         assert main(["scan", "--example", "ex2", "--r2", "0.2",
                      "--denominator", "4", "--cap", "10",
                      "--out", str(tmp_path / "o")]) == 4
+
+    def test_grid_is_sized_before_it_is_built(self, tmp_path):
+        # user 2 alone has C(43, 32) * 2**12 configs: never enumerated
+        t0 = time.perf_counter()
+        assert main(["scan", "--example", "ex2", "--r2", "0.1",
+                     "--u2", "12", "--out", str(tmp_path / "o")]) == 4
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("flags", [("--u2", "0"), ("--u2", "-1"),
+                                       ("--u3", "0"),
+                                       ("--denominator", "0"),
+                                       ("--denominator", "-2")])
+    def test_bad_grid_sizes_exit_3(self, tmp_path, flags):
+        assert main(["scan", "--example", "ex2", "--r2", "0.1", *flags,
+                     "--out", str(tmp_path / "o")]) == 3
 
     def test_needs_channel_or_example(self, tmp_path):
         assert main(["scan", "--r2", "0.2",

@@ -1,7 +1,7 @@
 """The staged closed-form scan against the per-call oracle, bit for bit.
 
 ``closed_oracle`` keeps the closed form as one call over the full
-broadcast grid; ``cqic.regions`` evaluates a p1-free stage once per scan
+broadcast grid; ``cqic.direct`` evaluates a p1-free stage once per scan
 and every entropy term once per distinct argument.  Every bound value,
 user grid entry and scan result must agree exactly (compared as uint64
 views, so -0.0 against 0.0 counts as a difference).
@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import closed_oracle as co
+from cqic import direct
 from cqic import regions as rg
 from cqic.channels import ChannelSpec, CostVector, build_ex1, build_ex2, \
     build_ex3
@@ -66,18 +69,33 @@ def _grids(spec, evaluator, sizes, denom):
            if float(p @ spec.costs[0]) <= taus[0] + prob]
     new, old = [], []
     for j, n in ((1, sizes[0]), (2, sizes[1])):
-        grid = rg._binary_user_grid(spec, j, n, denom)
-        new.append(rg._grid_rows(grid, grid.cost <= taus[j] + prob))
+        grid = direct._binary_user_grid(spec, j, n, denom)
+        new.append(direct._grid_rows(grid, grid.cost <= taus[j] + prob))
         old.append([c for c in co.binary_user_grid(spec, j, n, denom)
                     if c[3] <= taus[j] + prob])
     return p1s, new, old
+
+
+_any_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.floats(-0.1, 1.1), st.sampled_from((0.0, -0.0, 1.0,
+                                                              5e-324)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_any_floats, min_size=1, max_size=12), st.booleans(),
+       st.floats(0.01, 1.56))
+def test_entropy_terms_match_oracle(values, scalar, phi):
+    t = np.array(values[0]) if scalar else np.array(values)
+    assert _same_bits(direct._hb_arr(t), co.hb_arr(t))
+    assert _same_bits(direct._haf_arr(t, phi), co.haf_arr(t, phi))
+    assert np.shape(direct._hb_arr(t)) == np.shape(t)
 
 
 @pytest.mark.parametrize("n_sym,denom", [(2, 32), (3, 6), (4, 3)])
 def test_user_grids_match_oracle(n_sym, denom):
     spec = _channel("costed", 2 / 32)
     for j in (1, 2):
-        grid = rg._binary_user_grid(spec, j, n_sym, denom)
+        grid = direct._binary_user_grid(spec, j, n_sym, denom)
         old = co.binary_user_grid(spec, j, n_sym, denom)
         assert len(grid.p) == len(old)
         assert _same_bits(grid.p, [c[0] for c in old])
@@ -87,15 +105,15 @@ def test_user_grids_match_oracle(n_sym, denom):
         # point masses on either input
         assert grid.q.min() == 0.0 and grid.q.max() == 1.0
         assert not any(a.flags.writeable for a in grid if a is not None)
-        assert rg._binary_user_grid(spec, j, n_sym, denom) is grid
-    assert _same_bits(rg._lattice_pmfs(n_sym, denom),
+        assert direct._binary_user_grid(spec, j, n_sym, denom) is grid
+    assert _same_bits(direct._lattice_pmfs(n_sym, denom),
                       co.lattice_pmfs(n_sym, denom))
 
 
 @pytest.mark.parametrize("evaluator,sizes,denom,kind,tau", CASES)
 def test_bound_values_match_oracle(evaluator, sizes, denom, kind, tau):
     spec = _channel(kind, tau)
-    form = rg._parity_gamma_form(spec)
+    form = direct._parity_gamma_form(spec)
     p1s, (g2, g3), (o2, o3) = _grids(spec, evaluator, sizes, denom)
     p1v = [p[1] for p in p1s]
     old = co.closed_bounds(form, evaluator, p1v, o2, o3)
@@ -108,18 +126,21 @@ def test_bound_values_match_oracle(evaluator, sizes, denom, kind, tau):
 
 @pytest.mark.parametrize("evaluator", ["unstructured", "thm1"])
 def test_cell_values_match_oracle(evaluator):
-    # the refinement evaluates single configs of the stage
+    # the refinement's source is built on the winning config's one-row grids
     spec = _channel("costed", None)
     p1s, (g2, g3), (o2, o3) = _grids(spec, evaluator, (2, 2), 8)
-    form = rg._parity_gamma_form(spec)
-    stage = rg._closed_stage(form, evaluator, g2, g3)
+    form = direct._parity_gamma_form(spec)
     p1v = np.linspace(0.0, 1.0, 17)
     for a2, a3 in ((0, 0), (5, 17), (len(o2) - 1, 3), (len(o2) - 1,
                                                        len(o3) - 1)):
         old = co.closed_bounds(form, evaluator, p1v, [o2[a2]], [o3[a3]])
-        new = rg._closed_bounds(rg._closed_cell(stage, a2, a3), p1v)
+        cell = [direct._grid_rows(g, slice(a, a + 1))
+                for g, a in ((g2, a2), (g3, a3))]
+        bounds, spread = direct.grid_source(spec, evaluator, *cell)
+        new = bounds(np.stack([1.0 - p1v, p1v], axis=1))
+        assert sorted(new) == sorted(old)
         for key, val in old.items():
-            assert _same_bits(np.broadcast_to(new[key], (17, 1, 1)),
+            assert _same_bits(spread(np.broadcast_to(new[key], (17, 1, 1))),
                               np.broadcast_to(val, (17, 1, 1))), key
 
 
@@ -163,6 +184,37 @@ def _mixed(spec, j_state, eps):
                        spec.costs, spec.budget)
 
 
+@pytest.mark.parametrize("build,evaluator,n_sym,closed", [
+    (lambda: _channel("ex2", 0.3), "unstructured", 2, True),
+    (lambda: _channel("costed", None), "unstructured", 3, True),
+    (lambda: _channel("ex2", 0.3), "thm1", 2, True),
+    (lambda: _channel("ex2", 0.3), "thm1", 3, False),
+    (lambda: build_ex1(0.1, 0.1, 0.2, 0.3), "unstructured", 2, False),
+    (lambda: build_ex3(0.1, 0.2, 0.3, 0.4, 0.4, 0.4), "thm1", 2, False),
+    (lambda: _mixed(build_ex2(PHI, 0.1, 0.15, 0.3), 0, 1e-6), "thm1", 2,
+     False),
+])
+def test_grid_source_takes_closed_forms_on_the_family_only(
+        monkeypatch, build, evaluator, n_sym, closed):
+    # the closed forms for the plane-rotation family (Thm 1 on the binary
+    # field only), the engine for everything else
+    spec = build()
+    calls = []
+    for name in ("_closed_stage", "_grid_bounds"):
+        def spied(*args, _fn=getattr(direct, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(direct, name, spied)
+    g2, g3 = (direct._binary_user_grid(spec, j, n_sym, 2) for j in (1, 2))
+    bounds, spread = direct.grid_source(spec, evaluator, g2, g3)
+    p1s = direct._lattice_pmfs(2, 2)
+    values = bounds(p1s)
+    assert calls == ["_closed_stage" if closed else "_grid_bounds"]
+    sup = spread(rg._r1_sup(rg._THM1_ROWS if evaluator == "thm1"
+                            else rg._UNSTR_ROWS, values, 0.0, 0.0, 1e-9))
+    assert sup.shape == (len(p1s), len(g2.p), len(g3.p))
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_ex1(0.1, 0.1, 0.2, 0.3),
     lambda: build_ex2(PHI, 0.1, 0.15, 0.3),
@@ -173,4 +225,4 @@ def _mixed(spec, j_state, eps):
 ])
 def test_family_verdicts_match_oracle(build):
     spec = build()
-    assert rg._parity_gamma_form(spec) == co.parity_gamma_form(spec)
+    assert direct._parity_gamma_form(spec) == co.parity_gamma_form(spec)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqic import direct
+from cqic import direct, layered
 from cqic import regions as rg
 from cqic.channels import build_ex1, build_ex2, build_ex3
 from cqic.config import active_tolerances
@@ -29,6 +29,7 @@ from cqic.regions import (Thm1Config, Thm2Config, Thm3Config,
                           unstructured_3to1_check)
 from cqic.states import (CqState, EntropyQuery, Pmf, mass_quotient,
                          mass_scale, shannon_entropy)
+import closed_oracle as co
 from cq_oracle import conditional_mutual_info, entropy
 
 
@@ -125,7 +126,7 @@ for _ev in ("unstructured", "thm1"):
 def test_scan_reprs_pinned(monkeypatch, case):
     build, r2, r3, kwargs = SCAN_CASES[case]
     # ex2 is in the closed-form family: force the generic path
-    monkeypatch.setattr(rg, "_parity_gamma_form", lambda c: None)
+    monkeypatch.setattr(direct, "_parity_gamma_form", lambda c: None)
     assert _scan_pin(max_r1_scan(build(), r2, r3, **kwargs)) == SCAN_PINS[case]
 
 
@@ -465,17 +466,17 @@ def oracle_one_rx(channel, blocks, fields, j, atoms, subsets):
     Points run over the product of the factor tables' supports, one
     Python tuple each, as the layered checkers once pooled them.
     """
-    i, k = rg._OTHERS[j]
+    i, k = layered._OTHERS[j]
 
     def value(a, idx):
         if a.is_sum:
-            return (idx[i][rg._u_axis(i, j)]
-                    + idx[k][rg._u_axis(k, j)]) % fields[j]
+            return (idx[i][layered._u_axis(i, j)]
+                    + idx[k][layered._u_axis(k, j)]) % fields[j]
         if a.pair is None:  # X_j
             return idx[j][4]
         t, r = a.pair
-        return idx[t][rg._u_axis(t, r) if a.reg.startswith("U")
-                      else rg._v_axis(t, r)]
+        return idx[t][layered._u_axis(t, r) if a.reg.startswith("U")
+                      else layered._v_axis(t, r)]
 
     supports = [[(tuple(int(v) for v in key), float(b[tuple(key)]))
                  for key in np.argwhere(b > 0.0)] for b in blocks]
@@ -539,7 +540,7 @@ def cloud_tables(draw, m, n):
     kind = draw(st.sampled_from(("noisy", "map", "zeros")))
     if kind == "map":
         f = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-        return rg._map_table(draw(pmfs(m)), f, n)
+        return co.map_table(draw(pmfs(m)), f, n)
     return draw(pmfs(m * n, zeros=kind == "zeros")).reshape(m, n)
 
 
@@ -633,16 +634,33 @@ def test_thm1_grid_matches_oracle(channel, v, data):
     _grid_vs_oracle(channel, "thm1", cfgs)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 3), st.integers(1, 5), st.data())
+def test_map_tables_match_per_config_loop(m, n, count, data):
+    p = np.array([data.draw(pmfs(m)) for _ in range(count)])
+    f = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+        min_size=count, max_size=count)))
+    tables = direct._map_tables(p, f, n)
+    assert tables.shape == (count, m, n)
+    for row in range(count):
+        want = co.map_table(p[row], f[row], n)
+        assert np.array_equal(tables[row].view(np.uint64),
+                              want.view(np.uint64))
+        assert np.array_equal(direct._map_tables(p[row], f[row], n)
+                              .view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("evaluator", ["unstructured", "thm1"])
 def test_block_boundaries_do_not_move_values(monkeypatch, evaluator):
     spec = ex2()
-    p1s = rg._lattice_pmfs(2, 4)
-    g2 = rg._binary_user_grid(spec, 1, 2, 3)
-    g3 = rg._binary_user_grid(spec, 2, 2, 2)
-    whole = rg._grid_bounds(spec, evaluator, p1s, g2, g3)
+    p1s = direct._lattice_pmfs(2, 4)
+    g2 = direct._binary_user_grid(spec, 1, 2, 3)
+    g3 = direct._binary_user_grid(spec, 2, 2, 2)
+    whole = direct._grid_bounds(spec, evaluator, p1s, g2, g3)
     assert math.prod(whole["r1_rhs"].shape) > direct.BLOCK
     monkeypatch.setattr(direct, "BLOCK", 7)
-    blocked = rg._grid_bounds(spec, evaluator, p1s, g2, g3)
+    blocked = direct._grid_bounds(spec, evaluator, p1s, g2, g3)
     assert list(blocked) == list(whole)
     for k in whole:
         assert np.array_equal(blocked[k].view(np.int64),
@@ -660,7 +678,7 @@ def layered_configs(draw, theorem):
     fields = tuple(draw(st.sampled_from((2, 3))) for _ in range(3))
     factors = []
     for t in range(3):
-        a, b = rg._OTHERS[t]
+        a, b = layered._OTHERS[t]
         sizes = [fields[a], fields[b]]
         if theorem == 3:
             sizes = [draw(st.integers(2, 3)), draw(st.integers(2, 3))] + sizes
@@ -688,8 +706,8 @@ def _layered_outcome(check, *args):
 def _layered_vs_oracle(check, channel, cfg, rates, drop):
     got = _layered_outcome(check, channel, cfg, rates, drop)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rg, "_rx_entropies", oracle_rx_entropies)
-        mp.setattr(rg, "_SYSTEMS", {})  # build afresh, through the oracle
+        mp.setattr(layered, "_rx_entropies", oracle_rx_entropies)
+        mp.setattr(layered, "_SYSTEMS", {})  # build afresh, through the oracle
         want = _layered_outcome(check, channel, cfg, rates, drop)
     assert got == want
 
@@ -713,7 +731,7 @@ def oracle_records(channel, cfg, rates, theorem, drop):
     """Every record as the row loop wrote it, one Python ``sum`` per row,
     from the same cached system and LP point."""
     rates = rg._rate_triple(rates)
-    system = rg._cached_system(channel, cfg, theorem, drop)
+    system = layered._cached_system(channel, cfg, theorem, drop)
     b = system.b.copy()
     b[-6:] = [v for r in rates for v in (r, -r)]
     _, x = feasible_point(system.a, b, active_tolerances().lp_residual)

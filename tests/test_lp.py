@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqic import regions as rg
+from cqic import layered
 from cqic.channels import build_ex2, build_ex3
 from cqic.lp import feasible_point
 from cqic.regions import (Thm1Config, Thm2Config, UnstructuredConfig,
@@ -144,7 +144,7 @@ def test_layered_systems_agree_with_highs(case):
     # the real A and b of a Thm 2/3 system, 0.02 either side of the
     # boundary the layered checker finds
     spec, cfg, theorem, drop = _layered_cases()[case]
-    system = rg._layered_system(spec, cfg, theorem, drop)
+    system = layered._layered_system(spec, cfg, theorem, drop)
     check = thm2_feasible if theorem == 2 else thm3_feasible
     compared = 0
     for r2, r3 in ((0.0, 0.0), (0.02, 0.01), (0.05, 0.0)):

@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closed_oracle import staged_bounds
+from cqic import direct, layered
 from cqic import regions as rg
 from cqic.channels import (ChannelSpec, build_ex1, build_ex2,
                            condition_eq1, example_capacities, gamma_state,
                            sigma_state)
 from cqic.errors import (BudgetExceeded, ConfigMismatch, DomainError, Not3to1,
                          NotPrime, Unsupported)
+from cqic.layered import source_divergence_pair
 from cqic.regions import (Thm1Config, Thm2Config, Thm3Config,
                           UnstructuredConfig, boundary_slice, max_r1_scan,
-                          source_divergence_pair, thm1_check,
-                          thm2_config_from_thm1, thm2_feasible,
+                          thm1_check, thm2_config_from_thm1, thm2_feasible,
                           thm3_config_from_unstructured, thm3_feasible,
                           unstructured_3to1_check)
 from cqic.states import binary_convolve, binary_entropy, fact1_f
@@ -454,12 +455,12 @@ class TestScan:
     @pytest.mark.parametrize("refine", [False, True])
     def test_fast_and_generic_paths_agree(self, monkeypatch, refine):
         spec = ex2(0.5)
-        form = rg._parity_gamma_form(spec)
+        form = direct._parity_gamma_form(spec)
         fast_u = max_r1_scan(spec, 0.2, 0.1, evaluator="unstructured",
                              denominator=4, refine=refine)
         fast_t = max_r1_scan(spec, 0.2, 0.1, evaluator="thm1",
                              denominator=4, refine=refine)
-        monkeypatch.setattr(rg, "_parity_gamma_form", lambda c: None)
+        monkeypatch.setattr(direct, "_parity_gamma_form", lambda c: None)
         slow_u = max_r1_scan(spec, 0.2, 0.1, evaluator="unstructured",
                              denominator=4, refine=refine)
         slow_t = max_r1_scan(spec, 0.2, 0.1, evaluator="thm1",
@@ -467,13 +468,13 @@ class TestScan:
         assert abs(fast_u.r1_max - slow_u.r1_max) < 1e-9
         assert abs(fast_t.r1_max - slow_t.r1_max) < 1e-9
         # every bound value of the full denominator-8 grid, both evaluators
-        p1s = rg._lattice_pmfs(2, 8)
-        g2 = rg._binary_user_grid(spec, 1, 2, 8)
-        g3 = rg._binary_user_grid(spec, 2, 2, 8)
+        p1s = direct._lattice_pmfs(2, 8)
+        g2 = direct._binary_user_grid(spec, 1, 2, 8)
+        g3 = direct._binary_user_grid(spec, 2, 2, 8)
         shape = (len(p1s), len(g2.p), len(g3.p))
         for evaluator in ("unstructured", "thm1"):
             closed = staged_bounds(form, evaluator, p1s[:, 1], g2, g3)
-            engine = rg._grid_bounds(spec, evaluator, p1s, g2, g3)
+            engine = direct._grid_bounds(spec, evaluator, p1s, g2, g3)
             for key, val in closed.items():
                 diff = np.abs(np.broadcast_to(val, shape) - engine[key])
                 assert float(diff.max()) < 1e-12, (evaluator, key)
@@ -485,7 +486,7 @@ class TestScan:
         # the scan's R1 supremum and the checker read the same rate rows:
         # the winning config is feasible just below r1_max, not above it
         if not closed_form:
-            monkeypatch.setattr(rg, "_parity_gamma_form", lambda c: None)
+            monkeypatch.setattr(direct, "_parity_gamma_form", lambda c: None)
         spec = ex2(0.3)
         check = (thm1_check if evaluator == "thm1"
                  else unstructured_3to1_check)
@@ -526,6 +527,16 @@ class TestScan:
         with pytest.raises(DomainError):
             max_r1_scan(ex2(), -0.1, 0.1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
+    def test_boundary_slice_needs_positive_tol(self, tol):
+        with pytest.raises(DomainError):
+            boundary_slice(lambda r: r[0] < 0.3, [0.1], tol=tol)
+
+    def test_boundary_slice_stops_at_adjacent_floats(self):
+        # a tol below one ulp of the boundary would never be met
+        (_, r1), = boundary_slice(lambda r: r[0] < 0.3, [0.1], tol=1e-300)
+        assert r1 < 0.3 and math.nextafter(r1, 1.0) >= 0.3
+
     def test_boundary_slice_monotone(self):
         spec = ex2(0.5)
         cfg = proof_config(0.5)
@@ -558,15 +569,15 @@ def layered_case(theorem, tau=1 / 32):
 @pytest.fixture
 def count_builds(monkeypatch):
     """Start from an empty system cache and count the builds."""
-    monkeypatch.setattr(rg, "_SYSTEMS", {})
+    monkeypatch.setattr(layered, "_SYSTEMS", {})
     built = []
-    build = rg._layered_system
+    build = layered._layered_system
 
     def counted(*args):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(rg, "_layered_system", counted)
+    monkeypatch.setattr(layered, "_layered_system", counted)
     return built
 
 
@@ -585,7 +596,7 @@ class TestLayeredCache:
         assert len(probed) > 10 and all(r1 > 0.0 for _, r1 in rows)
         assert {rep.feasible for _, rep in probed} == {True, False}
         for rates, rep in probed:
-            rg._SYSTEMS.clear()
+            layered._SYSTEMS.clear()
             cold = check(spec, cfg, rates)
             assert (cold.feasible, cold.records, cold.witness) == \
                 (rep.feasible, rep.records, rep.witness)
@@ -606,19 +617,19 @@ class TestLayeredCache:
         tight = check(spec, cfg, (0.1, 0.0, 0.0))
         assert len(count_builds) == 2
         assert tight.records != loose.records
-        rg._SYSTEMS.clear()
+        layered._SYSTEMS.clear()
         assert check(spec, cfg, (0.1, 0.0, 0.0)) == tight
 
     def test_size_stays_bounded(self, count_builds):
         spec = ex2(1 / 32)
-        for i in range(rg._SYSTEMS_MAX + 4):
+        for i in range(layered._SYSTEMS_MAX + 4):
             cfg = thm2_config_from_thm1(spec, proof_config((i + 1) / 64))
             thm2_feasible(spec, cfg, (0.05, 0.0, 0.0))
-            assert len(rg._SYSTEMS) <= rg._SYSTEMS_MAX
-        assert len(rg._SYSTEMS) == rg._SYSTEMS_MAX
+            assert len(layered._SYSTEMS) <= layered._SYSTEMS_MAX
+        assert len(layered._SYSTEMS) == layered._SYSTEMS_MAX
         # the most recent config is still held: no rebuild
         thm2_feasible(spec, cfg, (0.1, 0.0, 0.0))
-        assert len(count_builds) == rg._SYSTEMS_MAX + 4
+        assert len(count_builds) == layered._SYSTEMS_MAX + 4
 
     def test_invalid_config_not_cached(self, count_builds):
         spec, cfg, check = layered_case(2)
@@ -626,12 +637,12 @@ class TestLayeredCache:
         for _ in range(2):
             with pytest.raises(ConfigMismatch):
                 check(spec, bad, (0.1, 0.0, 0.0))
-        assert rg._SYSTEMS == {} and len(count_builds) == 2
+        assert layered._SYSTEMS == {} and len(count_builds) == 2
 
     def test_threads_share_the_cache(self, count_builds):
         spec = ex2(1 / 32)
         cfgs = [thm2_config_from_thm1(spec, proof_config((i + 1) / 64))
-                for i in range(rg._SYSTEMS_MAX + 4)]
+                for i in range(layered._SYSTEMS_MAX + 4)]
         want = [thm2_feasible(spec, cfg, (0.05, 0.0, 0.0)) for cfg in cfgs]
         got, errors = [], []
 
@@ -658,4 +669,4 @@ class TestLayeredCache:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(got) == 4 * 2 * len(cfgs) and all(got)
-        assert len(rg._SYSTEMS) <= rg._SYSTEMS_MAX
+        assert len(layered._SYSTEMS) <= layered._SYSTEMS_MAX
