@@ -4,6 +4,12 @@
 and builds its covering, packing and rate-coupling rows, labelled and as
 a dense system A x <= b; :func:`_cached_system` keeps the most recently
 built ones, keyed on content.  :mod:`cqic.regions` solves them.
+
+One loop per row family serves both theorems (a Thm 2 factor has size-1
+V axes, so no active V layer).  The theorem decides only: the covering
+rows' T coefficient (-1 in Thm 2, absent in Thm 3); a U layer's packing
+charges, own atom and sum-atom copies alike (S in Thm 2, S and T in
+Thm 3); the labels' ``thmN`` prefix and Thm 3's ``.C=``/``.D=`` parts.
 """
 
 from __future__ import annotations
@@ -45,9 +51,10 @@ def _normalized_blocks(channel: ChannelSpec, cfg, with_v: bool):
         elif tab.ndim != 5:
             raise ConfigMismatch(
                 f"user {t + 1} factor must have 5 axes, got {tab.ndim}")
-        if tab.min() < -tol.prob:
-            raise ConfigMismatch(f"user {t + 1} factor has negative mass")
-        if abs(tab.sum() - 1.0) > tol.prob:
+        if not tab.min() >= -tol.prob:
+            raise ConfigMismatch(
+                f"user {t + 1} factor has negative or NaN mass")
+        if not abs(tab.sum() - 1.0) <= tol.prob:
             raise ConfigMismatch(f"user {t + 1} factor does not sum to 1")
         a, bb = _OTHERS[t]
         for axis, rx in ((2, a), (3, bb)):
@@ -160,7 +167,7 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
         for r in _OTHERS[t]:
             u_act[(t, r)] = _is_active(_marg(tab, (_u_axis(t, r),)))
             vm = _marg(tab, (_v_axis(t, r),))
-            v_act[(t, r)] = theorem == 3 and _is_active(vm)
+            v_act[(t, r)] = _is_active(vm)  # Thm 2's V axes have size 1
             h_v[(t, r)] = shannon_entropy(vm)
         xm = _marg(tab, (4,))
         x_act[t] = _is_active(xm)
@@ -178,57 +185,46 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
             names += [f"K{t + 1}", f"L{t + 1}"]
     col = {n: i for i, n in enumerate(names)}
 
+    # the three per-theorem differences of the module docstring
     prefix = f"thm{theorem}"
+
+    def _u_charges(t, r):
+        s_name, t_name = f"S{t + 1}{r + 1}", f"T{t + 1}{r + 1}"
+        return (s_name,) if theorem == 2 else (s_name, t_name)
+
+    def _v_parts(*pair_sets):
+        if theorem == 2:
+            return ""
+        return "".join(f".{part}={{{_pair_label(pairs)}}}"
+                       for part, pairs in zip("CD", pair_sets))
+
     rows = []  # (label, kind, coeffs, sense, rhs)
-
-    def _src_entropy(t, u_set, v_set, with_x):
-        axes = [_u_axis(t, r) for _, r in u_set]
-        axes += [_v_axis(t, r) for _, r in v_set]
-        if with_x:
-            axes.append(4)
-        return shannon_entropy(_marg(blocks[t], tuple(axes))) if axes else 0.0
-
     # --- source (covering) bounds, one family per user --------------------
     for t in range(3):
         own_u = [(t, r) for r in _OTHERS[t] if u_act[(t, r)]]
         own_v = [(t, r) for r in _OTHERS[t] if v_act[(t, r)]]
-        base = f"{prefix}.src.j={t + 1}"
-        if theorem == 2:
-            for a_set in _subsets(own_u):
+        for a_set in _subsets(own_u):
+            for c_set in _subsets(own_v):
                 log_sum = sum(math.log2(fields[r]) for _, r in a_set)
+                hv_sum = sum(h_v[p] for p in c_set)
+                axes = tuple(_u_axis(t, r) for _, r in a_set) + \
+                    tuple(_v_axis(t, r) for _, r in c_set)
                 coeffs = {}
                 for tt, r in a_set:
                     coeffs[f"S{tt + 1}{r + 1}"] = 1.0
-                    coeffs[f"T{tt + 1}{r + 1}"] = -1.0
-                lbl = f"{base}.A={{{_pair_label(a_set)}}}"
-                if a_set:
-                    rows.append((lbl, "source", dict(coeffs), ">",
-                                 log_sum - _src_entropy(t, a_set, (), False)))
+                    if theorem == 2:
+                        coeffs[f"T{tt + 1}{r + 1}"] = -1.0
+                coeffs.update({f"B{tt + 1}{r + 1}": 1.0 for tt, r in c_set})
+                lbl = (f"{prefix}.src.j={t + 1}.A={{{_pair_label(a_set)}}}"
+                       + _v_parts(c_set))
+                if axes:
+                    rows.append((lbl, "source", coeffs, ">", log_sum + hv_sum
+                                 - shannon_entropy(_marg(blocks[t], axes))))
                 if x_act[t]:
-                    ck = dict(coeffs)
-                    ck[f"K{t + 1}"] = 1.0
-                    rows.append((lbl + "+K", "source", ck, ">",
-                                 log_sum + h_x[t]
-                                 - _src_entropy(t, a_set, (), True)))
-        else:
-            for a_set in _subsets(own_u):
-                for c_set in _subsets(own_v):
-                    log_sum = sum(math.log2(fields[r]) for _, r in a_set)
-                    hv_sum = sum(h_v[p] for p in c_set)
-                    coeffs = {f"S{tt + 1}{r + 1}": 1.0 for tt, r in a_set}
-                    coeffs.update({f"B{tt + 1}{r + 1}": 1.0 for tt, r in c_set})
-                    lbl = (f"{base}.A={{{_pair_label(a_set)}}}"
-                           f".C={{{_pair_label(c_set)}}}")
-                    if a_set or c_set:
-                        rows.append((lbl, "source", dict(coeffs), ">",
-                                     log_sum + hv_sum
-                                     - _src_entropy(t, a_set, c_set, False)))
-                    if x_act[t]:
-                        ck = dict(coeffs)
-                        ck[f"K{t + 1}"] = 1.0
-                        rows.append((lbl + "+K", "source", ck, ">",
-                                     log_sum + hv_sum + h_x[t]
-                                     - _src_entropy(t, a_set, c_set, True)))
+                    rows.append((lbl + "+K", "source",
+                                 {**coeffs, f"K{t + 1}": 1.0}, ">",
+                                 log_sum + hv_sum + h_x[t] - shannon_entropy(
+                                     _marg(blocks[t], axes + (4,)))))
 
     # --- channel (packing) bounds, one family per receiver ----------------
     packing = []  # per receiver: its H(S, Y) queries and error events
@@ -237,10 +233,9 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
         atoms = []
         for r in _OTHERS[j]:
             if u_act[(j, r)]:
-                ch = (f"S{j + 1}{r + 1}",) if theorem == 2 else \
-                     (f"S{j + 1}{r + 1}", f"T{j + 1}{r + 1}")
-                atoms.append(_Atom(f"U{j + 1}{r + 1}", fields[r], ch,
-                                   math.log2(fields[r]), True, (j, r)))
+                atoms.append(_Atom(f"U{j + 1}{r + 1}", fields[r],
+                                   _u_charges(j, r), math.log2(fields[r]),
+                                   True, (j, r)))
         for r in _OTHERS[j]:
             if v_act[(j, r)]:
                 atoms.append(_Atom(f"V{j + 1}{r + 1}",
@@ -252,15 +247,11 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
                                (f"K{j + 1}", f"L{j + 1}"), h_x[j], True, None))
         sum_srcs = [t for t in (i, k) if u_act[(t, j)]]
         if sum_srcs:
-            copies = []
-            for t in sum_srcs:
-                suffix = "+ij" if t == i else "+kj"
-                ch = (f"S{t + 1}{j + 1}",) if theorem == 2 else \
-                     (f"S{t + 1}{j + 1}", f"T{t + 1}{j + 1}")
-                copies.append((suffix, ch))
+            copies = tuple(("+ij" if t == i else "+kj", _u_charges(t, j))
+                           for t in sum_srcs)
             atoms.append(_Atom(f"W{j + 1}", fields[j], (),
                                math.log2(fields[j]), False, None,
-                               is_sum=True, copies=tuple(copies)))
+                               is_sum=True, copies=copies))
         for t in (i, k):
             if v_act[(t, j)]:
                 atoms.append(_Atom(f"V{t + 1}{j + 1}",
@@ -283,18 +274,13 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
         for g, r in zip(events, rest):
             # H(Z_wrong | Z_rest, Y)
             rhs = sum(a.corr for a in g) - (h[full] - h[r])
-            base_coeffs = {}
-            for a in g:
-                for nm in a.charges:
-                    base_coeffs[nm] = 1.0
+            base_coeffs = dict.fromkeys((nm for a in g for nm in a.charges),
+                                        1.0)
             a_lbl = _pair_label([a.pair for a in g
                                  if a.own and a.reg.startswith("U")])
-            lbl = f"{prefix}.chnl.j={j + 1}.A={{{a_lbl}}}"
-            if theorem == 3:
-                c_lbl = _pair_label([a.pair for a in g
-                                     if a.own and a.reg.startswith("V")])
-                d_lbl = _pair_label([a.pair for a in g if a.is_cross])
-                lbl += f".C={{{c_lbl}}}.D={{{d_lbl}}}"
+            lbl = f"{prefix}.chnl.j={j + 1}.A={{{a_lbl}}}" + _v_parts(
+                [a.pair for a in g if a.own and a.reg.startswith("V")],
+                [a.pair for a in g if a.is_cross])
             if any(a.reg.startswith("X") for a in g):
                 lbl += "+X"
             sum_atom = next((a for a in g if a.is_sum), None)

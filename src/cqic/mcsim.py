@@ -59,7 +59,8 @@ def _target_pmf(p, modulus: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (modulus,):
         raise DomainError(f"target pmf must have length {modulus}, got shape {arr.shape}")
-    if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > active_tolerances().prob:
+    if not (np.all(arr >= 0.0)
+            and abs(float(arr.sum()) - 1.0) <= active_tolerances().prob):
         raise DomainError("target pmf entries must be nonnegative and sum to 1")
     return arr
 

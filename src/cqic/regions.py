@@ -106,8 +106,8 @@ def _rate_triple(rates):
         r1, r2, r3 = (float(r) for r in rates)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"rates must be three numbers, got {rates!r}") from exc
-    if min(r1, r2, r3) < 0.0:
-        raise DomainError(f"rates must be nonnegative, got {rates!r}")
+    if not all(math.isfinite(r) and r >= 0.0 for r in (r1, r2, r3)):
+        raise DomainError(f"rates must be finite and >= 0, got {rates!r}")
     return r1, r2, r3
 
 
@@ -473,8 +473,8 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     """
     tol = active_tolerances()
     r2, r3 = float(r2), float(r3)
-    if min(r2, r3) < 0.0:
-        raise DomainError("fixed rates must be nonnegative")
+    if not all(math.isfinite(r) and r >= 0.0 for r in (r2, r3)):
+        raise DomainError("fixed rates must be finite and nonnegative")
     if denominator < 1 or min(u_sizes) < 1:
         raise DomainError(f"denominator and u_sizes must be at least 1, got "
                           f"{denominator} and {tuple(u_sizes)}")

@@ -205,9 +205,9 @@ class Pmf:
         tol = active_tolerances()
         if p.size == 0:
             raise DomainError("empty pmf")
-        if float(p.min()) < -tol.prob:
-            raise DomainError(f"negative probability {p.min()}")
-        if abs(float(p.sum()) - 1.0) > tol.prob * max(1, p.size):
+        if not float(p.min()) >= -tol.prob:
+            raise DomainError(f"negative or NaN probability {p.min()}")
+        if not abs(float(p.sum()) - 1.0) <= tol.prob * max(1, p.size):
             raise DomainError(f"pmf sums to {p.sum()}")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)

@@ -271,6 +271,27 @@ class TestRegion:
                      "--config", str(cfg), "--rates", "0,0,0",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_nan_rate_exits_3(self, tmp_path):
+        ch, _ = self._channel_file(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "field_size": 2, "p_x1": [0.5, 0.5], "p_u2": [0.5, 0.5],
+            "p_u3": [0.5, 0.5], "f2": [0, 1], "f3": [0, 1]}))
+        assert main(["region", "--theorem", "thm1", "--channel", ch,
+                     "--config", str(cfg), "--rates", "0.1,nan,0.1",
+                     "--out", str(tmp_path / "o")]) == 3
+
+    def test_nan_config_mass_exits_3(self, tmp_path):
+        # Python's json reads the NaN token
+        ch, _ = self._channel_file(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"field_size": 2, "p_x1": [NaN, 1.0], '
+                       '"p_u2": [0.5, 0.5], "p_u3": [0.5, 0.5], '
+                       '"f2": [0, 1], "f3": [0, 1]}')
+        assert main(["region", "--theorem", "thm1", "--channel", ch,
+                     "--config", str(cfg), "--rates", "0,0,0",
+                     "--out", str(tmp_path / "o")]) == 3
+
     def test_bad_rates_exit_2(self, tmp_path):
         ch, _ = self._channel_file(tmp_path)
         assert main(["region", "--theorem", "thm1", "--channel", ch,
@@ -333,6 +354,11 @@ class TestScan:
     def test_bad_grid_sizes_exit_3(self, tmp_path, flags):
         assert main(["scan", "--example", "ex2", "--r2", "0.1", *flags,
                      "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("r2", ["nan", "inf"])
+    def test_non_finite_rate_exits_3(self, tmp_path, r2):
+        assert main(["scan", "--example", "ex2", "--r2", r2,
+                     "--denominator", "4", "--out", str(tmp_path / "o")]) == 3
 
     def test_needs_channel_or_example(self, tmp_path):
         assert main(["scan", "--r2", "0.2",

@@ -151,6 +151,11 @@ class TestSoftCovering:
         with pytest.raises(DomainError):
             soft_covering_tv(4, 2, 2, (0.5, 0.5), 0, num_codes=0)
 
+    @pytest.mark.parametrize("p", [(math.nan, 1.0), (0.5, math.nan)])
+    def test_nan_target_rejected(self, p):
+        with pytest.raises(DomainError):
+            soft_covering_tv(4, 2, 2, p, 1, num_codes=2)
+
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     bits = np.unpackbits(words.view(np.uint8), axis=-1).astype(np.int64)

@@ -342,6 +342,14 @@ class TestThm2:
             thm2_feasible(spec, Thm2Config((2, 2, 2), (bad, good, good)),
                           (0, 0, 0))
 
+    def test_nan_factor_entry_rejected(self):
+        good = np.full((2, 2, 2), 1 / 8)
+        bad = good.copy()
+        bad[0, 0, 0] = math.nan
+        with pytest.raises(ConfigMismatch):
+            thm2_feasible(ex2(), Thm2Config((2, 2, 2), (good, bad, good)),
+                          (0, 0, 0))
+
 
 class TestThm3:
     def test_trivial_collapse_matches_unstructured(self):
@@ -428,6 +436,26 @@ class TestThm3:
         assert rep.feasible
         rep = thm3_feasible(spec, cfg, (caps.c1_free + 1e-3, 0.0, 0.0))
         assert not rep.feasible
+
+
+NON_FINITE_RATES = [(0.1, math.nan, 0.1), (math.nan, 0.1, 0.1),
+                    (0.1, math.inf, 0.1), (0.1, 0.1, -math.inf)]
+
+
+@pytest.mark.parametrize("rates", NON_FINITE_RATES)
+def test_checkers_reject_non_finite_rates(rates):
+    spec = ex2()
+    thm1 = proof_config(0.25)
+    unstr = UnstructuredConfig(np.array([0.6, 0.4]),
+                               np.array([[0.3, 0.2], [0.1, 0.4]]),
+                               np.array([[0.35, 0.15], [0.05, 0.45]]))
+    for check, cfg in ((thm1_check, thm1),
+                       (unstructured_3to1_check, unstr),
+                       (thm2_feasible, thm2_config_from_thm1(spec, thm1)),
+                       (thm3_feasible,
+                        thm3_config_from_unstructured(spec, unstr))):
+        with pytest.raises(DomainError):
+            check(spec, cfg, rates)
 
 
 class TestScan:
@@ -526,6 +554,12 @@ class TestScan:
     def test_negative_fixed_rate(self):
         with pytest.raises(DomainError):
             max_r1_scan(ex2(), -0.1, 0.1)
+
+    @pytest.mark.parametrize("r2, r3", [(math.nan, 0.1), (0.1, math.nan),
+                                        (math.inf, 0.0), (0.0, -math.inf)])
+    def test_non_finite_fixed_rate(self, r2, r3):
+        with pytest.raises(DomainError):
+            max_r1_scan(ex2(), r2, r3, evaluator="thm1", denominator=4)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
     def test_boundary_slice_needs_positive_tol(self, tol):

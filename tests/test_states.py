@@ -179,6 +179,11 @@ class TestPmf:
         with pytest.raises(DomainError):
             Pmf([1.1, -0.1])
 
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [1.0, math.nan]])
+    def test_nan(self, probs):
+        with pytest.raises(DomainError):
+            Pmf(probs)
+
 
 class TestEntropy:
     def test_copied_bit_joint(self):
