@@ -1,12 +1,15 @@
 """Command-line front end: info, example, region, scan, sim, tiltlab, verify.
 
-Every run is a pure function of its flags, input files and seed, and
-writes exactly one ``manifest.json`` (command, full parameter set, seed,
-tool version, wall-clock, output paths) next to its outputs.  Repeating
-an invocation reproduces every output byte for byte; wall-clock time
-lives only in the manifest.  Structured results are JSON, tabular scans
-and simulations are CSV — nothing binary.  Angles are radians, or
-degrees with a ``deg:`` prefix.
+Every run is a pure function of its flags, input files and seed.
+:func:`main` owns the run: it starts the clock, dispatches to the
+``cmd_*`` function, and maps errors to exit codes through one table;
+each command builds its document and hands it to one writer, which
+prints it and writes the outputs and then exactly one ``manifest.json``
+(command, full parameter set, seed, tool version, wall-clock, output
+paths) next to them.  Repeating an invocation reproduces every output
+byte for byte; wall-clock time lives only in the manifest.  Structured
+results are JSON, tabular scans and simulations are CSV — nothing
+binary.  Angles are radians, or degrees with a ``deg:`` prefix.
 
 Exit codes: 0 success, 2 parse failure (flags or input files), 3
 configuration mismatch, 4 budget overflow, 5 verification failure.
@@ -26,14 +29,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .channels import (ChannelSpec, build_ex1, build_ex2, build_ex3,
                        classical_equivalent, condition_eq1,
                        coset_sufficiency_threshold, example_capacities,
@@ -84,8 +87,9 @@ def _criteria_list(text: str):
         ids = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad criteria list {text!r}") from exc
-    if not all(1 <= i <= 11 for i in ids):
-        raise ParseError(f"criteria are numbered 1..11, got {text!r}")
+    if not all(i in verify.CRITERIA for i in ids):
+        raise ParseError(f"criteria are numbered {min(verify.CRITERIA)}.."
+                         f"{max(verify.CRITERIA)}, got {text!r}")
     return ids
 
 
@@ -136,25 +140,7 @@ def _channel_from_file(path: str) -> ChannelSpec:
 
 
 # ---------------------------------------------------------------------------
-# run manifest
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What a run was: command, parameters, seed, version, time, outputs."""
-
-    command: str
-    params: dict
-    seed: int | None
-    tool_version: str
-    started_utc: str
-    wall_clock_s: float
-    outputs: tuple
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["outputs"] = list(self.outputs)
-        return d
-
+# run outputs
 
 def _write_new(path: Path, text: str) -> None:
     """Write ``text`` into a newly created file at ``path``.
@@ -168,22 +154,32 @@ def _write_new(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _emit(args, command: str, files: dict, t0: float, started: str) -> None:
-    """Write the output files, then the single manifest describing them."""
+def _finish(args, doc, csv_text: str | None = None,
+            shown: str | None = None) -> int:
+    """Print a command's document, write its outputs, then the manifest.
+
+    ``shown`` is printed instead of the document (``verify`` prints its
+    table); ``csv_text`` is written as ``<command>.csv`` ahead of
+    ``<command>.json``.
+    """
+    text = _dump_json(doc)
+    print(text if shown is None else shown, end="")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    params = {k: _json_safe(v) for k, v in vars(args).items()
-              if not k.startswith("_")}
     names = []
-    for name, text in files.items():
-        _write_new(outdir / name, text)
-        names.append(str(outdir / name))
-    manifest = RunManifest(command=command, params=params,
-                           seed=getattr(args, "seed", None),
-                           tool_version=__version__, started_utc=started,
-                           wall_clock_s=round(perf_counter() - t0, 6),
-                           outputs=tuple(names))
-    _write_new(outdir / "manifest.json", _dump_json(manifest.to_json_dict()))
+    for suffix, body in (("csv", csv_text), ("json", text)):
+        if body is not None:
+            path = outdir / f"{args.command}.{suffix}"
+            _write_new(path, body)
+            names.append(str(path))
+    params = {k: v for k, v in vars(args).items() if not k.startswith("_")}
+    manifest = {"command": args.command, "params": params,
+                "seed": getattr(args, "seed", None),
+                "tool_version": __version__, "started_utc": args._started,
+                "wall_clock_s": round(perf_counter() - args._t0, 6),
+                "outputs": names}
+    _write_new(outdir / "manifest.json", _dump_json(manifest))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +260,11 @@ def _load_pmf_table(path: str, sizes) -> np.ndarray:
 
 
 def cmd_info(args) -> int:
-    t0, started = perf_counter(), _now()
     channel = _channel_from_file(args.channel)
     table = _load_pmf_table(args.pmf, channel.input_sizes)
     quantities = {q: _eval_query(channel, table, q) for q in args.query}
-    doc = {"channel": args.channel, "pmf": args.pmf,
-           "quantities": quantities}
-    text = _dump_json(doc)
-    print(text, end="")
-    _emit(args, "info", {"info.json": text}, t0, started)
-    return 0
+    return _finish(args, {"channel": args.channel, "pmf": args.pmf,
+                          "quantities": quantities})
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +297,6 @@ def _proof_thm1_config(spec: ChannelSpec) -> Thm1Config:
 
 
 def cmd_example(args) -> int:
-    t0, started = perf_counter(), _now()
     spec = _build_example(args)
     caps = example_capacities(spec)
     eq1 = condition_eq1(spec, caps)
@@ -348,10 +338,7 @@ def cmd_example(args) -> int:
         doc["classical_equivalent"] = (
             {"transitions": [t.tolist() for t in eq.transitions]}
             if hasattr(eq, "transitions") else None)
-    text = _dump_json(doc)
-    print(text, end="")
-    _emit(args, "example", {"example.json": text}, t0, started)
-    return 0
+    return _finish(args, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +365,6 @@ def _region_config(theorem: str, raw: dict):
 
 
 def cmd_region(args) -> int:
-    t0, started = perf_counter(), _now()
     channel = _channel_from_file(args.channel)
     cfg = _region_config(args.theorem, _load_json(args.config))
     if args.theorem == "thm1":
@@ -391,12 +377,8 @@ def cmd_region(args) -> int:
     else:
         report = thm3_feasible(channel, cfg, args.rates,
                                drop_dont_care=args.drop_dont_care)
-    doc = {"theorem": args.theorem, "rates": list(args.rates),
-           "report": report.to_json_dict()}
-    text = _dump_json(doc)
-    print(text, end="")
-    _emit(args, "region", {"region.json": text}, t0, started)
-    return 0
+    return _finish(args, {"theorem": args.theorem, "rates": list(args.rates),
+                          "report": report.to_json_dict()})
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +393,6 @@ def _scan_channel(args) -> ChannelSpec:
 
 
 def cmd_scan(args) -> int:
-    t0, started = perf_counter(), _now()
     channel = _scan_channel(args)
     rows = []
     for r2 in args.r2:
@@ -424,43 +405,33 @@ def cmd_scan(args) -> int:
         rows.append((float(r2), args.r3, res.r1_max, res.grid_value,
                      res.evaluations))
     header = ("r2", "r3", "r1_max", "grid_value", "evaluations")
-    csv_part = _csv_text(header, rows)
     doc = {"evaluator": args.evaluator, "r3": args.r3,
            "denominator": args.denominator,
            "rows": [dict(zip(header, row)) for row in rows]}
-    text = _dump_json(doc)
-    print(text, end="")
-    _emit(args, "scan", {"scan.csv": csv_part, "scan.json": text},
-          t0, started)
-    return 0
+    return _finish(args, doc, csv_text=_csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
 # sim: Monte-Carlo block-error run
 
 def cmd_sim(args) -> int:
-    t0, started = perf_counter(), _now()
     cfg = SimConfig(args.n, args.coset_dims, args.message_dims, args.delta,
                     trials=args.trials, rng_seed=args.seed,
                     decoder=args.decoder, tau1=args.tau1)
     result = run_ex1_sim(cfg, threads=args.threads)
-    csv_part = _csv_text(result.csv_header(), [result.csv_row()])
     doc = {"config": asdict(cfg), "error_counts": list(result.error_counts),
            "error_rates": list(result.error_rates),
            "intervals": [list(iv) for iv in result.intervals],
            "codeword_types": list(result.codeword_types),
            "bias_retries": result.bias_retries}
-    text = _dump_json(doc)
-    print(text, end="")
-    _emit(args, "sim", {"sim.csv": csv_part, "sim.json": text}, t0, started)
-    return 0
+    return _finish(args, doc, csv_text=_csv_text(result.csv_header(),
+                                                 [result.csv_row()]))
 
 
 # ---------------------------------------------------------------------------
 # tiltlab: batch reports for the operator toolkit
 
 def cmd_tiltlab(args) -> int:
-    t0, started = perf_counter(), _now()
     rng = np.random.default_rng(args.seed)
     tilt_rows, operator_rows = [], []
     for case in range(args.cases):
@@ -507,32 +478,21 @@ def cmd_tiltlab(args) -> int:
            "all_within_bounds": (all(r["ok"] for r in tilt_rows)
                                  and all(r["ok"] for r in operator_rows)
                                  and all(r["ok"] for r in smoothing_rows))}
-    text = _dump_json(doc)
-    print(text, end="")
-    _emit(args, "tiltlab", {"tiltlab.json": text}, t0, started)
-    return 0
+    return _finish(args, doc)
 
 
 # ---------------------------------------------------------------------------
 # verify: the numbered battery, table on stdout
 
 def cmd_verify(args) -> int:
-    from . import verify
-
-    t0, started = perf_counter(), _now()
     results = verify.run_criteria(args.criteria, threads=args.threads)
-    print(verify.format_table(results))
-    text = _dump_json({"results": [r.to_json_dict() for r in results]})
-    _emit(args, "verify", {"verify.json": text}, t0, started)
+    _finish(args, {"results": [r.to_json_dict() for r in results]},
+            shown=verify.format_table(results) + "\n")
     return 0 if all(r.passed for r in results) else 5
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
 
 def _add_example_flags(sub) -> None:
     sub.add_argument("--phi", type=_angle, default=math.pi / 3,
@@ -667,33 +627,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: error class -> exit code; the first matching row wins
+_EXIT_CODES = ((ParseError, 2), ((BudgetExceeded, TooLarge, DimOverflow), 4),
+               (NumericalFailure, 5), (CqicError, 3), (OSError, 2))
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:
-        return 0 if not exc.code else int(exc.code)
-    try:
+        args._t0 = perf_counter()
+        args._started = datetime.now(timezone.utc).isoformat()
         # looked up per call, so that the parser, built once, pins no
         # command function
         return int(globals()[f"cmd_{args.command}"](args))
-    except ParseError as exc:
+    except SystemExit as exc:
+        return 0 if not exc.code else int(exc.code)
+    except (CqicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetExceeded, TooLarge, DimOverflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except CqicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kinds, code in _EXIT_CODES
+                    if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -51,6 +51,8 @@ def _normalized_blocks(channel: ChannelSpec, cfg, with_v: bool):
         elif tab.ndim != 5:
             raise ConfigMismatch(
                 f"user {t + 1} factor must have 5 axes, got {tab.ndim}")
+        if tab.size == 0:
+            raise ConfigMismatch(f"user {t + 1} factor has no entries")
         if not tab.min() >= -tol.prob:
             raise ConfigMismatch(
                 f"user {t + 1} factor has negative or NaN mass")

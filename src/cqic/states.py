@@ -35,7 +35,7 @@ _SCALE = 2.0 ** 64            # lifts every subnormal to a normal float
 def binary_entropy(p: float) -> float:
     """h_b(p) = -p log2 p - (1-p) log2 (1-p)."""
     tol = active_tolerances()
-    if p < -tol.prob or p > 1.0 + tol.prob:
+    if not -tol.prob <= p <= 1.0 + tol.prob:
         raise DomainError(f"binary_entropy argument {p} outside [0,1]")
     p = min(1.0, max(0.0, p))
     if p == 0.0 or p == 1.0:
@@ -47,7 +47,7 @@ def binary_convolve(p: float, q: float) -> float:
     """p * q = p(1-q) + (1-p)q, the crossover of cascaded symmetric flips."""
     tol = active_tolerances()
     for v in (p, q):
-        if v < -tol.prob or v > 1.0 + tol.prob:
+        if not -tol.prob <= v <= 1.0 + tol.prob:
             raise DomainError(f"binary_convolve argument {v} outside [0,1]")
     return float(p * (1.0 - q) + (1.0 - p) * q)
 
@@ -59,7 +59,7 @@ def fact1_f(t: float, phi: float) -> float:
     symmetric under t <-> 1-t and decreasing on (0, 1/2).
     """
     tol = active_tolerances()
-    if t < -tol.prob or t > 1.0 + tol.prob:
+    if not -tol.prob <= t <= 1.0 + tol.prob:
         raise DomainError(f"fact1_f argument {t} outside [0,1]")
     t = min(1.0, max(0.0, t))
     disc = 1.0 - 4.0 * t * (1.0 - t) * np.sin(phi) ** 2

@@ -370,7 +370,7 @@ def tiny_srm(states, priors):
     p = np.asarray(priors, dtype=float)
     if p.shape != (len(dens),):
         raise LengthMismatch(f"{len(dens)} states but {p.size} priors")
-    if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > tol.prob:
+    if not (np.all(p >= 0.0) and abs(float(p.sum()) - 1.0) <= tol.prob):
         raise DomainError("priors must be a probability vector")
 
     theta = sum(pi * d.mat for pi, d in zip(p, dens))

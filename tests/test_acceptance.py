@@ -1,16 +1,21 @@
 """Acceptance gate: the eleven numbered checks from :mod:`cqic.verify`.
 
-Each test runs one criterion end to end, echoes its PASS/FAIL line (visible
-with ``pytest -s`` and in failure reports), and asserts both the verdict and
+Each test runs one criterion end to end under the stock tolerance table,
+as ``cqic verify`` does, echoes its PASS/FAIL line (visible with
+``pytest -s`` and in failure reports), and asserts both the verdict and
 the runtime budget the criterion is specified under.  Nothing here relaxes a
 tolerance: a criterion that does not hold at desk scale fails loudly.
 """
 
+import os
+
 from cqic import verify
+from cqic.config import DEFAULT_TOL, active_tolerances
 
 
 def _run(cid, budget_s=None, **kwargs):
-    result = verify.CRITERIA[cid](**kwargs)
+    with verify.stock_tolerances():
+        result = verify.CRITERIA[cid](**kwargs)
     print(result.line())
     assert result.passed, result.details
     if budget_s is not None:
@@ -61,3 +66,11 @@ def test_criterion_10_simulation_sanity():
 
 def test_criterion_11_cli_determinism():
     _run(11)
+
+
+def test_criteria_ignore_tolerance_override(monkeypatch):
+    monkeypatch.setenv("CQRL_TOL", "1e-3")
+    assert active_tolerances() != DEFAULT_TOL
+    with verify.stock_tolerances():
+        assert active_tolerances() is DEFAULT_TOL
+    assert os.environ["CQRL_TOL"] == "1e-3"

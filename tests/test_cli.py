@@ -7,6 +7,8 @@ import pytest
 
 from cqic.channels import build_ex2, example_capacities, gamma_state
 from cqic.cli import main
+from cqic.errors import (BudgetExceeded, ConfigMismatch, DimOverflow,
+                         DomainError, NumericalFailure, ParseError, TooLarge)
 from cqic.mcsim import SimResult
 from cqic.regions import Thm1Config, thm2_config_from_thm1
 from cqic.states import binary_entropy, fact1_f
@@ -292,6 +294,18 @@ class TestRegion:
                      "--config", str(cfg), "--rates", "0,0,0",
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_empty_factor_exits_3(self, tmp_path, capsys):
+        ch, _ = self._channel_file(tmp_path)
+        good = np.full((2, 2, 2), 1 / 8).tolist()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fields": [2, 2, 2],
+                                   "factors": [[[[]]], good, good]}))
+        assert main(["region", "--theorem", "thm2", "--channel", ch,
+                     "--config", str(cfg), "--rates", "0,0,0",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_rates_exit_2(self, tmp_path):
         ch, _ = self._channel_file(tmp_path)
         assert main(["region", "--theorem", "thm1", "--channel", ch,
@@ -451,12 +465,74 @@ class TestManifest:
         for path in man["outputs"]:
             assert (tmp_path / path.split("/")[-1]).exists()
 
+    @staticmethod
+    def _argv(command, tmp_path):
+        spec = build_ex2(PHI, 0.1, 0.1, 0.5)
+        chan = tmp_path / "ch.json"
+        chan.write_text(json.dumps(spec.to_json_dict()))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "field_size": 2, "p_x1": [0.5, 0.5], "p_u2": [0.5, 0.5],
+            "p_u3": [0.5, 0.5], "f2": [0, 1], "f3": [0, 1]}))
+        return {
+            "info": ["info", _rotation_channel(tmp_path / "rot.json"),
+                     _pmf(tmp_path / "pmf.json", [[[0.5]], [[0.5]]]),
+                     "--query", "I(X1;Y1)"],
+            "example": ["example", "ex2", "--tau", "0.1"],
+            "region": ["region", "--theorem", "thm1", "--channel", str(chan),
+                       "--config", str(cfg), "--rates", "0.01,0.01,0.01"],
+            "scan": ["scan", "--example", "ex2", "--r2", "0.1",
+                     "--denominator", "4"],
+            "sim": TestSim.ARGS,
+            "tiltlab": ["tiltlab", "--cases", "2", "--sizes", "2",
+                        "--seed", "3"],
+            "verify": ["verify", "--criteria", "5"],
+        }[command]
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("info", ["info.json"]), ("example", ["example.json"]),
+        ("region", ["region.json"]), ("scan", ["scan.csv", "scan.json"]),
+        ("sim", ["sim.csv", "sim.json"]), ("tiltlab", ["tiltlab.json"]),
+        ("verify", ["verify.json"])])
+    def test_each_command_lists_its_outputs(self, command, outputs, tmp_path,
+                                            capsys):
+        out = tmp_path / "o"
+        assert main(self._argv(command, tmp_path) + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        man = json.loads((out / "manifest.json").read_text())
+        assert set(man) == {"command", "params", "seed", "tool_version",
+                            "started_utc", "wall_clock_s", "outputs"}
+        assert man["command"] == man["params"]["command"] == command
+        # in write order
+        assert man["outputs"] == [str(out / name) for name in outputs]
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(outputs + ["manifest.json"])
+        assert not [k for k in man["params"] if k.startswith("_")]
+
     def test_sim_manifest_records_seed(self, tmp_path, capsys):
         main(TestSim.ARGS + ["--out", str(tmp_path)])
         capsys.readouterr()
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["seed"] == 7
         assert man["params"]["message_dims"] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ParseError, 2), (BudgetExceeded, 4), (TooLarge, 4), (DimOverflow, 4),
+    (NumericalFailure, 5), (DomainError, 3), (ConfigMismatch, 3),
+    (OSError, 2)])
+def test_errors_map_to_exit_codes(exc, code, tmp_path, capsys, monkeypatch):
+    from cqic import cli
+
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_example", fail)
+    assert main(["example", "ex2", "--out", str(tmp_path)]) == code
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err == "error: boom\n"
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_no_subcommand_exits_2():

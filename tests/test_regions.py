@@ -350,6 +350,13 @@ class TestThm2:
             thm2_feasible(ex2(), Thm2Config((2, 2, 2), (good, bad, good)),
                           (0, 0, 0))
 
+    def test_empty_factor_rejected(self):
+        good = np.full((2, 2, 2), 1 / 8)
+        with pytest.raises(ConfigMismatch, match="no entries"):
+            thm2_feasible(ex2(), Thm2Config((2, 2, 2),
+                                            (np.zeros((1, 1, 0)), good, good)),
+                          (0, 0, 0))
+
 
 class TestThm3:
     def test_trivial_collapse_matches_unstructured(self):
@@ -436,6 +443,15 @@ class TestThm3:
         assert rep.feasible
         rep = thm3_feasible(spec, cfg, (caps.c1_free + 1e-3, 0.0, 0.0))
         assert not rep.feasible
+
+    def test_empty_factor_rejected(self):
+        # a zero V axis passes every shape check
+        quiet = np.zeros((1, 1, 1, 1, 2))
+        quiet[..., 0] = 1.0
+        empty = np.zeros((0, 1, 1, 1, 2))
+        with pytest.raises(ConfigMismatch, match="no entries"):
+            thm3_feasible(ex2(), Thm3Config((2, 2, 2), (empty, quiet, quiet)),
+                          (0, 0, 0))
 
 
 NON_FINITE_RATES = [(0.1, math.nan, 0.1), (math.nan, 0.1, 0.1),

@@ -52,6 +52,19 @@ class TestScalars:
         with pytest.raises(DomainError):
             binary_entropy(-0.1)
 
+    def test_binary_entropy_nan(self):
+        with pytest.raises(DomainError):
+            binary_entropy(math.nan)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_convolve_nan(self, p, q):
+        with pytest.raises(DomainError):
+            binary_convolve(p, q)
+
+    def test_fact1_f_nan(self):
+        with pytest.raises(DomainError):
+            fact1_f(math.nan, 1.0)
+
     def test_convolve_identity(self):
         assert binary_convolve(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
 

@@ -276,3 +276,9 @@ class TestTinySrm:
             tiny_srm([rho, rho], [0.9, 0.3])
         with pytest.raises(DomainError):
             tiny_srm([rho] * 17, [1 / 17.0] * 17)
+
+    @pytest.mark.parametrize("priors", [(math.nan, 1.0), (0.5, math.nan)])
+    def test_nan_prior(self, priors):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(DomainError, match="priors"):
+            tiny_srm([rho, rho], priors)
