@@ -9,7 +9,8 @@ from .channels import (Capacities, ChannelSpec, CostVector, build_ex1,
                        example_capacities, gamma_state,
                        interference_free_family, or_recovery_check,
                        sigma_state, user_capacity_cost)
-from .config import DEFAULT_TOL, Tolerances, active_tolerances
+from .config import (DEFAULT_TOL, Tolerances, active_tolerances,
+                     tolerance_scope)
 from .gfcoset import (CodePair, NestedCosetCode, enumerate_coset,
                       random_code_pair, random_nested_code, sum_code)
 from .layered import source_divergence_pair
@@ -37,7 +38,7 @@ from .tiltlab import (TiltSpace, TiltedState, closeness, closeness_chain,
 from .verify import CriterionResult, run_criteria
 
 __all__ = [
-    "DEFAULT_TOL", "Tolerances", "active_tolerances",
+    "DEFAULT_TOL", "Tolerances", "active_tolerances", "tolerance_scope",
     "eig_hermitian", "eigvals_hermitian", "tensor", "partial_trace",
     "trace_norm", "operator_norm",
     "DensityOperator", "Pmf", "CqState", "EntropyQuery",

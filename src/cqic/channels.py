@@ -56,8 +56,8 @@ class CostVector:
 
     def __post_init__(self):
         for t in (self.tau1, self.tau2, self.tau3):
-            if t < 0:
-                raise DomainError(f"negative cost budget {t}")
+            if not t >= 0:  # a NaN fails too; inf means unconstrained
+                raise DomainError(f"cost budget {t} is not at least 0")
 
     def as_tuple(self):
         return (self.tau1, self.tau2, self.tau3)
@@ -83,8 +83,8 @@ class ChannelSpec:
         for j, c in enumerate(self.costs):
             if c.shape != (self.input_sizes[j],):
                 raise DomainError(f"cost table {j} has wrong length")
-            if c.min() < 0:
-                raise DomainError("costs must be nonnegative")
+            if not (np.isfinite(c).all() and c.min() >= 0):
+                raise DomainError("costs must be finite and nonnegative")
         total_dim = int(np.prod(self.output_dims))
         mats = []
         for x in np.ndindex(*self.input_sizes):

@@ -16,18 +16,23 @@ configuration mismatch, 4 budget overflow, 5 verification failure.
 
 Orchestration is single-threaded; ``--threads`` only parallelizes
 blocks of simulation trials (results do not depend on it).  The ``CQRL_TOL``
-environment variable overrides the 1e-9 tolerance family for library
-calls; the verification battery ignores it.
+environment variable, a finite number above 0, sets the 1e-9 tolerance
+family: :func:`main` reads it once per run and runs the command in that
+:func:`~cqic.config.tolerance_scope` (inside a caller's scope it reads
+nothing).  Library callers use the scope; the verification battery always
+runs on the stock table.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -41,7 +46,7 @@ from .channels import (ChannelSpec, build_ex1, build_ex2, build_ex3,
                        classical_equivalent, condition_eq1,
                        coset_sufficiency_threshold, example_capacities,
                        gamma_state)
-from .config import ENUMERATION_CAP
+from .config import ENUMERATION_CAP, in_tolerance_scope, tolerance_scope
 from .errors import (BudgetExceeded, ConfigMismatch, CqicError, DimOverflow,
                      NumericalFailure, ParseError, TooLarge)
 from .mcsim import SimConfig, run_ex1_sim
@@ -91,6 +96,21 @@ def _criteria_list(text: str):
         raise ParseError(f"criteria are numbered {min(verify.CRITERIA)}.."
                          f"{max(verify.CRITERIA)}, got {text!r}")
     return ids
+
+
+def _tolerance_family() -> float | None:
+    """The run's one read of ``CQRL_TOL``: None when it is unset."""
+    raw = os.environ.get("CQRL_TOL")
+    if raw is None:
+        return None
+    try:
+        family = float(raw)
+    except ValueError:
+        family = math.nan
+    if not (math.isfinite(family) and family > 0.0):
+        raise ParseError(f"CQRL_TOL must be a finite number above 0, "
+                         f"got {raw!r}")
+    return family
 
 
 def _load_json(path: str):
@@ -635,11 +655,13 @@ _EXIT_CODES = ((ParseError, 2), ((BudgetExceeded, TooLarge, DimOverflow), 4),
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        args._t0 = perf_counter()
-        args._started = datetime.now(timezone.utc).isoformat()
-        # looked up per call, so that the parser, built once, pins no
-        # command function
-        return int(globals()[f"cmd_{args.command}"](args))
+        with (contextlib.nullcontext() if in_tolerance_scope()
+              else tolerance_scope(_tolerance_family())):
+            args._t0 = perf_counter()
+            args._started = datetime.now(timezone.utc).isoformat()
+            # looked up per call, so that the parser, built once, pins no
+            # command function
+            return int(globals()[f"cmd_{args.command}"](args))
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
     except (CqicError, OSError) as exc:

@@ -1,13 +1,19 @@
 """Numeric tolerances and global budget caps, in one place.
 
-Everything downstream reads tolerances from a single record so that a
-change (or the ``CQRL_TOL`` override) propagates consistently.
+Everything downstream reads one tolerance record, which
+:func:`tolerance_scope` sets for a block in its own context only (other
+threads keep theirs).  Library callers use the scope; the CLI reads
+``CQRL_TOL`` once per run; the battery always runs on the stock table.
 """
 
 from __future__ import annotations
 
-import os
+import contextlib
+import contextvars
+import math
 from dataclasses import dataclass
+
+from .errors import DomainError
 
 #: hard cap on coset / grid enumerations (number of points)
 ENUMERATION_CAP = 1 << 20
@@ -41,18 +47,29 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+_SCOPED = contextvars.ContextVar("cqic_tolerances")  # unset outside scopes
+
 
 def active_tolerances() -> Tolerances:
-    """Tolerances in effect for library calls.
+    """The table of this context's innermost scope, else DEFAULT_TOL."""
+    return _SCOPED.get(DEFAULT_TOL)
 
-    The ``CQRL_TOL`` environment variable overrides the whole 1e-9
-    family at once (eig_floor and the LP residual are structural and
-    stay put).  Verification runs construct :data:`DEFAULT_TOL`
-    directly and ignore the override.
-    """
-    raw = os.environ.get("CQRL_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    v = float(raw)
-    return Tolerances(herm=v, psd=v, trace=v, prob=v, info=v, rate=v,
-                      commute=v)
+
+def in_tolerance_scope() -> bool:
+    """Whether a :func:`tolerance_scope` is in effect in this context."""
+    return _SCOPED.get(None) is not None
+
+
+@contextlib.contextmanager
+def tolerance_scope(family: float | None = None):
+    """Run a block on one table: ``family`` (finite, above 0) sets the 1e-9
+    family, not eig_floor or lp_residual; ``None`` means DEFAULT_TOL."""
+    if family is not None and not (math.isfinite(family) and family > 0.0):
+        raise DomainError(f"tolerance {family} must be finite and above 0")
+    token = _SCOPED.set(DEFAULT_TOL if family is None else Tolerances(
+        herm=family, psd=family, trace=family, prob=family, info=family,
+        rate=family, commute=family))
+    try:
+        yield
+    finally:
+        _SCOPED.reset(token)

@@ -343,14 +343,13 @@ _SYSTEMS_MAX = 8
 
 
 def _cached_system(channel, cfg, theorem, drop_dont_care):
-    """The config's layered system, built once per content: the key
-    holds, as exact bytes, all the build reads.  A config that fails
-    validation raises before anything is stored."""
-    arrays = [np.array([*vars(active_tolerances()).values()])]
-    arrays += [channel.reduced_table(j) for j in range(3)]
+    """The config's layered system, built once per content: the key holds
+    all the build reads (the tolerance record, the rest as exact bytes).
+    A config that fails validation raises before anything is stored."""
+    arrays = [channel.reduced_table(j) for j in range(3)]
     arrays += [np.asarray(raw, dtype=float) for raw in cfg.factors]
-    key = (theorem, bool(drop_dont_care), channel.input_sizes,
-           tuple(int(f) for f in cfg.fields),
+    key = (active_tolerances(), theorem, bool(drop_dont_care),
+           channel.input_sizes, tuple(int(f) for f in cfg.fields),
            tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays))
     with _SYSTEMS_LOCK:
         system = _SYSTEMS.pop(key, None)

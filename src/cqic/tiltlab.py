@@ -290,6 +290,15 @@ def _hermitian_or_raise(mat, what: str) -> np.ndarray:
     return arr
 
 
+def _support_root(mat, floor: float):
+    """Support mask, pinv square root and support projector of PSD ``mat``."""
+    w, v = eig_hermitian(mat)
+    support = w > floor
+    inv_sqrt = (v[:, support] / np.sqrt(w[support])) @ v[:, support].conj().T
+    proj = v[:, support] @ v[:, support].conj().T
+    return support, inv_sqrt, proj
+
+
 def hayashi_nagaoka_check(s_op, t_op) -> bool:
     """Verify Π − M S M ≼ 2(I−S) + 4T with M the pinv square root of S+T.
 
@@ -309,10 +318,7 @@ def hayashi_nagaoka_check(s_op, t_op) -> bool:
     if float(tw.min()) < -tol.psd:
         raise InvalidOperands("T must be positive semidefinite")
 
-    w, v = eig_hermitian(s + t)
-    support = w > tol.eig_floor
-    inv_sqrt = (v[:, support] / np.sqrt(w[support])) @ v[:, support].conj().T
-    proj = v[:, support] @ v[:, support].conj().T
+    _, inv_sqrt, proj = _support_root(s + t, tol.eig_floor)
     lhs = proj - inv_sqrt @ s @ inv_sqrt
     eye = np.eye(s.shape[0])
     diff = 2.0 * (eye - s) + 4.0 * t - lhs
@@ -374,12 +380,9 @@ def tiny_srm(states, priors):
         raise DomainError("priors must be a probability vector")
 
     theta = sum(pi * d.mat for pi, d in zip(p, dens))
-    w, v = eig_hermitian(theta)
-    support = w > tol.eig_floor
+    support, inv_sqrt, proj = _support_root(theta, tol.eig_floor)
     if not support.any():
         raise DegenerateEnsemble("ensemble average has rank zero")
-    inv_sqrt = (v[:, support] / np.sqrt(w[support])) @ v[:, support].conj().T
-    proj = v[:, support] @ v[:, support].conj().T
     povm = [inv_sqrt @ (pi * d.mat) @ inv_sqrt for pi, d in zip(p, dens)]
     if operator_norm(sum(povm) - proj) > tol.info:
         raise NumericalFailure("square-root measurement is not complete")

@@ -8,9 +8,9 @@ with a verdict, its runtime and a one-line summary of what was
 measured; nothing is asserted here so a caller can render the whole
 table even when a criterion fails.
 
-The battery always judges against the stock tolerance table: the
-``CQRL_TOL`` override is removed for the duration of a run and restored
-afterwards.
+The battery always runs on the stock tolerance table: :func:`run_criteria`
+enters the stock :func:`~cqic.config.tolerance_scope`, whatever scope its
+caller set or ``CQRL_TOL`` value the CLI read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import io
 import math
-import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ import numpy as np
 from .channels import (build_ex2, build_ex3, condition_eq1,
                        example_capacities, gamma_state, or_recovery_check,
                        user_capacity_cost)
+from .config import tolerance_scope
 from .errors import DomainError
 from .mcsim import SimConfig, run_ex1_sim, soft_covering_tv
 from .regions import (Thm1Config, UnstructuredConfig, max_r1_scan,
@@ -64,17 +64,6 @@ class CriterionResult:
         return {"criterion": self.cid, "title": self.title,
                 "passed": self.passed, "seconds": round(self.seconds, 3),
                 "details": self.details}
-
-
-@contextlib.contextmanager
-def stock_tolerances():
-    """Suspend the CQRL_TOL override for the duration of a check."""
-    saved = os.environ.pop("CQRL_TOL", None)
-    try:
-        yield
-    finally:
-        if saved is not None:
-            os.environ["CQRL_TOL"] = saved
 
 
 def _result(cid, title, t0, passed, details) -> CriterionResult:
@@ -428,17 +417,15 @@ CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
 
 def run_criteria(ids=None, threads: int = 1) -> list[CriterionResult]:
     """Run the requested checks (all eleven by default) in order."""
-    if ids is None:
-        ids = sorted(CRITERIA)
-    results = []
-    with stock_tolerances():
-        for cid in ids:
-            cid = int(cid)
-            if cid not in CRITERIA:
-                raise DomainError(f"no criterion numbered {cid}")
-            fn = CRITERIA[cid]
-            results.append(fn(threads) if cid == 10 else fn())
-    return results
+    ids = sorted(CRITERIA) if ids is None else [int(cid) for cid in ids]
+    for cid in ids:
+        if cid not in CRITERIA:
+            raise DomainError(f"no criterion numbered {cid}")
+    if 10 in ids and threads < 1:  # before any criterion runs
+        raise DomainError("threads must be at least 1")
+    with tolerance_scope():
+        return [CRITERIA[cid](threads) if cid == 10 else CRITERIA[cid]()
+                for cid in ids]
 
 
 def format_table(results) -> str:

@@ -70,6 +70,24 @@ class TestBuilders:
             assert np.abs(back.states[x] - spec.states[x]).max() < 1e-12
         assert back.budget.as_tuple() == spec.budget.as_tuple()
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("budget", 0, float("nan")), ("costs", 0, float("nan")),
+        ("costs", 0, float("inf"))])
+    def test_json_non_finite_cost_or_budget_rejected(self, field, index,
+                                                     value):
+        doc = build_ex2(1.1, 0.1, 0.2, 0.25).to_json_dict()
+        if field == "budget":
+            doc["budget"][index] = value
+        else:
+            doc["costs"][index][1] = value
+        with pytest.raises(DomainError):
+            ChannelSpec.from_json_dict(doc)
+
+    def test_json_infinite_budget_means_unconstrained(self):
+        doc = build_ex2(1.1, 0.1, 0.2, 0.25).to_json_dict()
+        doc["budget"][0] = float("inf")
+        assert ChannelSpec.from_json_dict(doc).budget.tau1 == float("inf")
+
 
 class TestClassicalEquivalent:
     def test_ex1_round_trip(self):

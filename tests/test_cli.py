@@ -7,6 +7,7 @@ import pytest
 
 from cqic.channels import build_ex2, example_capacities, gamma_state
 from cqic.cli import main
+from cqic.config import DEFAULT_TOL, active_tolerances
 from cqic.errors import (BudgetExceeded, ConfigMismatch, DimOverflow,
                          DomainError, NumericalFailure, ParseError, TooLarge)
 from cqic.mcsim import SimResult
@@ -374,6 +375,17 @@ class TestScan:
         assert main(["scan", "--example", "ex2", "--r2", r2,
                      "--denominator", "4", "--out", str(tmp_path / "o")]) == 3
 
+    def test_nan_budget_channel_exits_3(self, tmp_path, capsys):
+        doc = build_ex2(PHI, 0.1, 0.1, 0.5).to_json_dict()
+        doc["budget"][0] = float("nan")  # Python's json writes NaN
+        ch = tmp_path / "ch.json"
+        ch.write_text(json.dumps(doc))
+        assert main(["scan", "--channel", str(ch), "--r2", "0.1",
+                     "--evaluator", "thm1", "--denominator", "8",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("error: cost budget nan")
+        assert not (tmp_path / "o").exists()
+
     def test_needs_channel_or_example(self, tmp_path):
         assert main(["scan", "--r2", "0.2",
                      "--out", str(tmp_path / "o")]) == 2
@@ -446,6 +458,19 @@ class TestVerify:
         doc = json.loads((tmp_path / "verify.json").read_text())
         assert doc["results"][0]["passed"] is True
 
+    def test_zero_threads_exit_3_before_any_criterion(self, tmp_path,
+                                                      capsys, monkeypatch):
+        from cqic import verify
+
+        called = []
+        monkeypatch.setitem(verify.CRITERIA, 1, lambda: called.append(1))
+        assert main(["verify", "--threads", "0",
+                     "--out", str(tmp_path)]) == 3
+        assert called == []
+        assert capsys.readouterr().err == \
+            "error: threads must be at least 1\n"
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_bad_criteria_exit_2(self, tmp_path):
         assert main(["verify", "--criteria", "0,5",
                      "--out", str(tmp_path)]) == 2
@@ -515,6 +540,92 @@ class TestManifest:
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["seed"] == 7
         assert man["params"]["message_dims"] == [2, 2, 2]
+
+
+class TestToleranceVariable:
+    """``CQRL_TOL`` is read once per run and holds for that run only."""
+
+    @staticmethod
+    def _spy(monkeypatch, command):
+        from cqic import cli
+
+        seen = []
+        run = getattr(cli, command)
+
+        def spy(args):
+            seen.append(active_tolerances())
+            return run(args)
+
+        monkeypatch.setattr(cli, command, spy)
+        return seen
+
+    @pytest.mark.parametrize("raw", ["abc", "", "nan", "-1", "0", "inf"])
+    def test_malformed_value_exits_2(self, raw, tmp_path, capsys,
+                                     monkeypatch):
+        monkeypatch.setenv("CQRL_TOL", raw)
+        seen = self._spy(monkeypatch, "cmd_example")
+        assert main(["example", "ex2", "--out", str(tmp_path)]) == 2
+        std = capsys.readouterr()
+        assert std.out == "" and seen == []
+        assert std.err.startswith("error: CQRL_TOL ")
+        assert std.err.count("\n") == 1
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_leading_space_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CQRL_TOL", " 1e-3")
+        seen = self._spy(monkeypatch, "cmd_example")
+        assert main(["example", "ex2", "--out", str(tmp_path)]) == 0
+        assert [tol.rate for tol in seen] == [1e-3]
+        assert seen[0].eig_floor == DEFAULT_TOL.eig_floor
+
+    def test_override_reaches_a_region_run(self, tmp_path, capsys,
+                                           monkeypatch):
+        spec = build_ex2(PHI, 0.1, 0.1, 0.5)
+        ch = tmp_path / "ch.json"
+        ch.write_text(json.dumps(spec.to_json_dict()))
+        t2 = thm2_config_from_thm1(spec, Thm1Config(
+            2, (0.5, 0.5), (0.5, 0.5), (0.5, 0.5), (0, 1), (0, 1)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "fields": list(t2.fields),
+            "factors": [np.asarray(f).tolist() for f in t2.factors]}))
+        argv = ["region", "--theorem", "thm2", "--channel", str(ch),
+                "--config", str(cfg), "--rates", "0.01,0.01,0.01"]
+        records = {}
+        for raw in (None, "1e-3"):
+            if raw is not None:
+                monkeypatch.setenv("CQRL_TOL", raw)
+            rc, doc = _run_json(capsys, argv + ["--out",
+                                                str(tmp_path / str(raw))])
+            assert rc == 0 and doc["report"]["feasible"] is True
+            records[raw] = {r["label"]: r for r in doc["report"]["records"]}
+        stock, loose = records[None], records["1e-3"]
+        assert stock.keys() == loose.keys()
+        assert [r["rhs"] for r in stock.values()] == \
+            [r["rhs"] for r in loose.values()]
+        # the witness sits the rate tolerance inside the strict rows
+        first = "thm2.src.j=1.A={}+K"
+        assert stock[first]["lhs"] == pytest.approx(DEFAULT_TOL.rate)
+        assert loose[first]["lhs"] == pytest.approx(1e-3)
+
+    def test_no_leak_after_main(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CQRL_TOL", "1e-3")
+        seen = self._spy(monkeypatch, "cmd_example")
+        assert main(["example", "ex2", "--out", str(tmp_path / "a")]) == 0
+        assert main(["example", "ex2", "--tau", "0.9",
+                     "--out", str(tmp_path / "b")]) == 3
+        assert [tol.rate for tol in seen] == [1e-3, 1e-3]
+        assert active_tolerances() is DEFAULT_TOL
+
+    def test_criterion_11_runs_on_the_stock_table(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("CQRL_TOL", "1e-3")
+        seen = self._spy(monkeypatch, "cmd_sim")
+        assert main(["verify", "--criteria", "11",
+                     "--out", str(tmp_path)]) == 0
+        assert len(seen) == 3
+        assert all(tol is DEFAULT_TOL for tol in seen)
+        assert active_tolerances() is DEFAULT_TOL
 
 
 @pytest.mark.parametrize("exc, code", [

@@ -13,6 +13,7 @@ from cqic import regions as rg
 from cqic.channels import (ChannelSpec, build_ex1, build_ex2,
                            condition_eq1, example_capacities, gamma_state,
                            sigma_state)
+from cqic.config import tolerance_scope
 from cqic.errors import (BudgetExceeded, ConfigMismatch, DomainError, Not3to1,
                          NotPrime, Unsupported)
 from cqic.layered import source_divergence_pair
@@ -660,15 +661,15 @@ class TestLayeredCache:
         assert not check(spec, cfg, (0.1, 0.0, 0.0)).feasible
         assert len(count_builds) == 2
 
-    def test_tolerance_change_rebuilds(self, count_builds, monkeypatch):
+    def test_tolerance_change_rebuilds(self, count_builds):
         spec, cfg, check = layered_case(3)
         loose = check(spec, cfg, (0.1, 0.0, 0.0))
-        monkeypatch.setenv("CQRL_TOL", "1e-3")
-        tight = check(spec, cfg, (0.1, 0.0, 0.0))
-        assert len(count_builds) == 2
-        assert tight.records != loose.records
-        layered._SYSTEMS.clear()
-        assert check(spec, cfg, (0.1, 0.0, 0.0)) == tight
+        with tolerance_scope(1e-3):
+            tight = check(spec, cfg, (0.1, 0.0, 0.0))
+            assert len(count_builds) == 2
+            assert tight.records != loose.records
+            layered._SYSTEMS.clear()
+            assert check(spec, cfg, (0.1, 0.0, 0.0)) == tight
 
     def test_size_stays_bounded(self, count_builds):
         spec = ex2(1 / 32)
