@@ -210,7 +210,7 @@ class NonCommuting:
     witness: tuple  # (receiver, x, x')
 
 
-def _simultaneous_eigenbasis(mats, gap=1e-8):
+def _simultaneous_eigenbasis(mats):
     """Common eigenbasis of a commuting Hermitian family (recursive split)."""
     d = mats[0].shape[0]
     blocks = [np.eye(d, dtype=complex)]
@@ -223,7 +223,7 @@ def _simultaneous_eigenbasis(mats, gap=1e-8):
             w, v = eig_hermitian(b.conj().T @ m @ b)
             start = 0
             for i in range(1, len(w) + 1):
-                if i == len(w) or w[start] - w[i] > gap:
+                if i == len(w) or w[start] - w[i] > 1e-8:
                     refined.append(b @ v[:, start:i])
                     start = i
         blocks = refined
@@ -294,15 +294,15 @@ def interference_free_family(spec: ChannelSpec, j: int,
 
 #: the golden-section ratio 1/phi
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+#: the step of a capacity search's grid over p(1)
+_GRID = 1e-3
 
 
-def _search_family(spec: ChannelSpec, j: int, tau, grid, others):
+def _search_family(spec: ChannelSpec, j: int, tau, others):
     """Check one capacity search; returns its family ``(rho0, rho1, h0,
     h1)`` and its grid over p(1) in [0, upper]."""
     if spec.input_sizes[j] != 2:
         raise Unsupported("capacity scan implemented for binary inputs only")
-    if grid <= 0:
-        raise DomainError("grid resolution must be positive")
     c0, c1 = spec.costs[j]
     upper = 0.5
     if tau is not None:
@@ -312,7 +312,7 @@ def _search_family(spec: ChannelSpec, j: int, tau, grid, others):
             upper = min(0.5, (tau - c0) / (c1 - c0))
     rho0, rho1 = interference_free_family(spec, j, others)
     h0, h1 = von_neumann_entropies(np.array([rho0, rho1])).tolist()
-    npts = max(2, int(np.ceil(upper / grid)) + 1)
+    npts = max(2, int(np.ceil(upper / _GRID)) + 1)
     return (rho0, rho1, h0, h1), np.linspace(0.0, upper, npts)
 
 
@@ -354,8 +354,7 @@ def _golden(a, b):
     return (f1, x1), (f2, x2)
 
 
-def _capacity_searches(spec: ChannelSpec, jobs, grid: float = 1e-3,
-                       others: str = "zero_cost"):
+def _capacity_searches(spec: ChannelSpec, jobs, others: str = "zero_cost"):
     """:func:`user_capacity_cost` of each ``(j, tau)`` in ``jobs``.
 
     Every search is checked first, in order.  The grids are then
@@ -363,7 +362,7 @@ def _capacity_searches(spec: ChannelSpec, jobs, grid: float = 1e-3,
     step: each step evaluates the new point of every unfinished search
     as one stack.  Each value is bit for bit the one-search value.
     """
-    fams, grids = zip(*(_search_family(spec, j, tau, grid, others)
+    fams, grids = zip(*(_search_family(spec, j, tau, others)
                         for j, tau in jobs))
     # each grid, then its two end points again as separate candidates
     vals = _binary_infos(fams, [np.concatenate([ps, ps[[-1, 0]]])
@@ -391,15 +390,14 @@ def _capacity_searches(spec: ChannelSpec, jobs, grid: float = 1e-3,
 
 
 def user_capacity_cost(spec: ChannelSpec, j: int, tau: float | None,
-                       grid: float = 1e-3,
                        others: str = "zero_cost") -> tuple[float, Pmf]:
     """Cost-constrained single-user capacity over p(1) in [0, 1/2].
 
-    Grid scan at the given resolution followed by golden-section
-    refinement to 1e-9; ``tau=None`` drops the cost constraint.
-    Only binary-input users are supported.
+    Grid scan in steps of 1e-3 followed by golden-section refinement to
+    1e-9; ``tau=None`` drops the cost constraint.  Only binary-input
+    users are supported.
     """
-    return _capacity_searches(spec, [(j, tau)], grid, others)[0]
+    return _capacity_searches(spec, [(j, tau)], others)[0]
 
 
 @dataclass(frozen=True)

@@ -367,7 +367,7 @@ def cmd_example(args) -> int:
 def _region_config(theorem: str, raw: dict):
     try:
         if theorem == "thm1":
-            return Thm1Config(int(raw["field_size"]), tuple(raw["p_x1"]),
+            return Thm1Config(raw["field_size"], tuple(raw["p_x1"]),
                               tuple(raw["p_u2"]), tuple(raw["p_u3"]),
                               tuple(raw["f2"]), tuple(raw["f3"]))
         if theorem == "unstructured":
@@ -375,7 +375,7 @@ def _region_config(theorem: str, raw: dict):
                                       np.asarray(raw["p_u2x2"], float),
                                       np.asarray(raw["p_u3x3"], float))
         factors = tuple(np.asarray(f, float) for f in raw["factors"])
-        fields = tuple(int(v) for v in raw["fields"])
+        fields = tuple(raw["fields"])
         cls = Thm2Config if theorem == "thm2" else Thm3Config
         return cls(fields, factors)
     except KeyError as exc:

@@ -31,13 +31,25 @@ from .states import cq_entropies, receiver_layout, shannon_entropy
 _OTHERS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
-def _normalized_blocks(channel: ChannelSpec, cfg, with_v: bool):
-    tol = active_tolerances()
-    fields = tuple(int(f) for f in cfg.fields)
+def _integer(x, what, error=ConfigMismatch) -> int:
+    """``x`` as an int: it must be an integer or a float of integral value."""
+    if (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, (float, np.floating)) and float(x).is_integer()):
+        return int(x)
+    raise error(f"{what} must be an integer, got {x!r}")
+
+
+def _fields(cfg):
+    """The config's three sum fields, checked."""
+    fields = tuple(_integer(f, "sum field") for f in cfg.fields)
     if len(fields) != 3:
         raise ConfigMismatch("need one sum field per receiver")
-    for f in fields:
-        _check_modulus(f)
+    return tuple(map(_check_modulus, fields))
+
+
+def _normalized_blocks(channel: ChannelSpec, cfg, with_v: bool):
+    tol = active_tolerances()
+    fields = _fields(cfg)
     if len(cfg.factors) != 3:
         raise ConfigMismatch("need one factor pmf per user")
     blocks = []
@@ -349,7 +361,7 @@ def _cached_system(channel, cfg, theorem, drop_dont_care):
     arrays = [channel.reduced_table(j) for j in range(3)]
     arrays += [np.asarray(raw, dtype=float) for raw in cfg.factors]
     key = (active_tolerances(), theorem, bool(drop_dont_care),
-           channel.input_sizes, tuple(int(f) for f in cfg.fields),
+           channel.input_sizes, _fields(cfg),
            tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays))
     with _SYSTEMS_LOCK:
         system = _SYSTEMS.pop(key, None)

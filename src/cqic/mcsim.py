@@ -207,15 +207,15 @@ def soft_covering_tv(n: int, k: int, modulus: int, p, rng_seed,
     return total / num_codes
 
 
-def wilson_interval(count: int, trials: int, z: float = _Z95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(count: int, trials: int):
+    """Wilson score interval (95 %) for a binomial proportion."""
     if trials < 1 or not 0 <= count <= trials:
         raise DomainError(f"bad count/trials pair ({count}, {trials})")
     phat = count / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials
-                                   + z * z / (4.0 * trials * trials))
+    denom = 1.0 + _Z95 * _Z95 / trials
+    center = (phat + _Z95 * _Z95 / (2.0 * trials)) / denom
+    half = (_Z95 / denom) * math.sqrt(phat * (1.0 - phat) / trials
+                                      + _Z95 * _Z95 / (4.0 * trials * trials))
     # the score interval contains phat mathematically; keep it so in floats
     return (max(0.0, min(center - half, phat)), min(1.0, max(center + half, phat)))
 

@@ -30,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec, CostVector
+from .channels import ChannelSpec
 from .config import ENUMERATION_CAP, active_tolerances
 from .direct import (_binary_user_grid, _grid_rows, _grid_size, _lattice_pmfs,
                      _map_tables, direct_bounds, grid_source)
 from .errors import (BudgetExceeded, ConfigMismatch, DomainError, Not3to1,
                      Unsupported)
 from .gfcoset import _check_modulus
-from .layered import _cached_system
+from .layered import _cached_system, _integer
 from .linalg import singular_values
 from .lp import feasible_point
 from .states import Pmf
@@ -68,12 +68,6 @@ class RateAllocation:
 
     rates: tuple
     parts: tuple  # ((name, value), ...) in declaration order
-
-    def value(self, name: str) -> float:
-        for n, v in self.parts:
-            if n == name:
-                return v
-        raise KeyError(name)
 
     def to_json_dict(self):
         return {"rates": list(self.rates), "parts": dict(self.parts)}
@@ -146,8 +140,7 @@ def _add(terms):
     return total
 
 
-def _direct_report(channel: ChannelSpec, rows, b, rates,
-                   budget: CostVector | None) -> RegionReport:
+def _direct_report(channel: ChannelSpec, rows, b, rates) -> RegionReport:
     """Evaluate a direct bound's rate rows plus one cost row per user."""
     tol = active_tolerances()
     records = []
@@ -159,10 +152,9 @@ def _direct_report(channel: ChannelSpec, rows, b, rates,
         ok = ok and slack >= tol.rate
         records.append(InequalityRecord(label, float(lhs), float(rhs),
                                         float(slack), "rate"))
-    budget = channel.budget if budget is None else budget
-    if budget is not None:
+    if channel.budget is not None:
         prefix = rows[0][0].split(".")[0]
-        for j, cap in enumerate(budget.as_tuple()):
+        for j, cap in enumerate(channel.budget.as_tuple()):
             spent = b[f"e{j + 1}"]
             slack = cap - spent
             ok = ok and slack >= -tol.prob
@@ -214,16 +206,15 @@ class Thm1Config:
 
 
 def _thm1_bounds(channel: ChannelSpec, cfg: Thm1Config):
-    v = int(cfg.field_size)
-    _check_modulus(v)
+    v = _check_modulus(_integer(cfg.field_size, "field_size"))
     sizes = channel.input_sizes
     px1, pu2, pu3 = Pmf(cfg.p_x1), Pmf(cfg.p_u2), Pmf(cfg.p_u3)
     if px1.size != sizes[0]:
         raise ConfigMismatch(f"p_x1 has {px1.size} atoms, user 1 input has {sizes[0]}")
     if pu2.size != v or pu3.size != v:
         raise ConfigMismatch("layer pmfs must live on the configured field")
-    f2 = tuple(int(x) for x in cfg.f2)
-    f3 = tuple(int(x) for x in cfg.f3)
+    f2 = tuple(_integer(x, "symbol map value") for x in cfg.f2)
+    f3 = tuple(_integer(x, "symbol map value") for x in cfg.f3)
     if len(f2) != v or len(f3) != v:
         raise ConfigMismatch("symbol maps must be defined on the whole field")
     if any(not 0 <= x < sizes[1] for x in f2) or any(not 0 <= x < sizes[2] for x in f3):
@@ -234,16 +225,15 @@ def _thm1_bounds(channel: ChannelSpec, cfg: Thm1Config):
     return {name: float(v[0, 0, 0]) for name, v in b.items()}
 
 
-def thm1_check(channel: ChannelSpec, cfg: Thm1Config, rates,
-               budget: CostVector | None = None) -> RegionReport:
+def thm1_check(channel: ChannelSpec, cfg: Thm1Config, rates) -> RegionReport:
     """Evaluate the single-layer sum-decoding inner bound at one config.
 
     Seven rate inequalities (strict, closed with the rate tolerance)
-    plus one closed cost constraint per user when a budget is present.
+    plus one closed cost constraint per user of ``channel.budget``.
     """
     rates = _rate_triple(rates)
     return _direct_report(channel, _THM1_ROWS, _thm1_bounds(channel, cfg),
-                          rates, budget)
+                          rates)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +286,7 @@ def _unstructured_bounds(channel: ChannelSpec, cfg: UnstructuredConfig):
 
 
 def unstructured_3to1_check(channel: ChannelSpec, cfg: UnstructuredConfig,
-                            rates, budget: CostVector | None = None
-                            ) -> RegionReport:
+                            rates) -> RegionReport:
     """Superposition-coding inner bound for 3-to-1 interference channels.
 
     Raises :class:`Not3to1` when receiver 2 or 3 sees any input other
@@ -306,7 +295,7 @@ def unstructured_3to1_check(channel: ChannelSpec, cfg: UnstructuredConfig,
     rates = _rate_triple(rates)
     channel.verdict(_require_3to1)
     return _direct_report(channel, _UNSTR_ROWS,
-                          _unstructured_bounds(channel, cfg), rates, budget)
+                          _unstructured_bounds(channel, cfg), rates)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +372,9 @@ def thm2_feasible(channel: ChannelSpec, cfg: Thm2Config, rates,
     Repeated calls on one config reuse its built system and re-solve
     only the LP: rates enter just the coupling rows.  The cache is keyed
     on content, so a factor changed in place is rebuilt.
+
+    No cost budget is applied: ``channel.budget`` is not read, so a
+    config whose input law breaks the budget can be reported feasible.
     """
     return _layered_feasible(channel, cfg, rates, 2, drop_dont_care)
 
@@ -397,21 +389,20 @@ def thm3_feasible(channel: ChannelSpec, cfg: Thm3Config, rates,
     the packing entropies.  Events consisting solely of non-message
     content (other than the bare interference sum) are excluded.
     Repeated calls on one config reuse its built system, as in
-    :func:`thm2_feasible`.
+    :func:`thm2_feasible`.  As there, no cost budget is applied.
     """
     return _layered_feasible(channel, cfg, rates, 3, drop_dont_care)
 
 
 def thm2_config_from_thm1(channel: ChannelSpec, cfg: Thm1Config) -> Thm2Config:
     """Embed a single-layer config: users 2/3 aim one layer at receiver 1."""
-    v = int(cfg.field_size)
+    v = _integer(cfg.field_size, "field_size")
     sizes = channel.input_sizes
-    p1 = np.asarray(cfg.p_x1, dtype=float).reshape((1, 1, sizes[0]))
-    factors = [p1]
+    factors = [np.asarray(cfg.p_x1, dtype=float).reshape((1, 1, sizes[0]))]
     for t, (pu, f) in ((1, (cfg.p_u2, cfg.f2)), (2, (cfg.p_u3, cfg.f3))):
         tab = np.zeros((v, 1, sizes[t]))
         for u in range(v):
-            tab[u, 0, int(f[u])] = float(pu[u])
+            tab[u, 0, _integer(f[u], "symbol map value")] = float(pu[u])
         factors.append(tab)
     return Thm2Config(fields=(v, 2, 2), factors=tuple(factors))
 
@@ -420,13 +411,11 @@ def thm3_config_from_unstructured(channel: ChannelSpec,
                                   cfg: UnstructuredConfig) -> Thm3Config:
     """Embed a superposition config: cloud layers become unstructured
     layers aimed at receiver 1; all coset layers are absent."""
-    sizes = channel.input_sizes
-    p1 = np.asarray(cfg.p_x1, dtype=float).reshape((1, 1, 1, 1, sizes[0]))
-    j2 = np.asarray(cfg.p_u2x2, dtype=float)
-    j3 = np.asarray(cfg.p_u3x3, dtype=float)
-    f2 = j2.reshape((j2.shape[0], 1, 1, 1, sizes[1]))
-    f3 = j3.reshape((j3.shape[0], 1, 1, 1, sizes[2]))
-    return Thm3Config(fields=(2, 2, 2), factors=(p1, f2, f3))
+    n1, n2, n3 = channel.input_sizes
+    return Thm3Config(fields=(2, 2, 2), factors=(
+        cfg.p_x1.reshape((1, 1, 1, 1, n1)),
+        cfg.p_u2x2.reshape((len(cfg.p_u2x2), 1, 1, 1, n2)),
+        cfg.p_u3x3.reshape((len(cfg.p_u3x3), 1, 1, 1, n3))))
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +435,6 @@ class ScanResult:
     best: object
     evaluations: int
     grid_value: float
-
-    def to_json_dict(self):
-        return {"r1_max": self.r1_max, "evaluations": self.evaluations,
-                "grid_value": self.grid_value}
-
 
 
 def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
@@ -475,9 +459,12 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     r2, r3 = float(r2), float(r3)
     if not all(math.isfinite(r) and r >= 0.0 for r in (r2, r3)):
         raise DomainError("fixed rates must be finite and nonnegative")
+    denominator = _integer(denominator, "denominator", DomainError)
+    u_sizes = tuple(_integer(u, "u_sizes entry", DomainError) for u in u_sizes)
+    field_size = _integer(field_size, "field_size", DomainError)
     if denominator < 1 or min(u_sizes) < 1:
         raise DomainError(f"denominator and u_sizes must be at least 1, got "
-                          f"{denominator} and {tuple(u_sizes)}")
+                          f"{denominator} and {u_sizes}")
     sizes = channel.input_sizes
     if evaluator not in ("unstructured", "thm1"):
         raise Unsupported(f"unknown scan evaluator {evaluator!r}")
@@ -489,11 +476,10 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
 
     if evaluator == "unstructured":
         rows = _UNSTR_ROWS
-        n2, n3 = int(u_sizes[0]), int(u_sizes[1])
+        n2, n3 = u_sizes[0], u_sizes[1]
     else:
         rows = _THM1_ROWS
-        n2 = n3 = int(field_size)
-        _check_modulus(n2)
+        n2 = n3 = _check_modulus(field_size)
     total = (_grid_size(1, sizes[0], denominator)
              * _grid_size(sizes[1], n2, denominator)
              * _grid_size(sizes[2], n3, denominator))
@@ -555,10 +541,9 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
 def _materialize(evaluator, channel, field_size, p1, c2, c3):
     """The config of user-1 pmf ``p1`` and user (pmf, map) pairs c2, c3."""
     if evaluator == "unstructured":
-        sizes = channel.input_sizes
         return UnstructuredConfig(np.array(p1, dtype=float),
-                                  _map_tables(c2[0], c2[1], sizes[1]),
-                                  _map_tables(c3[0], c3[1], sizes[2]))
+                                  _map_tables(*c2, channel.input_sizes[1]),
+                                  _map_tables(*c3, channel.input_sizes[2]))
     return Thm1Config(field_size, tuple(np.asarray(p1, dtype=float)),
                       tuple(c2[0]), tuple(c3[0]), tuple(map(int, c2[1])),
                       tuple(map(int, c3[1])))
@@ -571,21 +556,25 @@ def boundary_slice(feasible_fn, r2_values, r3: float = 0.0,
     ``feasible_fn`` takes a rate triple and must be monotone in R1
     (feasible below the boundary, infeasible above).  Returns a list of
     (r2, r1_boundary) rows; ``-inf`` marks rays that are infeasible
-    even at R1 = 0.  ``tol`` must be a finite value above 0.  A
-    predicate over :func:`thm2_feasible` or :func:`thm3_feasible` at
-    one config builds its system once: the layered checkers cache built
-    systems, keyed on content.
+    even at R1 = 0.  ``r1_hi`` must be finite and at least 0, ``tol``
+    finite and above 0.  A predicate over :func:`thm2_feasible` or
+    :func:`thm3_feasible` at one config builds its system once: the
+    layered checkers cache built systems, keyed on content.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"bisection tolerance must be finite and above 0, "
                           f"got {tol!r}")
+    r1_hi = float(r1_hi)
+    if not (math.isfinite(r1_hi) and r1_hi >= 0.0):
+        raise DomainError(f"bisection bracket r1_hi must be finite and at "
+                          f"least 0, got {r1_hi!r}")
     rows = []
     for r2 in r2_values:
         r2 = float(r2)
         if not feasible_fn((0.0, r2, float(r3))):
             rows.append((r2, -math.inf))
             continue
-        lo, hi = 0.0, float(r1_hi)
+        lo, hi = 0.0, r1_hi
         if feasible_fn((hi, r2, float(r3))):
             lo = hi
         else:

@@ -238,7 +238,7 @@ class EntropyQuery:
 
 
 class CqState:
-    """Joint pmf over named classical registers with a cq output register.
+    """Joint pmf over named classical registers and the cq output register Y.
 
     Registers keep their insertion order; the joint pmf is row-major in
     that order.  ``state_map`` maps points (tuples of register values) to
@@ -247,12 +247,12 @@ class CqState:
     a zero matrix at each point that has none.
     """
 
-    def __init__(self, registers, joint_pmf, state_map, quantum_register_name="Y"):
+    def __init__(self, registers, joint_pmf, state_map):
         regs = tuple((str(n), int(a)) for n, a in registers)
         names = [n for n, _ in regs]
         if len(set(names)) != len(names):
             raise DomainError(f"duplicate register names in {names}")
-        if quantum_register_name in names:
+        if "Y" in names:
             raise DomainError("quantum register name collides with a classical one")
         pmf = joint_pmf if isinstance(joint_pmf, Pmf) else Pmf(joint_pmf)
         shape = tuple(a for _, a in regs)
@@ -289,19 +289,10 @@ class CqState:
         self.prob_table = table
         self.state_map = smap
         self.outputs = outputs
-        self.quantum_register_name = str(quantum_register_name)
         self.quantum_dim = dim
 
     def register_names(self):
         return [n for n, _ in self.registers]
-
-
-@functools.lru_cache(maxsize=64)
-def _pooled_layout(regs, subsets):
-    """:func:`receiver_layout` of a pooled state, whose every point is its
-    own register value; built once per (registers, subsets) and shared."""
-    return receiver_layout(regs, np.arange(math.prod(a for _, a in regs)),
-                           subsets)
 
 
 def _query_entropies(state: CqState, queries) -> list:
@@ -311,7 +302,9 @@ def _query_entropies(state: CqState, queries) -> list:
     if unknown:
         raise UnknownRegister(f"unknown register(s) {sorted(unknown)}")
     p = state.prob_table.reshape(1, -1)
-    h = _subset_entropies([_pooled_layout(state.registers, subsets)],
+    # a pooled state: every point is its own register value
+    layout = receiver_layout(state.registers, np.arange(p.size), subsets)
+    h = _subset_entropies([layout],
                           [(p, state.outputs[None])], _has_subnormal(p))
     return [float(h[0, q.classical_subset, q.include_quantum][0])
             for q in queries]
@@ -383,8 +376,16 @@ def receiver_layout(regs, key, subsets):
     ``(shape, pool, subsets)``: ``pool`` lists the points behind each
     register value, and ``subsets`` maps every register subset (a
     frozenset of names) to its summed axes and to the register values
-    behind each of its values.
+    behind each of its values.  Layouts are built once per content
+    (registers, key values and subsets in order) and shared.
     """
+    return _layout(tuple(map(tuple, regs)),
+                   np.asarray(key, dtype=np.int64).tobytes(), tuple(subsets))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(regs, key, subsets):
+    key = np.frombuffer(key, dtype=np.int64)
     names = [nm for nm, _ in regs]
     shape = tuple(size for _, size in regs)
     n = math.prod(shape)

@@ -307,6 +307,33 @@ class TestRegion:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("theorem,change", [
+        ("thm1", {"f2": [0, 0.5]}),
+        ("thm1", {"field_size": 2.9}),
+        ("thm1", {"f2": [0, "1"]}),
+        ("thm1", {"f2": [0, math.nan]}),
+        ("thm2", {"fields": [2.7, 2, 2]}),
+    ])
+    def test_non_integral_config_value_exits_3(self, tmp_path, capsys,
+                                               theorem, change):
+        ch, spec = self._channel_file(tmp_path, tau=0.5)
+        base = Thm1Config(2, (0.5, 0.5), (0.5, 0.5), (0.5, 0.5),
+                          (0, 1), (0, 1))
+        if theorem == "thm1":
+            doc = dict(base.__dict__)
+        else:
+            t2 = thm2_config_from_thm1(spec, base)
+            doc = {"fields": list(t2.fields),
+                   "factors": [np.asarray(f).tolist() for f in t2.factors]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(doc, **change)))  # NaN as a token
+        assert main(["region", "--theorem", theorem, "--channel", ch,
+                     "--config", str(cfg), "--rates", "0.01,0.01,0.01",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be an integer" in err
+
     def test_bad_rates_exit_2(self, tmp_path):
         ch, _ = self._channel_file(tmp_path)
         assert main(["region", "--theorem", "thm1", "--channel", ch,

@@ -475,6 +475,44 @@ def test_checkers_reject_non_finite_rates(rates):
             check(spec, cfg, rates)
 
 
+class TestIntegerConfigValues:
+    """Field sizes and symbol maps are integers or integral floats."""
+
+    @pytest.mark.parametrize("change", [
+        {"f2": (0, 0.5)}, {"field_size": 2.9}, {"f2": (0, "1")},
+        {"f2": (0, math.nan)}, {"f3": (True, 0)},
+    ])
+    def test_thm1_rejects(self, change):
+        fields = dict(proof_config(0.5).__dict__, **change)
+        with pytest.raises(ConfigMismatch, match="must be an integer"):
+            thm1_check(ex2(), Thm1Config(**fields), (0.0, 0.0, 0.0))
+        with pytest.raises(ConfigMismatch, match="must be an integer"):
+            thm2_config_from_thm1(ex2(), Thm1Config(**fields))
+
+    def test_integral_floats_read_as_ints(self):
+        spec = ex2()
+        cfg = Thm1Config(2.0, (0.5, 0.5), (0.5, 0.5), (0.5, 0.5),
+                         (0.0, 1.0), (np.int64(0), 1))
+        rates = (0.1, 0.1, 0.1)
+        assert thm1_check(spec, cfg, rates) == \
+            thm1_check(spec, proof_config(0.5), rates)
+        emb = thm2_config_from_thm1(spec, proof_config(0.5))
+        assert thm2_feasible(spec, Thm2Config((2.0, 2, 2), emb.factors),
+                             rates) == thm2_feasible(spec, emb, rates)
+
+    @pytest.mark.parametrize("fields", [(2.7, 2, 2), (2, math.nan, 2),
+                                        (2, 2, "2")])
+    def test_layered_rejects_after_a_cached_build(self, fields):
+        # the (2, 2, 2) system is cached first: a truncated field must
+        # not find it
+        spec = ex2()
+        emb = thm2_config_from_thm1(spec, proof_config(0.5))
+        thm2_feasible(spec, emb, (0.1, 0.1, 0.1))
+        with pytest.raises(ConfigMismatch, match="must be an integer"):
+            thm2_feasible(spec, Thm2Config(fields, emb.factors),
+                          (0.1, 0.1, 0.1))
+
+
 class TestScan:
     def test_separation_instance_scan_is_empty(self):
         tau = 1 / 32
@@ -582,6 +620,20 @@ class TestScan:
     def test_boundary_slice_needs_positive_tol(self, tol):
         with pytest.raises(DomainError):
             boundary_slice(lambda r: r[0] < 0.3, [0.1], tol=tol)
+
+    @pytest.mark.parametrize("r1_hi", [math.nan, -1.0, math.inf])
+    def test_boundary_slice_needs_finite_nonnegative_bracket(self, r1_hi):
+        with pytest.raises(DomainError, match="r1_hi"):
+            boundary_slice(lambda r: r[0] < 1, [0.1], r1_hi=r1_hi)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"u_sizes": (2.5, 2)},
+        {"evaluator": "thm1", "field_size": 2.5},
+        {"denominator": 2.5},
+    ])
+    def test_non_integral_scan_size(self, kwargs):
+        with pytest.raises(DomainError, match="must be an integer"):
+            max_r1_scan(ex2(), 0.1, 0.1, **kwargs)
 
     def test_boundary_slice_stops_at_adjacent_floats(self):
         # a tol below one ulp of the boundary would never be met

@@ -365,6 +365,12 @@ class TestCqStateValidation:
         with pytest.raises(DomainError):
             CqState([("A", 2)], [0.5, 0.5], {(0,): self.HALF})
 
+    def test_classical_register_named_y(self):
+        # Y names the quantum register
+        with pytest.raises(DomainError, match="collides"):
+            CqState([("Y", 2)], [0.5, 0.5], {(0,): self.HALF,
+                                             (1,): self.HALF})
+
     def test_outputs_stacked_in_pmf_order(self):
         g0, g1 = gamma_pair(0.3)
         s = CqState([("A", 3)], [0.5, 0.0, 0.5], {(0,): g0, (2,): g1})
@@ -521,6 +527,22 @@ def test_stacked_stage2_matches_per_subset_oracle(block):
     # per-subset stage, key for key and bit for bit
     assert _bits(_subset_entropies(*block)) == \
         _bits(cq_oracle.subset_entropies(*block))
+
+
+def test_layouts_built_once_per_content():
+    subsets = {frozenset(): None, frozenset({"A"}): None}
+    one = receiver_layout([("A", 2), ("B", 2)], np.array([3, 1, 2, 0]),
+                          subsets)
+    # equal content in other containers and dtypes: the same layout
+    assert receiver_layout((("A", 2), ("B", 2)),
+                           np.array([[3, 1], [2, 0]], dtype=np.int32),
+                           list(subsets)) is one
+    # other key values, or the same subsets in another order: rebuilt
+    other = receiver_layout([("A", 2), ("B", 2)], np.arange(4), subsets)
+    assert other is not one
+    assert other[1].tolist() == [[0], [1], [2], [3]]
+    assert receiver_layout([("A", 2), ("B", 2)], np.array([3, 1, 2, 0]),
+                           list(subsets)[::-1]) is not one
 
 
 def test_shannon_entropy_ignores_zeros():
