@@ -430,14 +430,15 @@ def example_capacities(spec: ChannelSpec) -> Capacities:
 OR_RECOVERY_TABLE = {0: 0, 1: 1, 2: 1}
 
 
-def or_recovery_check(denominator: int = 16) -> bool:
+def or_recovery_check() -> bool:
     """H(X2 v X3 | X2 +_3 X3) is exactly 0 on a pmf grid with p(2) = 0.
 
-    Enumerates every joint pmf over {0,1}^2 with weights i/denominator.
+    Enumerates every joint pmf over {0,1}^2 with weights i/16.
     Because each fiber of the ternary sum is constant under logical OR
     (0 -> 0, 1 -> 1, 2 -> 1), the conditional entropy is exactly zero;
     returns False if any grid pmf breaks that.
     """
+    denominator = 16
     for w00 in range(denominator + 1):
         for w01 in range(denominator + 1 - w00):
             for w10 in range(denominator + 1 - w00 - w01):

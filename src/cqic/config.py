@@ -1,4 +1,4 @@
-"""Numeric tolerances and global budget caps, in one place.
+"""Numeric tolerances, global budget caps and the integer input rule.
 
 Everything downstream reads one tolerance record, which
 :func:`tolerance_scope` sets for a block in its own context only (other
@@ -13,13 +13,23 @@ import contextvars
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import ConfigMismatch, DomainError
 
 #: hard cap on coset / grid enumerations (number of points)
 ENUMERATION_CAP = 1 << 20
 
 #: hard cap on the extended tilting-space dimension
 TILT_DIM_CAP = 4096
+
+
+def _integer(x, what, error=ConfigMismatch) -> int:
+    """``x`` as an int: it must be an integer or a float of integral value."""
+    if (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, (float, np.floating)) and float(x).is_integer()):
+        return int(x)
+    raise error(f"{what} must be an integer, got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ENUMERATION_CAP
+from .config import ENUMERATION_CAP, _integer
 from .errors import (DomainError, IncompatiblePair, LengthMismatch, NotPrime,
                      TooLarge)
 
@@ -25,7 +25,7 @@ SUPPORTED_MODULI = (2, 3, 5, 7)
 
 
 def _check_modulus(v: int) -> int:
-    v = int(v)
+    v = _integer(v, "modulus", NotPrime)
     if v not in SUPPORTED_MODULI:
         raise NotPrime(f"modulus must be a prime in {SUPPORTED_MODULI}, got {v}")
     return v
@@ -52,7 +52,8 @@ class NestedCosetCode:
 
     def __post_init__(self):
         v = _check_modulus(self.modulus)
-        n, k, l = int(self.n), int(self.k), int(self.l)
+        n, k, l = (_integer(getattr(self, name), name, DomainError)
+                   for name in ("n", "k", "l"))
         if n <= 0 or k < 0 or l < 0:
             raise DomainError(f"bad code dimensions n={n} k={k} l={l}")
         g_i = np.asarray(self.g_i, dtype=np.int64).reshape(k, n) % v

@@ -23,20 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .config import active_tolerances
+from .config import _integer, active_tolerances
 from .errors import ConfigMismatch
 from .gfcoset import _check_modulus
 from .states import cq_entropies, receiver_layout, shannon_entropy
 
 _OTHERS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-
-
-def _integer(x, what, error=ConfigMismatch) -> int:
-    """``x`` as an int: it must be an integer or a float of integral value."""
-    if (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            or isinstance(x, (float, np.floating)) and float(x).is_integer()):
-        return int(x)
-    raise error(f"{what} must be an integer, got {x!r}")
 
 
 def _fields(cfg):

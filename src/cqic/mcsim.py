@@ -33,11 +33,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ENUMERATION_CAP, active_tolerances
+from .config import ENUMERATION_CAP, _integer, active_tolerances
 from .errors import (BudgetExceeded, DomainError, NumericalFailure, TooLarge,
                      ZeroMassCoset)
-from .gfcoset import (NestedCosetCode, draw_rows, enumerate_coset,
-                      index_tuples, random_nested_code)
+from .gfcoset import (NestedCosetCode, _check_modulus, draw_rows,
+                      enumerate_coset, index_tuples, random_nested_code)
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _SOFT_COVER_CAP = 100_000
@@ -184,6 +184,9 @@ def soft_covering_tv(n: int, k: int, modulus: int, p, rng_seed,
     is compared with the i.i.d. target in total variation.  Generators are
     redrawn until full rank so that k = n yields the whole space.
     """
+    n, k = _integer(n, "n", DomainError), _integer(k, "k", DomainError)
+    num_codes = _integer(num_codes, "num_codes", DomainError)
+    modulus = _check_modulus(modulus)
     if n < 1 or not 0 <= k <= n:
         raise DomainError(f"need 1 <= n and 0 <= k <= n, got n={n} k={k}")
     if num_codes < 1:
@@ -241,8 +244,12 @@ class SimConfig:
     tau1: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coset_dims", tuple(int(d) for d in self.coset_dims))
-        object.__setattr__(self, "message_dims", tuple(int(d) for d in self.message_dims))
+        for name in ("coset_dims", "message_dims"):
+            object.__setattr__(self, name, tuple(
+                _integer(d, name, DomainError) for d in getattr(self, name)))
+        for name in ("n", "trials"):
+            object.__setattr__(self, name,
+                               _integer(getattr(self, name), name, DomainError))
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
         if self.n < 1:
             raise DomainError(f"blocklength must be positive, got {self.n}")

@@ -31,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .config import ENUMERATION_CAP, active_tolerances
+from .config import ENUMERATION_CAP, _integer, active_tolerances
 from .direct import (_binary_user_grid, _grid_rows, _grid_size, _lattice_pmfs,
                      _map_tables, direct_bounds, grid_source)
 from .errors import (BudgetExceeded, ConfigMismatch, DomainError, Not3to1,
                      Unsupported)
 from .gfcoset import _check_modulus
-from .layered import _cached_system, _integer
+from .layered import _cached_system
 from .linalg import singular_values
 from .lp import feasible_point
 from .states import Pmf
@@ -267,19 +267,24 @@ def _require_3to1(channel: ChannelSpec):
                 f"inputs at x_{j + 1}={int(np.argmax(varies))}")
 
 
-def _unstructured_bounds(channel: ChannelSpec, cfg: UnstructuredConfig):
+def _check_unstructured_shapes(channel: ChannelSpec, cfg: UnstructuredConfig):
+    """Raise ConfigMismatch unless the tables fit the channel's inputs."""
     sizes = channel.input_sizes
-    px1 = Pmf(cfg.p_x1)
-    if px1.size != sizes[0]:
-        raise ConfigMismatch(f"p_x1 has {px1.size} atoms, user 1 input has {sizes[0]}")
-    joints = []
-    for j, tab in ((1, cfg.p_u2x2), (2, cfg.p_u3x3)):
-        t = np.asarray(tab, dtype=float)
+    if cfg.p_x1.size != sizes[0]:
+        raise ConfigMismatch(
+            f"p_x1 has {cfg.p_x1.size} atoms, user 1 input has {sizes[0]}")
+    for j, t in ((1, cfg.p_u2x2), (2, cfg.p_u3x3)):
         if t.ndim != 2 or t.shape[1] != sizes[j]:
             raise ConfigMismatch(
                 f"p_u{j + 1}x{j + 1} must be a (m, {sizes[j]}) table, got {t.shape}")
+
+
+def _unstructured_bounds(channel: ChannelSpec, cfg: UnstructuredConfig):
+    _check_unstructured_shapes(channel, cfg)
+    px1 = Pmf(cfg.p_x1)
+    joints = [cfg.p_u2x2, cfg.p_u3x3]
+    for t in joints:
         Pmf(t.ravel())  # normalization / positivity check
-        joints.append(t)
     b = direct_bounds(channel, "unstructured", [px1.probs], joints[:1],
                        joints[1:])
     return {name: float(v[0, 0, 0]) for name, v in b.items()}
@@ -330,7 +335,7 @@ def _layered_feasible(channel, cfg, rates, theorem, drop_dont_care):
     system = _cached_system(channel, cfg, theorem, drop_dont_care)
     b = system.b.copy()
     b[-6:] = [v for r in rates for v in (r, -r)]
-    feasible, x = feasible_point(system.a, b, active_tolerances().lp_residual)
+    feasible, x = feasible_point(system.a, b)
 
     col = system.col
     rows = system.rows[:-3] + tuple(row[:4] + (r,) for row, r
@@ -411,6 +416,7 @@ def thm3_config_from_unstructured(channel: ChannelSpec,
                                   cfg: UnstructuredConfig) -> Thm3Config:
     """Embed a superposition config: cloud layers become unstructured
     layers aimed at receiver 1; all coset layers are absent."""
+    _check_unstructured_shapes(channel, cfg)
     n1, n2, n3 = channel.input_sizes
     return Thm3Config(fields=(2, 2, 2), factors=(
         cfg.p_x1.reshape((1, 1, 1, 1, n1)),
@@ -461,6 +467,8 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
         raise DomainError("fixed rates must be finite and nonnegative")
     denominator = _integer(denominator, "denominator", DomainError)
     u_sizes = tuple(_integer(u, "u_sizes entry", DomainError) for u in u_sizes)
+    if len(u_sizes) != 2:
+        raise DomainError(f"u_sizes needs two sizes (users 2, 3), got {u_sizes}")
     field_size = _integer(field_size, "field_size", DomainError)
     if denominator < 1 or min(u_sizes) < 1:
         raise DomainError(f"denominator and u_sizes must be at least 1, got "

@@ -33,21 +33,20 @@ class TiltSpace:
 
     base_dim: int
     aux_dims: tuple[int, ...]
-    n: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "aux_dims", tuple(int(d) for d in self.aux_dims))
-        if self.base_dim < 1 or self.n < 1 or any(d < 1 for d in self.aux_dims):
+        if self.base_dim < 1 or any(d < 1 for d in self.aux_dims):
             raise DomainError("space dimensions must be positive")
         if self.total_dim > TILT_DIM_CAP:
             raise DimOverflow(f"extended dimension {self.total_dim} exceeds {TILT_DIM_CAP}")
 
     @property
     def total_dim(self) -> int:
-        return self.base_dim * (1 + sum(d ** self.n for d in self.aux_dims))
+        return self.base_dim * (1 + sum(self.aux_dims))
 
     def slot_offset(self, s: int) -> int:
-        return self.base_dim * (1 + sum(d ** self.n for d in self.aux_dims[:s]))
+        return self.base_dim * (1 + sum(self.aux_dims[:s]))
 
 
 def _unit(vec, what: str) -> np.ndarray:

@@ -193,7 +193,7 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Logical OR is a deterministic function of the ternary sum."""
     t0 = perf_counter()
-    ok = or_recovery_check(16)
+    ok = or_recovery_check()
     return _result(5, "OR recovery from the ternary sum", t0, ok,
                    "H(X2 v X3 | ternary sum) = 0 exactly on the "
                    "denominator-16 pmf grid" if ok else

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from cqic import direct, layered
 from cqic import regions as rg
 from cqic.channels import build_ex1, build_ex2, build_ex3
-from cqic.config import active_tolerances
 from cqic.lp import feasible_point
 from cqic.regions import (Thm1Config, Thm2Config, Thm3Config,
                           UnstructuredConfig, max_r1_scan, thm1_check,
@@ -734,7 +733,7 @@ def oracle_records(channel, cfg, rates, theorem, drop):
     system = layered._cached_system(channel, cfg, theorem, drop)
     b = system.b.copy()
     b[-6:] = [v for r in rates for v in (r, -r)]
-    _, x = feasible_point(system.a, b, active_tolerances().lp_residual)
+    _, x = feasible_point(system.a, b)
     rows = system.rows[:-3] + tuple(row[:4] + (r,) for row, r
                                     in zip(system.rows[-3:], rates))
     records = []

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cqic.errors import IncompatiblePair, LengthMismatch, TooLarge
+from cqic.errors import (DomainError, IncompatiblePair, LengthMismatch,
+                         NotPrime, TooLarge)
 from cqic.gfcoset import (CodePair, NestedCosetCode, codeword, enumerate_coset,
                           index_tuples, random_code_pair, random_nested_code,
                           sum_code, sum_codeword, sum_message)
@@ -180,6 +181,26 @@ class TestRandomCodes:
         chi2 = sum((counts.get(c, 0) - expect) ** 2 / expect
                    for c in map(tuple, index_tuples(v, n)))
         assert chi2 < CHI2_CRIT[dof_key]
+
+
+@pytest.mark.parametrize("modulus", [2.9, 3.5, "2"])
+def test_modulus_must_be_a_supported_prime(modulus):
+    with pytest.raises(NotPrime):
+        random_nested_code(4, 1, 1, modulus, 0)
+
+
+@pytest.mark.parametrize("dims", [(3.7, 1, 0), (3, 1.9, 0), (3, 1, 0.5)])
+def test_code_dimensions_must_be_integers(dims):
+    with pytest.raises(DomainError, match="must be an integer"):
+        NestedCosetCode(*dims, [[1, 0, 1]], np.zeros((0, 3)), [0, 1, 1], 2)
+
+
+def test_integral_float_modulus_reads_as_int():
+    code = random_nested_code(4, 1, 1, 3.0, 0)
+    ref = random_nested_code(4, 1, 1, 3, 0)
+    assert type(code.modulus) is int and code.modulus == 3
+    for name in ("g_i", "g_oi", "bias"):
+        assert np.array_equal(getattr(code, name), getattr(ref, name))
 
 
 def test_json_round_trip():

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqic import layered
+from cqic import layered, lp
 from cqic.channels import build_ex2, build_ex3
+from cqic.config import Tolerances
 from cqic.lp import feasible_point
 from cqic.regions import (Thm1Config, Thm2Config, UnstructuredConfig,
                           boundary_slice, thm2_config_from_thm1,
                           thm2_feasible, thm3_config_from_unstructured,
                           thm3_feasible)
+from lp_oracle import feasible_point as oracle_feasible_point
 
 
 class TestFeasiblePoint:
@@ -178,3 +180,45 @@ def test_random_systems_agree_with_highs():
         assert feasible_point(a, b)[0] == want, (a, b)
         decided += 1
     assert decided >= 250
+
+
+# ---------------------------------------------------------------------------
+# differential test against the loop-per-row simplex (tests/lp_oracle.py)
+
+def _same_solve(a, b):
+    got, want = feasible_point(a, b), oracle_feasible_point(a, b)
+    assert got[0] is want[0], (a, b)
+    assert got[1].shape == want[1].shape
+    assert got[1].tobytes() == want[1].tobytes(), (a, b)
+    return want[0]
+
+
+def test_array_pivots_match_loop_oracle():
+    # the layered Thm 2/3 systems over a rate grid, then random systems
+    # with quarter-step coefficients, whose ratio tests tie often
+    verdicts = []
+    for spec, cfg, theorem, drop in _layered_cases():
+        system = layered._layered_system(spec, cfg, theorem, drop)
+        for r1 in np.arange(33) / 40:
+            for r2, r3 in ((0.0, 0.0), (0.02, 0.01), (0.05, 0.0), (0.1, 0.05),
+                           (0.2, 0.1), (0.0, 0.3), (0.3, 0.0), (0.15, 0.15)):
+                b = system.b.copy()
+                b[-6:] = [v for r in (r1, r2, r3) for v in (r, -r)]
+                verdicts.append(_same_solve(system.a, b))
+    rng = np.random.default_rng(2022)
+    for _ in range(2000):
+        m, n = int(rng.integers(1, 11)), int(rng.integers(1, 8))
+        verdicts.append(_same_solve(rng.integers(-8, 9, size=(m, n)) / 4,
+                                    rng.integers(-8, 9, size=m) / 4))
+    assert len(verdicts) >= 3000
+    assert 0.1 < np.mean(verdicts) < 0.9
+
+
+def test_verdict_allows_the_active_lp_residual(monkeypatch):
+    # x <= 1 and x >= 1.3 miss each other by 0.3
+    a, b = np.array([[1.0], [-1.0]]), np.array([1.0, -1.3])
+    assert feasible_point(a, b)[0] is False
+    monkeypatch.setattr(lp, "active_tolerances",
+                        lambda: Tolerances(lp_residual=0.5))
+    assert feasible_point(a, b)[0] is True
+    assert feasible_point(np.zeros((1, 0)), np.array([-0.4]))[0] is True

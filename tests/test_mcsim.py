@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqic import mcsim
-from cqic.errors import (BudgetExceeded, DomainError, NumericalFailure,
-                         TooLarge, ZeroMassCoset)
+from cqic.errors import (BudgetExceeded, DomainError, NotPrime,
+                         NumericalFailure, TooLarge, ZeroMassCoset)
 from cqic.gfcoset import NestedCosetCode, index_tuples, random_nested_code
 from cqic.mcsim import (SimConfig, SimResult, _book, _coset_labels,
                         _coset_weights, _gf2_ranks, _gf_rank, _gf_rref, _index,
@@ -150,6 +150,20 @@ class TestSoftCovering:
             soft_covering_tv(4, 5, 2, (0.5, 0.5), 0)
         with pytest.raises(DomainError):
             soft_covering_tv(4, 2, 2, (0.5, 0.5), 0, num_codes=0)
+
+    @pytest.mark.parametrize("n, k, num_codes", [(10.5, 2, 2), (4, 2.5, 2),
+                                                 (4, 2, 2.5), (4, "2", 2)])
+    def test_non_integral_sizes_rejected(self, n, k, num_codes):
+        with pytest.raises(DomainError, match="must be an integer"):
+            soft_covering_tv(n, k, 2, (0.5, 0.5), 0, num_codes=num_codes)
+
+    def test_non_integral_modulus_rejected(self):
+        with pytest.raises(NotPrime):
+            soft_covering_tv(4, 2, 2.9, (0.5, 0.5), 0, num_codes=2)
+
+    def test_integral_float_sizes_read_as_ints(self):
+        assert soft_covering_tv(4.0, 2.0, 2.0, (0.7, 0.3), 3, num_codes=2.0) \
+            == soft_covering_tv(4, 2, 2, (0.7, 0.3), 3, num_codes=2)
 
     @pytest.mark.parametrize("p", [(math.nan, 1.0), (0.5, math.nan)])
     def test_nan_target_rejected(self, p):
@@ -309,6 +323,23 @@ class TestSimConfig:
             SimConfig(**good, decoder="belief_prop")
         with pytest.raises(DomainError):
             SimConfig(**good, tau1=0.9)
+
+    @pytest.mark.parametrize("change", [
+        {"message_dims": (2.5, 2, 2)}, {"coset_dims": (0, 0.5, 0)},
+        {"n": 8.5}, {"trials": 10.5}, {"n": "8"},
+    ])
+    def test_non_integral_sizes_rejected(self, change):
+        good = dict(n=8, coset_dims=(0, 0, 0), message_dims=(2, 2, 2),
+                    delta=(0.0, 0.1, 0.1))
+        with pytest.raises(DomainError, match="must be an integer"):
+            SimConfig(**{**good, **change})
+
+    def test_integral_floats_read_as_ints(self):
+        cfg = SimConfig(n=8.0, coset_dims=(0, 0, 0), message_dims=(2.0, 2, 2),
+                        delta=(0.0, 0.1, 0.1), trials=np.int64(10))
+        assert cfg == SimConfig(8, (0, 0, 0), (2, 2, 2), (0.0, 0.1, 0.1), 10)
+        assert repr(cfg) == repr(SimConfig(8, (0, 0, 0), (2, 2, 2),
+                                           (0.0, 0.1, 0.1), 10))
 
 
 class TestRunEx1:

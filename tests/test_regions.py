@@ -395,6 +395,22 @@ class TestThm3:
         assert thm3_feasible(spec, cfg, (HALF_COS - 1e-3, 0, 0)).feasible
         assert not thm3_feasible(spec, cfg, (HALF_COS + 1e-3, 0, 0)).feasible
 
+    @pytest.mark.parametrize("tables, message", [
+        ((np.array([0.5, 0.5]), np.full((2, 3), 1 / 6), np.eye(2) / 2),
+         r"p_u2x2 must be a \(m, 2\) table, got \(2, 3\)"),
+        ((np.array([0.5, 0.5]), np.eye(2) / 2, np.ones(4) / 4),
+         r"p_u3x3 must be a \(m, 2\) table, got \(4,\)"),
+        ((np.ones(3) / 3, np.eye(2) / 2, np.eye(2) / 2),
+         "p_x1 has 3 atoms, user 1 input has 2"),
+    ])
+    def test_embedding_checks_table_shapes(self, tables, message):
+        # the message unstructured_3to1_check gives for the same tables
+        cfg = UnstructuredConfig(*tables)
+        for check in (lambda: unstructured_3to1_check(ex2(), cfg, (0, 0, 0)),
+                      lambda: thm3_config_from_unstructured(ex2(), cfg)):
+            with pytest.raises(ConfigMismatch, match=message):
+                check()
+
     def test_embedded_labels_carry_layer_sets(self):
         spec = ex2(0.5)
         cfg = thm3_config_from_unstructured(
@@ -634,6 +650,11 @@ class TestScan:
     def test_non_integral_scan_size(self, kwargs):
         with pytest.raises(DomainError, match="must be an integer"):
             max_r1_scan(ex2(), 0.1, 0.1, **kwargs)
+
+    @pytest.mark.parametrize("u_sizes", [(), (2,), (2, 2, 9)])
+    def test_needs_two_u_sizes(self, u_sizes):
+        with pytest.raises(DomainError, match="u_sizes"):
+            max_r1_scan(ex2(), 0.1, 0.1, u_sizes=u_sizes, denominator=4)
 
     def test_boundary_slice_stops_at_adjacent_floats(self):
         # a tol below one ulp of the boundary would never be met
