@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import active_tolerances
+from .config import _integer, active_tolerances
 from .errors import (ConfigMismatch, DomainError, Unsupported)
 from .linalg import eig_hermitian, operator_norm, partial_trace, tensor_all
 from .states import (DensityOperator, Pmf, binary_convolve, binary_entropy,
@@ -75,8 +75,10 @@ class ChannelSpec:
 
     def __init__(self, input_sizes, output_dims, states: Mapping, costs,
                  budget: CostVector | None = None):
-        self.input_sizes = tuple(int(s) for s in input_sizes)
-        self.output_dims = tuple(int(d) for d in output_dims)
+        self.input_sizes = tuple(_integer(s, "input size", DomainError)
+                                 for s in input_sizes)
+        self.output_dims = tuple(_integer(d, "output dim", DomainError)
+                                 for d in output_dims)
         if len(self.input_sizes) != 3 or len(self.output_dims) != 3:
             raise DomainError("exactly three users required")
         self.costs = tuple(np.array(c, dtype=float) for c in costs)

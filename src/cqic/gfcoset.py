@@ -12,7 +12,6 @@ seeded explicitly everywhere, so every experiment replays bit-for-bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,20 +70,6 @@ class NestedCosetCode:
     def rate(self) -> float:
         return (self.l / self.n) * np.log2(self.modulus)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "k": self.k, "l": self.l, "modulus": self.modulus,
-            "g_i": self.g_i.ravel().tolist(),
-            "g_oi": self.g_oi.ravel().tolist(),
-            "bias": self.bias.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, blob: str) -> "NestedCosetCode":
-        d = json.loads(blob)
-        return cls(d["n"], d["k"], d["l"], d["g_i"], d["g_oi"], d["bias"],
-                   d["modulus"])
-
 
 def _prefix_contained(small: np.ndarray, large: np.ndarray) -> bool:
     r = small.shape[0]
@@ -123,22 +108,8 @@ class CodePair:
 def codeword(code: NestedCosetCode, a, m) -> np.ndarray:
     """a g_I + m g_{O/I} + bias over F_modulus."""
     v = code.modulus
-    av = _as_field_array(a, v, code.k, "index a") if code.k else np.zeros(0, np.int64)
-    mv = _as_field_array(m, v, code.l, "message m") if code.l else np.zeros(0, np.int64)
-    out = code.bias.copy()
-    if code.k:
-        out = out + av @ code.g_i
-    if code.l:
-        out = out + mv @ code.g_oi
-    return out % v
-
-
-def _pad(vec: np.ndarray, length: int) -> np.ndarray:
-    if vec.size == length:
-        return vec
-    out = np.zeros(length, dtype=np.int64)
-    out[:vec.size] = vec
-    return out
+    return (code.bias + _as_field_array(a, v, code.k, "index a") @ code.g_i
+            + _as_field_array(m, v, code.l, "message m") @ code.g_oi) % v
 
 
 def sum_code(pair: CodePair) -> NestedCosetCode:
@@ -164,12 +135,10 @@ def sum_codeword(pair: CodePair, a2, m2, a3, m3) -> np.ndarray:
 def sum_message(pair: CodePair, m2, m3) -> np.ndarray:
     """The coset index of the containing code that sum_codeword lands in."""
     v = pair.modulus
-    l = max(pair.code2.l, pair.code3.l)
-    m2v = _as_field_array(m2, v, pair.code2.l, "m2") if pair.code2.l \
-        else np.zeros(0, np.int64)
-    m3v = _as_field_array(m3, v, pair.code3.l, "m3") if pair.code3.l \
-        else np.zeros(0, np.int64)
-    return (_pad(m2v, l) + _pad(m3v, l)) % v
+    out = np.zeros(max(pair.code2.l, pair.code3.l), dtype=np.int64)
+    for code, m, what in ((pair.code2, m2, "m2"), (pair.code3, m3, "m3")):
+        out[:code.l] += _as_field_array(m, v, code.l, what)
+    return out % v
 
 
 def index_tuples(modulus: int, length: int) -> np.ndarray:
@@ -177,13 +146,7 @@ def index_tuples(modulus: int, length: int) -> np.ndarray:
     count = modulus ** length
     if count > ENUMERATION_CAP:
         raise TooLarge(f"{count} tuples exceed the enumeration cap")
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    idx = np.arange(count, dtype=np.int64)
-    cols = []
-    for pos in range(length - 1, -1, -1):
-        cols.append((idx // modulus ** pos) % modulus)
-    return np.stack(cols, axis=1)
+    return np.indices((modulus,) * length, dtype=np.int64).reshape(length, count).T
 
 
 def enumerate_coset(code: NestedCosetCode, m) -> np.ndarray:
@@ -192,18 +155,11 @@ def enumerate_coset(code: NestedCosetCode, m) -> np.ndarray:
     A singular g_I yields repeated rows on purpose: downstream counting
     (likelihood masses, uniform index draws) works with multiplicity.
     """
-    if code.modulus ** code.k > ENUMERATION_CAP:
-        raise TooLarge(f"coset of size {code.modulus ** code.k} exceeds cap")
-    a_all = index_tuples(code.modulus, code.k)
     v = code.modulus
-    mv = _as_field_array(m, v, code.l, "message m") if code.l else np.zeros(0, np.int64)
-    base = code.bias.copy()
-    if code.l:
-        base = base + mv @ code.g_oi
-    rows = base[None, :]
-    if code.k:
-        rows = rows + a_all @ code.g_i
-    return rows % v
+    if v ** code.k > ENUMERATION_CAP:
+        raise TooLarge(f"coset of size {v ** code.k} exceeds cap")
+    return (code.bias + _as_field_array(m, v, code.l, "message m") @ code.g_oi
+            + index_tuples(v, code.k) @ code.g_i) % v
 
 
 def draw_rows(n: int, k: int, l: int, biases: int, modulus: int,

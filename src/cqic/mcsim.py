@@ -72,31 +72,37 @@ def selection_probabilities(code: NestedCosetCode, m, p) -> np.ndarray:
     cancels in the normalization.  Rows with repeated codewords (singular
     inner generator) keep their multiplicity.
     """
-    parr = _target_pmf(p, code.modulus)
-    rows = enumerate_coset(code, m)
-    weights = parr[rows].prod(axis=1)
-    total = float(weights.sum())
-    if total <= 0.0:
+    weights = _target_pmf(p, code.modulus)[enumerate_coset(code, m)].prod(axis=1)
+    if weights.sum() <= 0.0:
         raise ZeroMassCoset("every codeword in the coset has zero target mass")
-    probs = weights / total
-    # nudge the dominant entry until the float sum is exactly one
+    return _selection_law(weights[None])[0]
+
+
+def _selection_law(weights: np.ndarray) -> np.ndarray:
+    """Each row of weights normalized, its largest entry nudged until the
+    float sum is exactly one."""
+    probs = weights / weights.sum(axis=-1, keepdims=True)
+    rows = np.arange(len(probs))
     for _ in range(8):
-        gap = float(probs.sum()) - 1.0
-        if gap == 0.0:
+        gap = probs.sum(axis=-1) - 1.0
+        if not gap.any():
             break
-        probs[int(np.argmax(probs))] -= gap
+        # a row already at one takes a zero nudge, which changes no bit
+        probs[rows, probs.argmax(axis=-1)] -= gap
     return probs
 
 
-def _draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(probs)
-    return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(probs) - 1)
+def _pick(probs: np.ndarray, u) -> np.ndarray:
+    """Index picked by each uniform in u from its row of probs: the count
+    of cdf entries at most u, capped at the last index."""
+    cdf = np.cumsum(probs, axis=-1)
+    return np.minimum((cdf <= np.expand_dims(u, -1)).sum(axis=-1),
+                      probs.shape[-1] - 1)
 
 
 def likelihood_encode(code: NestedCosetCode, m, p, rng: np.random.Generator):
     """Sample a coset index with probability proportional to its p-mass."""
-    probs = selection_probabilities(code, m, p)
-    idx = _draw_index(probs, rng)
+    idx = _pick(selection_probabilities(code, m, p), rng.random())
     return tuple(int(d) for d in _lex_tuples(code.modulus, code.k)[idx])
 
 
@@ -456,26 +462,6 @@ def _coset_weights(cfg: SimConfig, cb1: np.ndarray, m1: np.ndarray) -> np.ndarra
     return np.array([1.0 - cfg.tau1, cfg.tau1])[bits].prod(axis=-1)
 
 
-def _shaped_dithers(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Coset index picked by each uniform in u from its row of weights.
-
-    Row by row the bits of selection_probabilities (the nudge toward a
-    unit sum) and _draw_index (searchsorted on the cdf, side right, is
-    the count of cdf entries at most u); kept apart from them because the
-    array form costs a one-row call about a quarter more.
-    """
-    probs = weights / weights.sum(axis=-1, keepdims=True)
-    rows = np.arange(len(probs))
-    for _ in range(8):
-        gap = probs.sum(axis=-1) - 1.0
-        if not gap.any():
-            break
-        # a row already at one takes a zero nudge, which changes no bit
-        probs[rows, probs.argmax(axis=-1)] -= gap
-    cdf = np.cumsum(probs, axis=-1)
-    return np.minimum((cdf <= u[:, None]).sum(axis=-1), probs.shape[1] - 1)
-
-
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # bit distances between broadcast packed rows, one word at a time so
     # the temporaries stay the size of the result
@@ -556,7 +542,7 @@ def _decode(cfg: SimConfig, d: _Draws):
     m1, a1, a2, m2, a3, m3 = (_index(part) for part in np.split(
         d.msg, np.cumsum([l1, k1, k2, l2, k3]), axis=1))
     if cfg.tau1 is not None:
-        a1 = _shaped_dithers(_coset_weights(cfg, cb1, m1), d.u)
+        a1 = _pick(_selection_law(_coset_weights(cfg, cb1, m1)), d.u)
     x1 = cb1[rows, a1 << l1 | m1]
     x2 = cb2[rows, a2 << l2 | m2]
     x3 = cb3[rows, a3 << l3 | m3]

@@ -35,7 +35,9 @@ class TiltSpace:
     aux_dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "aux_dims", tuple(int(d) for d in self.aux_dims))
+        object.__setattr__(self, "base_dim", _index(self.base_dim, "base_dim"))
+        object.__setattr__(self, "aux_dims", tuple(
+            _index(d, "aux_dims entry") for d in self.aux_dims))
         if self.base_dim < 1 or any(d < 1 for d in self.aux_dims):
             raise DomainError("space dimensions must be positive")
         if self.total_dim > TILT_DIM_CAP:

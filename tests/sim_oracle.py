@@ -5,7 +5,8 @@ until its rank checks pass, shapes user 1's dither with bias retries, and
 decodes with per-trial codebooks.  ``oracle_sim`` loops it over the
 trials in order.  ``cqic.mcsim.run_ex1_sim`` must give its error counts,
 codeword types and bias retries bit for bit; nothing here calls the
-block engine.
+block engine.  ``selection_probabilities`` and ``_draw_index`` are the
+scalar likelihood law and pick the engine's array forms must match.
 """
 
 from dataclasses import replace
@@ -14,11 +15,38 @@ import numpy as np
 
 from cqic.errors import NumericalFailure, ZeroMassCoset
 from cqic.gfcoset import (CodePair, NestedCosetCode, codeword,
-                          random_code_pair, random_nested_code, sum_code,
-                          sum_codeword)
+                          enumerate_coset, random_code_pair,
+                          random_nested_code, sum_code, sum_codeword)
 from cqic.mcsim import (_MAX_BIAS_RETRIES, _MAX_CODE_RETRIES, SimConfig,
-                        _draw_index, _gf_rank, _hamming, _lex_tuples, _pack,
-                        selection_probabilities)
+                        _gf_rank, _hamming, _lex_tuples, _pack, _target_pmf)
+
+
+def selection_probabilities(code: NestedCosetCode, m, p) -> np.ndarray:
+    """Normalized likelihood-encoder weights over the coset of message m.
+
+    Weight of index a is prod_t p(u_t(a, m)); the uniform reference pmf
+    cancels in the normalization.  Rows with repeated codewords (singular
+    inner generator) keep their multiplicity.
+    """
+    parr = _target_pmf(p, code.modulus)
+    rows = enumerate_coset(code, m)
+    weights = parr[rows].prod(axis=1)
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ZeroMassCoset("every codeword in the coset has zero target mass")
+    probs = weights / total
+    # nudge the dominant entry until the float sum is exactly one
+    for _ in range(8):
+        gap = float(probs.sum()) - 1.0
+        if gap == 0.0:
+            break
+        probs[int(np.argmax(probs))] -= gap
+    return probs
+
+
+def _draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    cdf = np.cumsum(probs)
+    return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(probs) - 1)
 
 
 def _draw_injective_code(rng: np.random.Generator, n: int, k: int, l: int,

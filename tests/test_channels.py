@@ -83,6 +83,20 @@ class TestBuilders:
         with pytest.raises(DomainError):
             ChannelSpec.from_json_dict(doc)
 
+    @pytest.mark.parametrize("inputs,dims", [((2.7, 2, 2), (2, 2, 2)),
+                                             ((2, 2, 2), (2, 2.5, 2))])
+    def test_non_integral_sizes_rejected(self, inputs, dims):
+        spec = build_ex2(1.1, 0.1, 0.2, 0.25)
+        with pytest.raises(DomainError, match="must be an integer"):
+            ChannelSpec(inputs, dims, spec.states, spec.costs)
+
+    def test_integral_sizes_read_as_int(self):
+        spec = build_ex2(1.1, 0.1, 0.2, 0.25)
+        back = ChannelSpec((2.0, np.int64(2), 2), (2, 2.0, np.int32(2)),
+                           spec.states, spec.costs)
+        assert back.input_sizes == back.output_dims == (2, 2, 2)
+        assert all(type(s) is int for s in back.input_sizes + back.output_dims)
+
     def test_json_infinite_budget_means_unconstrained(self):
         doc = build_ex2(1.1, 0.1, 0.2, 0.25).to_json_dict()
         doc["budget"][0] = float("inf")
@@ -193,6 +207,23 @@ class TestCapacity:
         spec = build_ex3(1.0, 0.1, 0.2, 0.3, 0.25, 0.15)
         c, arg = user_capacity_cost(spec, 0, tau, others="at_budget")
         assert (repr(c), repr(float(arg.probs[1]))) == (want_c, want_p)
+
+    def test_interior_optimum_pinned(self):
+        # a random qubit channel whose optimum lies inside the search
+        # interval, so its bits pin the golden-section steps themselves: a
+        # search one step short moves the capacity and the maximiser
+        rng = np.random.default_rng(0)
+        for _ in range(36):
+            states = {}
+            for x in (0, 1):
+                g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                rho = g @ g.conj().T
+                states[(x, 0, 0)] = rho / np.trace(rho).real
+        spec = ChannelSpec((2, 1, 1), (2, 1, 1), states,
+                           ([0.0, 0.0], [0.0], [0.0]))
+        c, arg = user_capacity_cost(spec, 0, None)
+        assert (repr(c), repr(arg.probs.tolist())) == (
+            "0.1678124669450474", "[0.5463620142165997, 0.45363798578340025]")
 
     def test_hbf_strictly_increasing_on_lower_half(self):
         ts = np.arange(1e-3, 0.5, 1e-3)

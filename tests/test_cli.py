@@ -274,6 +274,26 @@ class TestRegion:
                      "--config", str(cfg), "--rates", "0,0,0",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_integral_input_size_exits_3(self, tmp_path, capsys):
+        spec = build_ex2(PHI, 0.1, 0.1, 1 / 32)
+        doc = spec.to_json_dict()
+        doc["inputs"][0] = 2.7
+        ch = tmp_path / "ch.json"
+        ch.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "field_size": 2, "p_x1": [0.5, 0.5], "p_u2": [0.5, 0.5],
+            "p_u3": [0.5, 0.5], "f2": [0, 1], "f3": [0, 1]}))
+        out = tmp_path / "o"
+        assert main(["region", "--theorem", "thm1", "--channel", str(ch),
+                     "--config", str(cfg), "--rates", "0,0,0",
+                     "--out", str(out)]) == 3
+        std = capsys.readouterr()
+        assert std.out == ""
+        assert std.err.startswith("error: input size must be an integer")
+        assert std.err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
     def test_nan_rate_exits_3(self, tmp_path):
         ch, _ = self._channel_file(tmp_path)
         cfg = tmp_path / "cfg.json"

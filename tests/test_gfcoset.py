@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -203,16 +205,82 @@ def test_integral_float_modulus_reads_as_int():
         assert np.array_equal(getattr(code, name), getattr(ref, name))
 
 
-def test_json_round_trip():
-    code = random_nested_code(5, 2, 1, 3, 31)
-    back = NestedCosetCode.from_json(code.to_json())
-    assert np.array_equal(back.g_i, code.g_i)
-    assert np.array_equal(back.g_oi, code.g_oi)
-    assert np.array_equal(back.bias, code.bias)
-    assert (back.n, back.k, back.l, back.modulus) == (code.n, code.k, code.l,
-                                                      code.modulus)
-
-
 def test_rate():
     code = random_nested_code(4, 1, 2, 2, 3)
     assert code.rate == pytest.approx(0.5)
+
+
+def _same(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _brute_codeword(code, a, m):
+    v, out = code.modulus, []
+    for t in range(code.n):
+        s = int(code.bias[t])
+        for i in range(code.k):
+            s += int(a[i]) * int(code.g_i[i, t])
+        for j in range(code.l):
+            s += int(m[j]) * int(code.g_oi[j, t])
+        out.append(s % v)
+    return np.array(out, dtype=np.int64)
+
+
+def _brute_tuples(v, length):
+    rows = list(itertools.product(range(v), repeat=length))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), length)
+
+
+_DIMS = [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("v", [2, 3, 5, 7])
+@pytest.mark.parametrize("k,l", _DIMS)
+def test_code_operations_match_brute_force(v, k, l):
+    # indices outside [0, v) as well, which every operation reduces mod v
+    rng = np.random.default_rng(100 * v + 10 * k + l)
+    code = random_nested_code(4, k, l, v, int(rng.integers(2 ** 63)))
+    for length in (0, 1, k, l):
+        _same(index_tuples(v, length), _brute_tuples(v, length))
+    for _ in range(5):
+        a, m = rng.integers(-v, 2 * v, size=k), rng.integers(-v, 2 * v, size=l)
+        _same(codeword(code, a, m), _brute_codeword(code, a, m))
+        want = np.array([_brute_codeword(code, row, m)
+                         for row in _brute_tuples(v, k)]).reshape(v ** k, 4)
+        _same(enumerate_coset(code, m), want)
+
+
+@pytest.mark.parametrize("v", [2, 3, 5, 7])
+@pytest.mark.parametrize("k2,l2", _DIMS)
+@pytest.mark.parametrize("k3,l3", [(0, 0), (1, 2), (3, 1)])
+def test_sum_operations_match_brute_force(v, k2, l2, k3, l3):
+    rng = np.random.default_rng([v, k2, l2, k3, l3])
+    pair = random_code_pair(3, k2, l2, k3, l3, v, int(rng.integers(2 ** 63)))
+    l = max(l2, l3)
+    for _ in range(5):
+        a2, m2, a3, m3 = (rng.integers(-v, 2 * v, size=d)
+                          for d in (k2, l2, k3, l3))
+        want = (_brute_codeword(pair.code2, a2, m2)
+                + _brute_codeword(pair.code3, a3, m3)) % v
+        _same(sum_codeword(pair, a2, m2, a3, m3), want)
+        msg = [((int(m2[i]) if i < l2 else 0) + (int(m3[i]) if i < l3 else 0)) % v
+               for i in range(l)]
+        _same(sum_message(pair, m2, m3), np.array(msg, dtype=np.int64))
+
+
+def test_index_for_an_empty_generator_must_be_empty():
+    # an index of the wrong length is an error even when its generator
+    # has no rows, instead of being dropped
+    code = NestedCosetCode(3, 0, 0, np.zeros((0, 3)), np.zeros((0, 3)),
+                           [1, 0, 1], 2)
+    with pytest.raises(LengthMismatch):
+        codeword(code, [1], [])
+    with pytest.raises(LengthMismatch):
+        codeword(code, [], [1])
+    with pytest.raises(LengthMismatch):
+        enumerate_coset(code, [1])
+    pair = CodePair(code, random_nested_code(3, 0, 1, 2, 4))
+    with pytest.raises(LengthMismatch):
+        sum_message(pair, [1], [1])
+    assert sum_message(pair, [], [1]).tolist() == [1]

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from cqic import mcsim
 from cqic.errors import (BudgetExceeded, DomainError, NotPrime,
                          NumericalFailure, TooLarge, ZeroMassCoset)
-from cqic.gfcoset import NestedCosetCode, index_tuples, random_nested_code
+from cqic.gfcoset import (NestedCosetCode, enumerate_coset, index_tuples,
+                          random_nested_code)
 from cqic.mcsim import (SimConfig, SimResult, _book, _coset_labels,
                         _coset_weights, _gf2_ranks, _gf_rank, _gf_rref, _index,
-                        _nearest, _nearest_pair, _pack, _shaped_dithers,
+                        _nearest, _nearest_pair, _pack, _pick, _selection_law,
                         likelihood_encode, run_ex1_sim, selection_probabilities,
                         soft_covering_tv, wilson_interval)
+import sim_oracle
 from sim_oracle import oracle_sim
 
 
@@ -60,6 +62,37 @@ class TestSelectionProbabilities:
             selection_probabilities(code, (), (0.5, 0.5))  # wrong length
         with pytest.raises(DomainError):
             selection_probabilities(code, (), (0.8, 0.4, -0.2))
+
+
+    def test_array_law_matches_scalar_oracle(self):
+        # random cosets over F_2, F_3 and F_5 with random targets (some with
+        # a zero entry), bit for bit; most raw normalizations miss a unit
+        # sum, so the nudge runs on many of them
+        rng = np.random.default_rng(23)
+        nudged = compared = 0
+        for _ in range(600):
+            v = int(rng.choice([2, 3, 5]))
+            k = int(rng.integers(0, {2: 7, 3: 5, 5: 4}[v]))
+            n, l = int(rng.integers(1, 7)), int(rng.integers(0, 3))
+            code = random_nested_code(n, k, l, v, int(rng.integers(2 ** 63)))
+            m = rng.integers(0, v, size=l)
+            p = rng.dirichlet(np.ones(v))
+            if rng.random() < 0.2:
+                p[rng.integers(v)] = 0.0
+                p /= p.sum()
+            try:
+                want = sim_oracle.selection_probabilities(code, m, p)
+            except (ZeroMassCoset, DomainError) as exc:
+                with pytest.raises(type(exc)):
+                    selection_probabilities(code, m, p)
+                continue
+            got = selection_probabilities(code, m, p)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            weights = p[enumerate_coset(code, m)].prod(axis=1)
+            nudged += float((weights / weights.sum()).sum()) != 1.0
+            compared += 1
+        assert compared >= 500 and nudged >= 100
 
 
 class TestLikelihoodEncode:
@@ -251,17 +284,20 @@ class TestPackedKernels:
            st.sampled_from([0.05, 0.1, 0.2, 0.35, 0.5]),
            st.integers(0, 2 ** 31 - 1))
     def test_shaped_dithers_match_scalar_encoder(self, n, k, l, tau, seed):
-        # uniforms on every cdf value of the scalar encoder, where a missing
-        # nudge or a strict comparison would pick the neighbouring index
+        # uniforms on every cdf value of the oracle's scalar law, where a
+        # missing nudge or a strict comparison would pick the neighbouring
+        # index; the oracle's scalar pick reads each uniform in turn
         code = random_nested_code(n, k, l, 2, seed)
         m = np.random.default_rng(seed).integers(0, 2, size=(1, l))
-        cdf = np.cumsum(selection_probabilities(code, m[0], (1 - tau, tau)))
+        probs = sim_oracle.selection_probabilities(code, m[0], (1 - tau, tau))
+        cdf = np.cumsum(probs)
         u = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0]])
         cfg = SimConfig(n, (k, 0, 0), (l, 0, 0), (0.0, 0.0, 0.0), tau1=tau)
         weights = _coset_weights(cfg, _codebook(code)[None], _index(m))
-        got = _shaped_dithers(np.repeat(weights, len(u), axis=0), u)
-        want = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-        assert np.array_equal(got, want)
+        got = _pick(_selection_law(np.repeat(weights, len(u), axis=0)), u)
+        stream = mock.Mock(random=mock.Mock(side_effect=u.tolist()))
+        want = [sim_oracle._draw_index(probs, stream) for _ in u]
+        assert got.tolist() == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 14), st.integers(0, 2 ** 31 - 1))

@@ -36,6 +36,17 @@ class TestTiltSpace:
         with pytest.raises(DimOverflow):
             TiltSpace(64, (64, 64))
 
+    @pytest.mark.parametrize("base,aux", [(4, (2.9, 3)), (4.5, (2,)),
+                                          (4.0, (2,)), (4, (2, 3.0))])
+    def test_dims_must_be_integers(self, base, aux):
+        with pytest.raises(DomainError, match="must be an integer"):
+            TiltSpace(base, aux)
+
+    def test_numpy_integer_dims_read_as_int(self):
+        space = TiltSpace(np.int64(4), (np.int32(2), 3))
+        assert (space.base_dim, space.aux_dims, space.total_dim) == (4, (2, 3), 24)
+        assert all(type(d) is int for d in (space.base_dim,) + space.aux_dims)
+
 
 class TestTiltVector:
     def test_eta_zero_is_embedding(self):
