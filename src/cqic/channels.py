@@ -144,7 +144,7 @@ class ChannelSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ChannelSpec":
-        dims = d["output_dims"]
+        dims = [_integer(x, "output dim", DomainError) for x in d["output_dims"]]
         total = int(np.prod(dims))
         states = {}
         for row in d["states"]:

@@ -146,7 +146,8 @@ def index_tuples(modulus: int, length: int) -> np.ndarray:
     count = modulus ** length
     if count > ENUMERATION_CAP:
         raise TooLarge(f"{count} tuples exceed the enumeration cap")
-    return np.indices((modulus,) * length, dtype=np.int64).reshape(length, count).T
+    return np.ascontiguousarray(
+        np.indices((modulus,) * length, dtype=np.int64).reshape(length, count).T)
 
 
 def enumerate_coset(code: NestedCosetCode, m) -> np.ndarray:

@@ -274,10 +274,13 @@ class TestRegion:
                      "--config", str(cfg), "--rates", "0,0,0",
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_non_integral_input_size_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field,what", [("inputs", "input size"),
+                                            ("output_dims", "output dim")])
+    def test_non_integral_input_size_exits_3(self, tmp_path, capsys, field,
+                                             what):
         spec = build_ex2(PHI, 0.1, 0.1, 1 / 32)
         doc = spec.to_json_dict()
-        doc["inputs"][0] = 2.7
+        doc[field][1] = 2.5
         ch = tmp_path / "ch.json"
         ch.write_text(json.dumps(doc))
         cfg = tmp_path / "cfg.json"
@@ -290,7 +293,7 @@ class TestRegion:
                      "--out", str(out)]) == 3
         std = capsys.readouterr()
         assert std.out == ""
-        assert std.err.startswith("error: input size must be an integer")
+        assert std.err.startswith(f"error: {what} must be an integer")
         assert std.err.count("\n") == 1
         assert not (out / "manifest.json").exists()
 

@@ -243,6 +243,9 @@ def test_code_operations_match_brute_force(v, k, l):
     code = random_nested_code(4, k, l, v, int(rng.integers(2 ** 63)))
     for length in (0, 1, k, l):
         _same(index_tuples(v, length), _brute_tuples(v, length))
+        # row-major, as the simulator's gathers and products over the
+        # tuples of soft_covering_tv expect
+        assert index_tuples(v, length).flags.c_contiguous
     for _ in range(5):
         a, m = rng.integers(-v, 2 * v, size=k), rng.integers(-v, 2 * v, size=l)
         _same(codeword(code, a, m), _brute_codeword(code, a, m))
