@@ -287,7 +287,7 @@ def _parity_gamma_form(channel: ChannelSpec):
 
 
 #: distinct float64 arguments and, shaped like the argument, the index
-#: of each entry's key
+#: of each entry's key; both read-only
 _Distinct = namedtuple("_Distinct", "keys inv")
 
 
@@ -296,12 +296,63 @@ def _distinct(x):
     so -0.0 and 0.0 stay apart)."""
     x = np.ascontiguousarray(x, dtype=float)
     keys, inv = np.unique(x.view(np.uint64), return_inverse=True)
-    return _Distinct(keys.view(np.float64), inv.reshape(x.shape))
+    d = _Distinct(keys.view(np.float64), inv.reshape(x.shape))
+    for a in d:
+        a.setflags(write=False)
+    return d
 
 
 def _spread(values, d):
     """Values over ``d.keys`` (last axis) taken back to every entry."""
     return values.take(d.inv, axis=-1)
+
+
+#: the channel-free part of the closed forms over a user-2 x user-3
+#: grid: the distinct ``q`` of either grid and, for Thm 1 (else None),
+#: the masses ``pu0``/``pu1`` of U2 + U3 = 0/1, the distinct w0, w1,
+#: w_tot arguments over the config grid, ``hu`` and ``hmin``; read-only
+_ClosedFrame = namedtuple("_ClosedFrame", "q2 q3 pu0 pu1 w0 w1 w_tot hu hmin")
+
+
+def _grid_key(g):
+    """The shape and the ``p``, ``f`` and ``q`` bytes of user grid ``g``:
+    all that its closed-form frame reads."""
+    return g.p.shape, g.p.tobytes(), g.f.tobytes(), g.q.tobytes()
+
+
+@functools.lru_cache(maxsize=8)
+def _closed_frame(evaluator, key2, key3):
+    """The :data:`_ClosedFrame` of the user grids with :func:`_grid_key`
+    ``key2`` and ``key3``, built once per grid pair and evaluator.
+
+    It reads no phi, delta or rate, so every scan over the same
+    cost-feasible user grids shares it.
+    """
+    g2, g3 = (_UserGrid(np.frombuffer(p).reshape(shape),
+                        np.frombuffer(f, dtype=int).reshape(shape),
+                        np.frombuffer(q), None)
+              for shape, p, f, q in (key2, key3))
+    q2, q3 = _distinct(g2.q), _distinct(g3.q)
+    if evaluator == "unstructured":
+        return _ClosedFrame(q2, q3, *(None,) * 7)
+
+    p2, f2 = g2.p[:, None, :], g2.f[:, None, :]     # (m2, 1, 2)
+    p3, f3 = g3.p[None, :, :], g3.f[None, :, :]     # (1, m3, 2)
+    pu0 = p2[..., 0] * p3[..., 0] + p2[..., 1] * p3[..., 1]
+    pu1 = p2[..., 0] * p3[..., 1] + p2[..., 1] * p3[..., 0]
+    n0 = (p2[..., 0] * p3[..., 0] * ((f2[..., 0] + f3[..., 0]) % 2)
+          + p2[..., 1] * p3[..., 1] * ((f2[..., 1] + f3[..., 1]) % 2))
+    n1 = (p2[..., 0] * p3[..., 1] * ((f2[..., 0] + f3[..., 1]) % 2)
+          + p2[..., 1] * p3[..., 0] * ((f2[..., 1] + f3[..., 0]) % 2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w0 = np.where(pu0 > 0.0, n0 / np.where(pu0 > 0, pu0, 1.0), 0.0)
+        w1 = np.where(pu1 > 0.0, n1 / np.where(pu1 > 0, pu1, 1.0), 0.0)
+    hu = _hb_arr(pu1)
+    hmin = np.minimum(_hb_arr(p2[..., 1]), _hb_arr(p3[..., 1]))
+    for a in (pu0, pu1, hu, hmin):
+        a.setflags(write=False)
+    return _ClosedFrame(q2, q3, pu0, pu1, _distinct(w0), _distinct(w1),
+                        _distinct(n0 + n1), hu, hmin)
 
 
 #: the p1-free part of the closed forms over a user-2 x user-3 grid.
@@ -316,44 +367,36 @@ def _closed_stage(form, evaluator, g2, g3):
     """The p1-free stage of the plane-rotation/flip closed forms.
 
     ``form`` is ``(phi, (d2, d3))`` from :func:`_parity_gamma_form` and
-    ``g2``/``g3`` are user grids with deterministic maps.  The terms of
-    q2, q3 and the w arguments are evaluated once per distinct bit
-    pattern of their argument; ``hu`` and ``hmin`` (cheaper than finding
-    the distinct values of the grid) directly.  The unstructured bounds
+    ``g2``/``g3`` are user grids with deterministic maps.  The
+    channel-free part is :func:`_closed_frame`'s, cached once per
+    user-grid pair, so a k-ray scan and later scans of the same grids in
+    the process reuse it; a one-config refinement cell builds its frame
+    outside the cache, so cells never push a grid's frame out.  The
+    terms of q2, q3 and the w arguments are evaluated here, once per
+    distinct bit pattern of their argument.  The unstructured bounds
     depend on a config only through (q2, q3), so their stage grid is
     distinct q2 x distinct q3; the Thm 1 stage grid is the config grid,
     whose terms combine in the order of the per-config formulas.
     """
     phi, (d2, d3) = form
-    (q2, rows2), (q3, rows3) = _distinct(g2.q), _distinct(g3.q)
-    own2 = _hb_arr(_conv_arr(q2, d2)) - _hb_arr(d2)
-    own3 = _hb_arr(_conv_arr(q3, d3)) - _hb_arr(d3)
+    keys = (evaluator, _grid_key(g2), _grid_key(g3))
+    fr = (_closed_frame(*keys) if len(g2.p) * len(g3.p) > 1
+          else _closed_frame.__wrapped__(*keys))
+    own2 = _hb_arr(_conv_arr(fr.q2.keys, d2)) - _hb_arr(d2)
+    own3 = _hb_arr(_conv_arr(fr.q3.keys, d3)) - _hb_arr(d3)
     if evaluator == "unstructured":
-        terms = {"q2": q2[None, :, None], "q3": q3[None, None, :],
+        terms = {"q2": fr.q2.keys[None, :, None],
+                 "q3": fr.q3.keys[None, None, :],
                  "own2": own2[None, :, None], "own3": own3[None, None, :]}
-        return _ClosedStage(phi, evaluator, terms, rows2, rows3)
+        return _ClosedStage(phi, evaluator, terms, fr.q2.inv, fr.q3.inv)
 
-    p2, f2 = g2.p[:, None, :], g2.f[:, None, :]     # (m2, 1, 2)
-    p3, f3 = g3.p[None, :, :], g3.f[None, :, :]     # (1, m3, 2)
-    pu0 = p2[..., 0] * p3[..., 0] + p2[..., 1] * p3[..., 1]
-    pu1 = p2[..., 0] * p3[..., 1] + p2[..., 1] * p3[..., 0]
-    n0 = (p2[..., 0] * p3[..., 0] * ((f2[..., 0] + f3[..., 0]) % 2)
-          + p2[..., 1] * p3[..., 1] * ((f2[..., 1] + f3[..., 1]) % 2))
-    n1 = (p2[..., 0] * p3[..., 1] * ((f2[..., 0] + f3[..., 1]) % 2)
-          + p2[..., 1] * p3[..., 0] * ((f2[..., 1] + f3[..., 0]) % 2))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w0 = np.where(pu0 > 0.0, n0 / np.where(pu0 > 0, pu0, 1.0), 0.0)
-        w1 = np.where(pu1 > 0.0, n1 / np.where(pu1 > 0, pu1, 1.0), 0.0)
-    w = {"w0": _distinct(w0), "w1": _distinct(w1),
-         "w_tot": _distinct(n0 + n1)}
+    w = {"w0": fr.w0, "w1": fr.w1, "w_tot": fr.w_tot}
     haf = {k: _spread(_haf_arr(d.keys, phi), d) for k, d in w.items()}
-    base = pu0 * haf["w0"] + pu1 * haf["w1"]
-    hu = _hb_arr(pu1)
-    hmin = np.minimum(_hb_arr(p2[..., 1]), _hb_arr(p3[..., 1]))
-    terms = dict(w, own2=own2.take(rows2)[None, :, None],
-                 own3=own3.take(rows3)[None, None, :], pu0=pu0, pu1=pu1,
-                 base=base, hu=hu, hmin=hmin,
-                 cross_rhs=(haf["w_tot"] - base - hu + hmin)[None])
+    base = fr.pu0 * haf["w0"] + fr.pu1 * haf["w1"]
+    terms = dict(w, own2=own2.take(fr.q2.inv)[None, :, None],
+                 own3=own3.take(fr.q3.inv)[None, None, :], pu0=fr.pu0,
+                 pu1=fr.pu1, base=base, hu=fr.hu, hmin=fr.hmin,
+                 cross_rhs=(haf["w_tot"] - base - fr.hu + fr.hmin)[None])
     return _ClosedStage(phi, evaluator, terms, None, None)
 
 
@@ -418,8 +461,12 @@ def grid_source(channel, evaluator, g2, g3):
     plane-rotation/flip family (Thm 1 on the binary field only) takes
     the closed forms: their user-1-free terms are evaluated here, once,
     and the unstructured source grid is distinct q2 x distinct q3.
-    Every other channel takes the batched engine over the configs,
-    whose values agree with the closed forms to 1e-12.
+    Their channel-free frame is built once per user-grid pair and
+    shared by every source over the same grids, so a k-ray scan or a
+    loop of in-process scans builds it once; a one-shot, one-ray CLI
+    process gains nothing.  Every other channel takes the batched
+    engine over the configs, whose values agree with the closed forms
+    to 1e-12.
     """
     form = channel.verdict(_parity_gamma_form)
     if form is None or (evaluator == "thm1" and g2.p.shape[1] != 2):

@@ -528,7 +528,11 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
                 pts = np.linspace(max(0.0, center - width),
                                   min(1.0, center + width), 17)
                 evaluations += len(pts)
-                cands = np.array([[1.0 - p, p] for p in map(float, pts)])
+                cands = np.stack([1.0 - pts, pts], axis=1)
+                # one scalar dot per row: cands @ kappa1, einsum and
+                # c0*k0 + c1*k1 each differ from it in the last bit for
+                # non-integer costs, which could flip a verdict at the
+                # budget boundary
                 cands = cands[np.array([float(p1 @ kappa1)
                                         <= taus[0] + tol.prob
                                         for p1 in cands], dtype=bool)]

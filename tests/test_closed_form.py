@@ -1,8 +1,9 @@
 """The staged closed-form scan against the per-call oracle, bit for bit.
 
 ``closed_oracle`` keeps the closed form as one call over the full
-broadcast grid; ``cqic.direct`` evaluates a p1-free stage once per scan
-and every entropy term once per distinct argument.  Every bound value,
+broadcast grid; ``cqic.direct`` evaluates a p1-free stage once per scan,
+on a channel-free frame cached once per user-grid pair, and every
+entropy term once per distinct argument.  Every bound value,
 user grid entry and scan result must agree exactly (compared as uint64
 views, so -0.0 against 0.0 counts as a difference).
 """
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closed_oracle as co
-from cqic import direct
+from cqic import cli, direct
 from cqic import regions as rg
 from cqic.channels import ChannelSpec, CostVector, build_ex1, build_ex2, \
     build_ex3
@@ -173,6 +174,74 @@ def test_scan_results_match_oracle(evaluator, sizes, denom, kind, tau):
             refined += new.r1_max > new.grid_value
     # within 0.3 the denominator-3 grid has only p1 = 0, where R1 = 0
     assert refined or tau != 0.3 or denom == 3
+
+
+def _frame_arrays(frame):
+    for part in frame:
+        yield from (part if isinstance(part, direct._Distinct)
+                    else () if part is None else (part,))
+
+
+def test_interleaved_scans_share_frames_and_match_oracle():
+    # frames are cached per (evaluator, user grids), not per channel: the
+    # scans alternate grids, evaluators and channels and must each still
+    # give the oracle's bits
+    specs = (build_ex2(PHI, 0.1, 0.15, 0.3), build_ex2(1.3, 0.2, 0.05, 0.3))
+    direct._closed_frame.cache_clear()
+    scans = 0
+    for r2, r3 in ((0.2, 0.1), (0.05, 0.02)):
+        for spec in specs:
+            for denom in (16, 32):
+                for evaluator in ("thm1", "unstructured"):
+                    kw = dict(evaluator=evaluator, denominator=denom)
+                    new = rg.max_r1_scan(spec, r2, r3, **kw)
+                    old = co.scan(spec, r2, r3, **kw)
+                    assert _same_bits(new.r1_max, old.r1_max)
+                    assert _same_bits(new.grid_value, old.grid_value)
+                    assert new.evaluations == old.evaluations
+                    _same_config(new.best, old.best)
+                    scans += 1
+    # users 2 and 3 are uncosted, so both channels share the grids
+    info = direct._closed_frame.cache_info()
+    assert (info.misses, info.hits) == (4, scans - 4)
+    for denom in (16, 32):
+        g2, g3 = (direct._binary_user_grid(specs[0], j, 2, denom)
+                  for j in (1, 2))
+        for evaluator in ("thm1", "unstructured"):
+            frame = direct._closed_frame(evaluator, direct._grid_key(g2),
+                                         direct._grid_key(g3))
+            arrays = list(_frame_arrays(frame))
+            assert len(arrays) == (14 if evaluator == "thm1" else 4)
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 0
+    assert direct._closed_frame.cache_info().misses == 4
+
+
+def test_scan_builds_the_thm1_frame_once_and_cells_stay_out(tmp_path,
+                                                            capsys):
+    direct._closed_frame.cache_clear()
+    assert cli.main(["scan", "--example", "ex2", "--r2", "0.1", "0.2",
+                     "--r3", "0.1", "--evaluator", "thm1",
+                     "--denominator", "16", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    info = direct._closed_frame.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # more refinement cells than the cache holds leave the grid's frame
+    spec = build_ex2(math.pi / 3, 0.1, 0.1, 0.25)
+    g2, g3 = (direct._binary_user_grid(spec, j, 2, 16) for j in (1, 2))
+    p1s = direct._lattice_pmfs(2, 16)
+    for a in range(info.maxsize + 4):
+        cell = [direct._grid_rows(g, slice(a, a + 1)) for g in (g2, g3)]
+        direct.grid_source(spec, "thm1", *cell)[0](p1s)
+    assert direct._closed_frame.cache_info() == info
+    direct.grid_source(spec, "thm1", g2, g3)[0](p1s)
+    after = direct._closed_frame.cache_info()
+    assert (after.misses, after.hits) == (1, 2)
+    # frames are keyed by content: same shape, other rows, another frame
+    flipped = direct._grid_rows(g2, slice(None, None, -1))
+    direct.grid_source(spec, "thm1", flipped, g3)[0](p1s)
+    assert direct._closed_frame.cache_info().misses == 2
 
 
 def _mixed(spec, j_state, eps):
