@@ -302,16 +302,13 @@ def _distinct(x):
     return d
 
 
-def _spread(values, d):
-    """Values over ``d.keys`` (last axis) taken back to every entry."""
-    return values.take(d.inv, axis=-1)
-
-
 #: the channel-free part of the closed forms over a user-2 x user-3
 #: grid: the distinct ``q`` of either grid and, for Thm 1 (else None),
-#: the masses ``pu0``/``pu1`` of U2 + U3 = 0/1, the distinct w0, w1,
-#: w_tot arguments over the config grid, ``hu`` and ``hmin``; read-only
-_ClosedFrame = namedtuple("_ClosedFrame", "q2 q3 pu0 pu1 w0 w1 w_tot hu hmin")
+#: the masses ``pu0``/``pu1`` of U2 + U3 = 0/1, the distinct arguments
+#: ``w`` of the w0, w1 and w_tot terms over the config grid (one
+#: :data:`_Distinct`, its ``inv`` stacked in that order), ``hu`` and
+#: ``hmin``; read-only
+_ClosedFrame = namedtuple("_ClosedFrame", "q2 q3 pu0 pu1 w hu hmin")
 
 
 def _grid_key(g):
@@ -334,7 +331,7 @@ def _closed_frame(evaluator, key2, key3):
               for shape, p, f, q in (key2, key3))
     q2, q3 = _distinct(g2.q), _distinct(g3.q)
     if evaluator == "unstructured":
-        return _ClosedFrame(q2, q3, *(None,) * 7)
+        return _ClosedFrame(q2, q3, *(None,) * 5)
 
     p2, f2 = g2.p[:, None, :], g2.f[:, None, :]     # (m2, 1, 2)
     p3, f3 = g3.p[None, :, :], g3.f[None, :, :]     # (1, m3, 2)
@@ -351,16 +348,19 @@ def _closed_frame(evaluator, key2, key3):
     hmin = np.minimum(_hb_arr(p2[..., 1]), _hb_arr(p3[..., 1]))
     for a in (pu0, pu1, hu, hmin):
         a.setflags(write=False)
-    return _ClosedFrame(q2, q3, pu0, pu1, _distinct(w0), _distinct(w1),
-                        _distinct(n0 + n1), hu, hmin)
+    w = _distinct(np.stack([w0, w1, n0 + n1]))
+    return _ClosedFrame(q2, q3, pu0, pu1, w, hu, hmin)
 
 
-#: the p1-free part of the closed forms over a user-2 x user-3 grid.
-#: ``terms`` holds arrays whose last two axes run over the stage grid
-#: (size-1 axes broadcast) and, for the Thm 1 p1 terms, the distinct
-#: arguments w0, w1, w_tot.  ``rows2``/``rows3`` take the stage grid
-#: back to the configs; None when it is the config grid.
-_ClosedStage = namedtuple("_ClosedStage", "phi evaluator terms rows2 rows3")
+#: the p1-free part of the closed forms over a user-2 x user-3 grid,
+#: laid out on a stage grid of ``shape``.  ``free`` holds the rate keys
+#: that no p1 enters, as arrays that broadcast to the stage grid, and
+#: ``terms`` the operands of the p1 terms: the distinct q2 and q3 along
+#: its axes (unstructured), or arrays over it and the frame's ``w``
+#: (Thm 1).  ``rows2``/``rows3`` take the stage grid back to the
+#: configs; None when it is the config grid.
+_ClosedStage = namedtuple("_ClosedStage",
+                          "phi evaluator shape free terms rows2 rows3")
 
 
 def _closed_stage(form, evaluator, g2, g3):
@@ -370,65 +370,101 @@ def _closed_stage(form, evaluator, g2, g3):
     ``g2``/``g3`` are user grids with deterministic maps.  The
     channel-free part is :func:`_closed_frame`'s, cached once per
     user-grid pair, so a k-ray scan and later scans of the same grids in
-    the process reuse it; a one-config refinement cell builds its frame
-    outside the cache, so cells never push a grid's frame out.  The
-    terms of q2, q3 and the w arguments are evaluated here, once per
-    distinct bit pattern of their argument.  The unstructured bounds
-    depend on a config only through (q2, q3), so their stage grid is
-    distinct q2 x distinct q3; the Thm 1 stage grid is the config grid,
-    whose terms combine in the order of the per-config formulas.
+    the process reuse it.  The terms of q2, q3 and w are evaluated here,
+    once per distinct bit pattern of their argument.  The unstructured
+    bounds depend on a config only through (q2, q3), so their stage grid
+    is distinct q2 x distinct q3; the Thm 1 stage grid is the config
+    grid, whose terms combine in the order of the per-config formulas.
+    A scan reads the stage at some of its cells through
+    :func:`_closed_cells`, so no cell builds a stage or frame of its own.
     """
     phi, (d2, d3) = form
-    keys = (evaluator, _grid_key(g2), _grid_key(g3))
-    fr = (_closed_frame(*keys) if len(g2.p) * len(g3.p) > 1
-          else _closed_frame.__wrapped__(*keys))
+    fr = _closed_frame(evaluator, _grid_key(g2), _grid_key(g3))
     own2 = _hb_arr(_conv_arr(fr.q2.keys, d2)) - _hb_arr(d2)
     own3 = _hb_arr(_conv_arr(fr.q3.keys, d3)) - _hb_arr(d3)
     if evaluator == "unstructured":
-        terms = {"q2": fr.q2.keys[None, :, None],
-                 "q3": fr.q3.keys[None, None, :],
-                 "own2": own2[None, :, None], "own3": own3[None, None, :]}
-        return _ClosedStage(phi, evaluator, terms, fr.q2.inv, fr.q3.inv)
+        shape = (len(fr.q2.keys), len(fr.q3.keys))
+        free = {"own2": own2[:, None], "own3": own3[None, :]}
+        terms = {"q2": fr.q2.keys, "q3": fr.q3.keys}
+        return _ClosedStage(phi, evaluator, shape, free, terms, fr.q2.inv,
+                            fr.q3.inv)
 
-    w = {"w0": fr.w0, "w1": fr.w1, "w_tot": fr.w_tot}
-    haf = {k: _spread(_haf_arr(d.keys, phi), d) for k, d in w.items()}
-    base = fr.pu0 * haf["w0"] + fr.pu1 * haf["w1"]
-    terms = dict(w, own2=own2.take(fr.q2.inv)[None, :, None],
-                 own3=own3.take(fr.q3.inv)[None, None, :], pu0=fr.pu0,
-                 pu1=fr.pu1, base=base, hu=fr.hu, hmin=fr.hmin,
-                 cross_rhs=(haf["w_tot"] - base - fr.hu + fr.hmin)[None])
-    return _ClosedStage(phi, evaluator, terms, None, None)
+    # index, not take: take copies a read-only index array, slowly
+    h0, h1, h_tot = _haf_arr(fr.w.keys, phi)[fr.w.inv]
+    base = fr.pu0 * h0 + fr.pu1 * h1
+    free = {"own2": own2[fr.q2.inv][:, None],
+            "own3": own3[fr.q3.inv][None, :],
+            "cross_rhs": h_tot - base - fr.hu + fr.hmin}
+    terms = {"w": fr.w, "pu0": fr.pu0, "pu1": fr.pu1, "base": base,
+             "hu": fr.hu, "hmin": fr.hmin}
+    return _ClosedStage(phi, evaluator, base.shape, free, terms, None, None)
 
 
-def _closed_bounds(stage, p1v):
-    """Rate-bound values of a closed-form stage at user-1 'on'
-    probabilities ``p1v``.
+def _used_keys(keys, inv):
+    """The entries of ``keys`` that the indices ``inv`` reach, in key
+    order, and each index's position among them."""
+    used = np.zeros(len(keys), dtype=bool)
+    used[inv] = True
+    return keys[used], (np.cumsum(used) - 1)[inv]
 
-    Only the p1 terms are evaluated here.  Returns the rate keys of the
-    evaluator's rate rows as arrays that broadcast to ``(len(p1v),)``
-    plus the stage grid.
+
+def _closed_cells(stage, flat):
+    """``stage`` restricted to the cells with flat indices ``flat``.
+
+    The free keys and the Thm 1 operands are taken at the cells, one
+    entry per cell.  The arguments of the p1 terms (each distinct q2 and
+    q3, or w) are kept once per distinct value the cells use, with each
+    cell's index into them.
     """
-    t, phi = stage.terms, stage.phi
-    p1 = np.asarray(p1v, dtype=float)[:, None, None]
-    b = {"own2": t["own2"], "own3": t["own3"]}
+    c2, c3 = np.divmod(flat, stage.shape[1])
+
+    def at(v):  # an (n2, n3) array that broadcasts to the stage grid
+        return v.reshape(-1).take((c2 if v.shape[0] > 1 else 0) * v.shape[1]
+                                  + (c3 if v.shape[1] > 1 else 0))
+
+    t = stage.terms
+    cells = {k: at(v) for k, v in stage.free.items()}
     if stage.evaluator == "unstructured":
-        q2, q3 = t["q2"], t["q3"]
+        (q2, i2), (q3, i3) = _used_keys(t["q2"], c2), _used_keys(t["q3"], c3)
+        cells.update(q2=q2, i2=i2, q3=q3, i3=i3)
+        return cells
+    cells.update((k, at(t[k])) for k in ("pu0", "pu1", "base", "hu", "hmin"))
+    w = t["w"]
+    cells["w"], cells["w_at"] = _used_keys(
+        w.keys, w.inv.reshape(3, -1).take(flat, axis=1))
+    return cells
+
+
+def _closed_bounds(stage, cells, p1v):
+    """Rate-bound values at user-1 'on' probabilities ``p1v`` x the
+    cells of :func:`_closed_cells`.
+
+    Only the p1 terms are evaluated here, in one :func:`_haf_arr` call
+    over their distinct arguments, with the operations of the
+    per-config formulas.  Returns the rate keys of the evaluator's rate
+    rows as arrays that broadcast to ``(len(p1v), cells)``.
+    """
+    phi = stage.phi
+    p1 = np.asarray(p1v, dtype=float)[:, None]
+    b = {k: cells[k] for k in stage.free}
+    if stage.evaluator == "unstructured":
+        i2, i3 = cells["i2"], cells["i3"]
+        x2, x3 = _conv_arr(p1, cells["q2"]), _conv_arr(p1, cells["q3"])
+        total = _conv_arr(x2.take(i2, axis=1), cells["q3"].take(i3))
+        h = _haf_arr(np.concatenate((p1, x2, x3, total), axis=1), phi)
+        k2 = 1 + x2.shape[1]
+        k3 = k2 + x3.shape[1]
         # deterministic maps make the private refinement terms vanish
-        b.update(r1_rhs=_haf_arr(p1, phi),
-                 pair2=_haf_arr(_conv_arr(p1, q2), phi),
-                 pair3=_haf_arr(_conv_arr(p1, q3), phi),
-                 total1=_haf_arr(_conv_arr(_conv_arr(p1, q2), q3), phi),
+        b.update(r1_rhs=h[:, :1], pair2=h[:, 1:k2].take(i2, axis=1),
+                 pair3=h[:, k2:k3].take(i3, axis=1), total1=h[:, k3:],
                  refine2=0.0, refine3=0.0)
         return b
 
-    def at_p1(d):  # _haf_arr at the convolution of p1 and each distinct w
-        return _spread(_haf_arr(_conv_arr(p1[:, :, 0], d.keys), phi), d)
-
-    base = t["base"]
-    b.update(r1_rhs=t["pu0"] * at_p1(t["w0"]) + t["pu1"] * at_p1(t["w1"])
-             - base,
-             cross_rhs=t["cross_rhs"],
-             sum_rhs=at_p1(t["w_tot"]) - base - t["hu"] + t["hmin"])
+    h0, h1, h_tot = _haf_arr(_conv_arr(p1, cells["w"]), phi).take(
+        cells["w_at"], axis=1).transpose(1, 0, 2)
+    base = cells["base"]
+    b.update(r1_rhs=cells["pu0"] * h0 + cells["pu1"] * h1 - base,
+             sum_rhs=h_tot - base - cells["hu"] + cells["hmin"])
     return b
 
 
@@ -452,31 +488,62 @@ def _grid_bounds(channel, evaluator, p1s, g2, g3):
     return direct_bounds(channel, evaluator, p1s, *users)
 
 
+#: where a scan takes its bound values over user grids g2 x g3, whose
+#: configs lie on a stage grid.  ``bounds(p1s)`` gives every rate key
+#: over p1s x the stage grid and ``cell(a2, a3)`` the same function over
+#: p1s x config (a2, a3) alone; ``spread`` takes an array over the stage
+#: grid back to the configs.  The closed forms also hold ``free``, the
+#: rate keys that no p1 enters, over the stage grid, and ``at(flat)``,
+#: ``bounds`` at the stage cells with flat indices ``flat``, one
+#: ``(len(p1s), len(flat))`` array per key.  The engine evaluates every
+#: key per config and p1, so both are None there.
+_Source = namedtuple("_Source", "bounds cell spread free at")
+
+
 def grid_source(channel, evaluator, g2, g3):
     """Where a scan takes its bound values over the user grids g2 x g3.
 
-    Returns ``(bounds, spread)``.  ``bounds(p1s)`` gives the keys of the
-    evaluator's rate rows over ``p1s`` x a source grid, and ``spread``
-    takes an array over that grid back to the configs.  The
-    plane-rotation/flip family (Thm 1 on the binary field only) takes
-    the closed forms: their user-1-free terms are evaluated here, once,
-    and the unstructured source grid is distinct q2 x distinct q3.
-    Their channel-free frame is built once per user-grid pair and
-    shared by every source over the same grids, so a k-ray scan or a
-    loop of in-process scans builds it once; a one-shot, one-ray CLI
-    process gains nothing.  Every other channel takes the batched
-    engine over the configs, whose values agree with the closed forms
-    to 1e-12.
+    Returns a :data:`_Source`.  The plane-rotation/flip family (Thm 1 on
+    the binary field only) takes the closed forms: their user-1-free
+    terms are evaluated here, once, on :func:`_closed_stage`'s stage,
+    and a scan evaluates the p1 terms only at the stage cells it asks
+    for, so a refinement cell is the stage restricted to one config.
+    The channel-free frame is built once per user-grid pair and shared
+    by every source over the same grids, so a k-ray scan or a loop of
+    in-process scans builds it once; a one-shot, one-ray CLI process
+    gains nothing.  Every other channel takes the batched engine over
+    the configs, whose values agree with the closed forms to 1e-12.
     """
     form = channel.verdict(_parity_gamma_form)
     if form is None or (evaluator == "thm1" and g2.p.shape[1] != 2):
-        return (lambda p1s: _grid_bounds(channel, evaluator, p1s, g2, g3),
-                lambda values: values)
+        def engine_cell(a2, a3):
+            one = [_grid_rows(g, slice(a, a + 1)) for g, a in ((g2, a2),
+                                                               (g3, a3))]
+            return lambda p1s: _grid_bounds(channel, evaluator, p1s, *one)
+
+        return _Source(lambda p1s: _grid_bounds(channel, evaluator, p1s, g2,
+                                                g3),
+                       engine_cell, lambda values: values, None, None)
     stage = _closed_stage(form, evaluator, g2, g3)
+
+    def at(flat):
+        cells = _closed_cells(stage, flat)
+        return lambda p1s: _closed_bounds(stage, cells, p1s[:, 1])
+
+    def bounds(p1s):
+        size = math.prod(stage.shape)
+        return {k: np.broadcast_to(v, (len(p1s), size)).reshape(
+                    (len(p1s),) + stage.shape)
+                for k, v in at(np.arange(size))(p1s).items()}
+
+    def cell(a2, a3):
+        if stage.rows2 is not None:
+            a2, a3 = stage.rows2[a2], stage.rows3[a3]
+        return at(np.array([a2 * stage.shape[1] + a3]))
 
     def spread(values):
         if stage.rows2 is None:
             return values
         return values.take(stage.rows2, axis=1).take(stage.rows3, axis=2)
 
-    return lambda p1s: _closed_bounds(stage, p1s[:, 1]), spread
+    return _Source(bounds, cell, spread, stage.free, at)

@@ -170,19 +170,46 @@ def _r1_sup(rows, b, r2, r3, tol):
 
     Bound values may be floats or arrays that broadcast together; the
     result takes their broadcast shape.  Rows without R1 must hold with
-    the ``tol`` margin, as in the checkers.
+    the ``tol`` margin, as in the checkers (:func:`_rows_hold`).
     """
-    sup, ok = math.inf, True
+    sup = math.inf
     for _, (c1, c2, c3), keys in rows:
-        rhs = _add([b[k] for k in keys])
-        fixed = [(c, r) for c, r in ((c2, r2), (c3, r3)) if c]
         if c1:
-            for c, r in fixed:
-                rhs = rhs - c * r
+            rhs = _add([b[k] for k in keys])
+            for c, r in ((c2, r2), (c3, r3)):
+                if c:
+                    rhs = rhs - c * r
             sup = np.minimum(sup, rhs)
-        else:
-            ok = ok & (_add([c * r for c, r in fixed]) <= rhs - tol)
-    return np.where(ok & (sup > 0.0), sup, -np.inf)
+    return np.where(_rows_hold(rows, b, r2, r3, tol) & (sup > 0.0), sup,
+                    -np.inf)
+
+
+def _rows_hold(rows, b, r2, r3, tol):
+    """Whether the rows without R1 hold at fixed (R2, R3) with the
+    ``tol`` margin; they read only the keys of ``b`` that no R1 enters."""
+    ok = True
+    for _, (c1, c2, c3), keys in rows:
+        if not c1:
+            lhs = _add([c * r for c, r in ((c2, r2), (c3, r3)) if c])
+            ok = ok & (lhs <= _add([b[k] for k in keys]) - tol)
+    return ok
+
+
+def _grid_sup(rows, source, p1s, r2, r3, tol):
+    """R1 suprema over ``p1s`` x the configs of a scan's grid source.
+
+    The closed forms test the rows without R1 once over the stage grid
+    and evaluate the p1 terms only at the cells where they hold; every
+    other cell reads ``-inf``, as :func:`_r1_sup` gives there.  The
+    engine evaluates every config.
+    """
+    if source.free is None:
+        return source.spread(_r1_sup(rows, source.bounds(p1s), r2, r3, tol))
+    ok = _rows_hold(rows, source.free, r2, r3, tol)
+    flat = np.flatnonzero(ok)
+    sup = np.full((len(p1s), ok.size), -np.inf)
+    sup[:, flat] = _r1_sup(rows, source.at(flat)(p1s), r2, r3, tol)
+    return source.spread(sup.reshape((len(p1s),) + ok.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +485,12 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     :func:`cqic.direct.grid_source`: vectorized closed forms for
     channels in the plane-rotation/flip family, evaluated once per
     distinct argument, and the batched engine of :mod:`cqic.direct`,
-    bit for bit the checkers' values, for everything else.  The grid is
-    sized against ``scan_cap`` before it is enumerated.
+    bit for bit the checkers' values, for everything else.  On the
+    closed forms the rows without R1 are tested once over the stage
+    grid and the user-1 terms evaluated only at the configs that pass
+    (:func:`_grid_sup`); the zoom reads the winning config's cell of
+    the same stage.  ``evaluations`` counts the whole grid either way.
+    The grid is sized against ``scan_cap`` before it is enumerated.
     """
     tol = active_tolerances()
     r2, r3 = float(r2), float(r3)
@@ -498,29 +529,22 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     grid3 = _binary_user_grid(channel, 2, n3, denominator)
 
     kappa1 = channel.costs[0]
-    p1_ok = p1s[np.array([float(p @ kappa1) <= taus[0] + tol.prob
-                          for p in p1s], dtype=bool)]
+    p1_ok = p1s[np.vecdot(p1s, kappa1) <= taus[0] + tol.prob]
     g2_ok = _grid_rows(grid2, grid2.cost <= taus[1] + tol.prob)
     g3_ok = _grid_rows(grid3, grid3.cost <= taus[2] + tol.prob)
-
-    def sup_at(p1_list, source):
-        """R1 suprema over p1_list x the configs of a grid source."""
-        bounds, spread = source
-        return spread(_r1_sup(rows, bounds(p1_list), r2, r3, tol.rate))
 
     best_val, best_cfg = -math.inf, None
     evaluations = len(p1_ok) * len(g2_ok.p) * len(g3_ok.p)
     if evaluations:
-        sup = sup_at(p1_ok, grid_source(channel, evaluator, g2_ok, g3_ok))
+        source = grid_source(channel, evaluator, g2_ok, g3_ok)
+        sup = _grid_sup(rows, source, p1_ok, r2, r3, tol.rate)
         i1, a2, a3 = np.unravel_index(int(np.argmax(sup)), sup.shape)
         best_val = float(sup[i1, a2, a3])
     grid_value = best_val
     if best_val > -math.inf:
         best_p1 = p1_ok[i1]
         if refine and sizes[0] == 2:
-            cell = grid_source(channel, evaluator,
-                               _grid_rows(g2_ok, slice(a2, a2 + 1)),
-                               _grid_rows(g3_ok, slice(a3, a3 + 1)))
+            cell = source.cell(a2, a3)
             # zoom the user-1 'on' probability around the grid argmax:
             # eight levels of 17 points, the window shrinking eightfold
             center, width = float(best_p1[1]), 1.0 / denominator
@@ -529,15 +553,14 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
                                   min(1.0, center + width), 17)
                 evaluations += len(pts)
                 cands = np.stack([1.0 - pts, pts], axis=1)
-                # one scalar dot per row: cands @ kappa1, einsum and
-                # c0*k0 + c1*k1 each differ from it in the last bit for
-                # non-integer costs, which could flip a verdict at the
-                # budget boundary
-                cands = cands[np.array([float(p1 @ kappa1)
-                                        <= taus[0] + tol.prob
-                                        for p1 in cands], dtype=bool)]
+                # vecdot shares the dot kernel of the per-row p1 @ kappa1;
+                # the gemv cands @ kappa1, einsum and c0*k0 + c1*k1 each
+                # differ from it in the last bit for non-integer costs,
+                # which could flip a verdict at the budget boundary
+                cands = cands[np.vecdot(cands, kappa1) <= taus[0] + tol.prob]
                 if len(cands):
-                    vals = sup_at(cands, cell).ravel()
+                    vals = _r1_sup(rows, cell(cands), r2, r3,
+                                   tol.rate).ravel()
                     k = int(np.argmax(vals))
                     if vals[k] > best_val:
                         best_val, best_p1 = float(vals[k]), cands[k]

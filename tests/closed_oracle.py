@@ -5,15 +5,17 @@ family as ``cqic.regions`` evaluated it before the scan was split into
 a p1-free stage and p1 terms on distinct arguments: every bound value
 on the full broadcast config grid, rebuilt from Python lists of user
 configs on each call.  ``scan`` is the closed-form path of
-``max_r1_scan`` around it, and ``parity_gamma_form`` the per-input
-family check.  The function bodies are unchanged apart from the names;
-``cqic.direct`` and ``max_r1_scan`` must give the same values bit for
-bit.  ``map_table`` is the per-config loop that
-``cqic.direct._map_tables`` vectorizes, and ``hb_arr``/``haf_arr`` the
-masked and clipped entropy terms before ``cqic.direct`` dropped the
-clips and the masked assignment.  Nothing here calls the staged
-code, except ``staged_bounds``, which spreads its values back to the
-full grid for the comparison.
+``max_r1_scan`` around it, ``r1_sup`` the supremum over every config
+before the scan tested its rows without R1 apart, and
+``parity_gamma_form`` the per-input family check.  The function bodies
+are unchanged apart from the names; ``cqic.direct`` and
+``max_r1_scan`` must give the same values bit for bit.  ``map_table``
+is the per-config loop that ``cqic.direct._map_tables`` vectorizes, and
+``hb_arr``/``haf_arr`` the masked and clipped entropy terms before
+``cqic.direct`` dropped the clips and the masked assignment.  Nothing
+here calls the staged code, except ``staged_bounds``, which evaluates
+its stage at every cell and spreads the values back to the full grid
+for the comparison.
 """
 
 import itertools
@@ -26,7 +28,7 @@ from cqic import regions as rg
 from cqic.channels import gamma_state, sigma_state
 from cqic.direct import _conv_arr
 from cqic.errors import DomainError
-from cqic.regions import ScanResult, Thm1Config, UnstructuredConfig, _r1_sup
+from cqic.regions import ScanResult, Thm1Config, UnstructuredConfig
 
 
 def hb_arr(t):
@@ -160,6 +162,34 @@ def closed_bounds(form, evaluator, p1v, g2, g3):
     return b
 
 
+def add(terms):
+    """Left-to-right sum from the first term (``0 + -0.0`` flips a sign)."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def r1_sup(rows, b, r2, r3, tol):
+    """Supremum of R1 the rows allow at fixed (R2, R3); ``-inf`` if none.
+
+    Bound values may be floats or arrays that broadcast together; the
+    result takes their broadcast shape.  Rows without R1 must hold with
+    the ``tol`` margin, as in the checkers.
+    """
+    sup, ok = math.inf, True
+    for _, (c1, c2, c3), keys in rows:
+        rhs = add([b[k] for k in keys])
+        fixed = [(c, r) for c, r in ((c2, r2), (c3, r3)) if c]
+        if c1:
+            for c, r in fixed:
+                rhs = rhs - c * r
+            sup = np.minimum(sup, rhs)
+        else:
+            ok = ok & (add([c * r for c, r in fixed]) <= rhs - tol)
+    return np.where(ok & (sup > 0.0), sup, -np.inf)
+
+
 def map_table(p, f, x_size):
     """Joint (cloud, input) table of a user sending f[u] for cloud u."""
     tab = np.zeros((len(p), x_size))
@@ -209,7 +239,7 @@ def scan(channel, r2, r3, evaluator="unstructured", u_sizes=(2, 2),
     def sup_at(p1_list, g2_list, g3_list):
         b = closed_bounds(form, evaluator, [p[1] for p in p1_list],
                           g2_list, g3_list)
-        return _r1_sup(rows, b, r2, r3, tol.rate)
+        return r1_sup(rows, b, r2, r3, tol.rate)
 
     best_val, best_cfg = -math.inf, None
     evaluations = len(p1_ok) * len(g2_ok) * len(g3_ok)
@@ -244,13 +274,16 @@ def scan(channel, r2, r3, evaluator="unstructured", u_sizes=(2, 2),
 
 def staged_bounds(form, evaluator, p1v, g2, g3):
     """``cqic.direct``'s staged bound values, spread to the full grid
-    ``(len(p1v), len(g2.p), len(g3.p))`` of the user grids g2, g3."""
+    ``(len(p1v), len(g2.p), len(g3.p))`` of the user grids g2, g3: the
+    free keys of the stage and the p1 terms of every one of its cells."""
     stage = direct._closed_stage(form, evaluator, g2, g3)
-    b = direct._closed_bounds(stage, p1v)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in b.values()))
+    cells = direct._closed_cells(stage, np.arange(math.prod(stage.shape)))
+    b = direct._closed_bounds(stage, cells, p1v)
+    size = math.prod(stage.shape)
     out = {}
     for key, val in b.items():
-        full = np.broadcast_to(val, shape)
+        full = np.broadcast_to(val, (len(p1v), size)).reshape(
+            (len(p1v),) + stage.shape)
         if stage.rows2 is not None:
             full = full.take(stage.rows2, axis=1).take(stage.rows3, axis=2)
         out[key] = full

@@ -127,22 +127,20 @@ def test_bound_values_match_oracle(evaluator, sizes, denom, kind, tau):
 
 @pytest.mark.parametrize("evaluator", ["unstructured", "thm1"])
 def test_cell_values_match_oracle(evaluator):
-    # the refinement's source is built on the winning config's one-row grids
+    # the refinement reads the winning config's cell of the grid's stage
     spec = _channel("costed", None)
     p1s, (g2, g3), (o2, o3) = _grids(spec, evaluator, (2, 2), 8)
     form = direct._parity_gamma_form(spec)
+    source = direct.grid_source(spec, evaluator, g2, g3)
     p1v = np.linspace(0.0, 1.0, 17)
     for a2, a3 in ((0, 0), (5, 17), (len(o2) - 1, 3), (len(o2) - 1,
                                                        len(o3) - 1)):
         old = co.closed_bounds(form, evaluator, p1v, [o2[a2]], [o3[a3]])
-        cell = [direct._grid_rows(g, slice(a, a + 1))
-                for g, a in ((g2, a2), (g3, a3))]
-        bounds, spread = direct.grid_source(spec, evaluator, *cell)
-        new = bounds(np.stack([1.0 - p1v, p1v], axis=1))
+        new = source.cell(a2, a3)(np.stack([1.0 - p1v, p1v], axis=1))
         assert sorted(new) == sorted(old)
         for key, val in old.items():
-            assert _same_bits(spread(np.broadcast_to(new[key], (17, 1, 1))),
-                              np.broadcast_to(val, (17, 1, 1))), key
+            assert _same_bits(np.broadcast_to(new[key], (17, 1)),
+                              np.broadcast_to(val, (17, 1, 1))[:, 0]), key
 
 
 def _same_config(a, b):
@@ -174,6 +172,105 @@ def test_scan_results_match_oracle(evaluator, sizes, denom, kind, tau):
             refined += new.r1_max > new.grid_value
     # within 0.3 the denominator-3 grid has only p1 = 0, where R1 = 0
     assert refined or tau != 0.3 or denom == 3
+
+
+def _random_channel(rng, denom):
+    """An ex2 channel at random phi, deltas and budgets; half of them
+    also charge users 2 and 3, so that their grids lose rows."""
+    spec = build_ex2(rng.uniform(0.3, 1.45), *rng.uniform(0.02, 0.35, 2),
+                     0.5)
+    tau1 = (1 / denom, 2 / denom, rng.uniform(0.05, 0.5), None)[
+        rng.integers(4)]
+    costs, taus = spec.costs, (0.0, 0.0)
+    if rng.integers(2):
+        costs, taus = (np.arange(2.0),) * 3, tuple(rng.uniform(0.2, 0.6, 2))
+    budget = None if tau1 is None else CostVector(tau1, *taus)
+    return ChannelSpec(spec.input_sizes, spec.output_dims, spec.states,
+                       costs, budget)
+
+
+#: (evaluator, u_sizes, denominator) of the pruning tests; (3, 2) users
+#: only at denominator 8, since at 16 the grid passes ENUMERATION_CAP
+PRUNE_CASES = [("thm1", (2, 2), d) for d in (8, 16, 32)] + [
+    ("unstructured", (2, 2), d) for d in (8, 16, 32)] + [
+    ("unstructured", (3, 2), 8)]
+
+
+@pytest.mark.parametrize("evaluator,sizes,denom", PRUNE_CASES)
+def test_pruned_scans_match_oracle(evaluator, sizes, denom):
+    # the closed forms test the rows without R1 once and evaluate R1 only
+    # where they hold: every supremum over the grid, and every scan
+    # result, must still be the oracle's, which evaluates every config
+    rng = np.random.default_rng([25, denom, sizes[0],
+                                 evaluator == "thm1"])
+    rows = rg._THM1_ROWS if evaluator == "thm1" else rg._UNSTR_ROWS
+    free_rows = [r for r in rows if not r[1][0]]
+    tol = rg.active_tolerances().rate
+    kinds = set()
+    for _ in range(2):
+        spec = _random_channel(rng, denom)
+        form = direct._parity_gamma_form(spec)
+        p1s, (g2, g3), (o2, o3) = _grids(spec, evaluator, sizes, denom)
+        p1s = np.array(p1s)
+        source = direct.grid_source(spec, evaluator, g2, g3)
+        old_b = co.closed_bounds(form, evaluator, p1s[:, 1], o2, o3)
+        own2 = np.asarray(old_b["own2"])
+        rays = [(0.0, 0.0), (0.9, 0.9), (float(np.median(own2[own2 > 0])),
+                                          0.0)]
+        rays += [tuple(rng.uniform(0.0, 0.35, 2)) for _ in range(3)]
+        # a user that sends a constant input has own rate 0, so it fails
+        # the rows without R1 at every rate
+        varied = [np.array([0.0 < c[2] < 1.0 for c in o]) for o in (o2, o3)]
+        varied = varied[0][:, None] & varied[1][None, :]
+        for r2, r3 in rays:
+            passing = np.isposinf(co.r1_sup(free_rows, old_b, r2, r3, tol))
+            passing = np.broadcast_to(passing, (1,) + varied.shape)[0]
+            kinds.add("none" if not passing.any() else
+                      "all" if np.array_equal(passing, varied) else "some")
+            old_sup = co.r1_sup(rows, old_b, r2, r3, tol)
+            new_sup = rg._grid_sup(rows, source, p1s, r2, r3, tol)
+            assert _same_bits(new_sup, np.broadcast_to(
+                old_sup, (len(p1s), len(o2), len(o3))))
+            kw = dict(evaluator=evaluator, u_sizes=sizes, denominator=denom)
+            new = rg.max_r1_scan(spec, r2, r3, **kw)
+            old = co.scan(spec, r2, r3, **kw)
+            assert _same_bits(new.r1_max, old.r1_max)
+            assert _same_bits(new.grid_value, old.grid_value)
+            assert new.evaluations == old.evaluations
+            if not passing.any():
+                assert new.r1_max == -math.inf and new.best is None
+                assert new.evaluations == len(p1s) * len(o2) * len(o3)
+            if old.best is None:
+                assert new.best is None
+            else:
+                _same_config(new.best, old.best)
+    # some rays pass every config with varied inputs (r2 = r3 = 0), some
+    # none (0.9), some a part
+    assert kinds == {"none", "some", "all"}
+
+
+def test_vecdot_budget_filter_is_the_per_row_dot():
+    # the scan filters p1 by np.vecdot(cands, kappa1); the per-row scalar
+    # dot it replaced must give the same bits
+    rng = np.random.default_rng(2025)
+    kappas = [rng.uniform(0.0, 3.0, 2) for _ in range(40)]
+    kappas += [build_ex3(0.9, 0.1, 0.2, 0.3, 0.3, 0.3).costs[0],
+               np.array([0.1, 0.7]), np.array([1 / 3, 2 / 3])]
+    windows = 0
+    for kappa in kappas:
+        for _ in range(200):
+            center = rng.uniform(0.0, 1.0)
+            width = rng.uniform(0.0, 1.0 / 8) / 8.0 ** rng.integers(8)
+            pts = np.linspace(max(0.0, center - width),
+                              min(1.0, center + width), 17)
+            cands = np.stack([1.0 - pts, pts], axis=1)
+            assert _same_bits(np.vecdot(cands, kappa),
+                              [float(p @ kappa) for p in cands])
+            windows += 1
+        lattice = direct._lattice_pmfs(2, int(rng.integers(1, 64)))
+        assert _same_bits(np.vecdot(lattice, kappa),
+                          [float(p @ kappa) for p in lattice])
+    assert windows >= 8000
 
 
 def _frame_arrays(frame):
@@ -211,7 +308,7 @@ def test_interleaved_scans_share_frames_and_match_oracle():
             frame = direct._closed_frame(evaluator, direct._grid_key(g2),
                                          direct._grid_key(g3))
             arrays = list(_frame_arrays(frame))
-            assert len(arrays) == (14 if evaluator == "thm1" else 4)
+            assert len(arrays) == (10 if evaluator == "thm1" else 4)
             for a in arrays:
                 with pytest.raises(ValueError):
                     a[(0,) * a.ndim] = 0
@@ -227,20 +324,23 @@ def test_scan_builds_the_thm1_frame_once_and_cells_stay_out(tmp_path,
     capsys.readouterr()
     info = direct._closed_frame.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    # more refinement cells than the cache holds leave the grid's frame
+    # more refined scans than the cache holds: each reads the grid's
+    # frame once, and its refinement cell reads the same stage
     spec = build_ex2(math.pi / 3, 0.1, 0.1, 0.25)
-    g2, g3 = (direct._binary_user_grid(spec, j, 2, 16) for j in (1, 2))
-    p1s = direct._lattice_pmfs(2, 16)
-    for a in range(info.maxsize + 4):
-        cell = [direct._grid_rows(g, slice(a, a + 1)) for g in (g2, g3)]
-        direct.grid_source(spec, "thm1", *cell)[0](p1s)
-    assert direct._closed_frame.cache_info() == info
-    direct.grid_source(spec, "thm1", g2, g3)[0](p1s)
+    n_scans = info.maxsize + 4
+    refined = 0
+    for r2 in np.linspace(0.0, 0.3, n_scans):
+        res = rg.max_r1_scan(spec, r2, 0.1, evaluator="thm1",
+                             denominator=16)
+        refined += res.grid_value > -math.inf  # a finite value is refined
+    assert refined > info.maxsize
     after = direct._closed_frame.cache_info()
-    assert (after.misses, after.hits) == (1, 2)
+    assert (after.misses, after.hits, after.currsize) == (1, 1 + n_scans, 1)
     # frames are keyed by content: same shape, other rows, another frame
+    g2, g3 = (direct._binary_user_grid(spec, j, 2, 16) for j in (1, 2))
     flipped = direct._grid_rows(g2, slice(None, None, -1))
-    direct.grid_source(spec, "thm1", flipped, g3)[0](p1s)
+    direct.grid_source(spec, "thm1", flipped, g3).bounds(
+        direct._lattice_pmfs(2, 16))
     assert direct._closed_frame.cache_info().misses == 2
 
 
@@ -275,13 +375,15 @@ def test_grid_source_takes_closed_forms_on_the_family_only(
             return _fn(*args)
         monkeypatch.setattr(direct, name, spied)
     g2, g3 = (direct._binary_user_grid(spec, j, n_sym, 2) for j in (1, 2))
-    bounds, spread = direct.grid_source(spec, evaluator, g2, g3)
+    source = direct.grid_source(spec, evaluator, g2, g3)
     p1s = direct._lattice_pmfs(2, 2)
-    values = bounds(p1s)
+    values = source.bounds(p1s)
     assert calls == ["_closed_stage" if closed else "_grid_bounds"]
-    sup = spread(rg._r1_sup(rg._THM1_ROWS if evaluator == "thm1"
-                            else rg._UNSTR_ROWS, values, 0.0, 0.0, 1e-9))
+    assert (source.free is not None) == closed
+    rows = rg._THM1_ROWS if evaluator == "thm1" else rg._UNSTR_ROWS
+    sup = source.spread(rg._r1_sup(rows, values, 0.0, 0.0, 1e-9))
     assert sup.shape == (len(p1s), len(g2.p), len(g3.p))
+    assert _same_bits(rg._grid_sup(rows, source, p1s, 0.0, 0.0, 1e-9), sup)
 
 
 @pytest.mark.parametrize("build", [
