@@ -46,7 +46,8 @@ from .channels import (ChannelSpec, build_ex1, build_ex2, build_ex3,
                        classical_equivalent, condition_eq1,
                        coset_sufficiency_threshold, example_capacities,
                        gamma_state)
-from .config import ENUMERATION_CAP, in_tolerance_scope, tolerance_scope
+from .config import (ENUMERATION_CAP, _seed, in_tolerance_scope,
+                     tolerance_scope)
 from .errors import (BudgetExceeded, ConfigMismatch, CqicError, DimOverflow,
                      NumericalFailure, ParseError, TooLarge)
 from .mcsim import SimConfig, run_ex1_sim
@@ -452,7 +453,7 @@ def cmd_sim(args) -> int:
 # tiltlab: batch reports for the operator toolkit
 
 def cmd_tiltlab(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args.seed))
     tilt_rows, operator_rows = [], []
     for case in range(args.cases):
         eta = float(args.eta[case % len(args.eta)])

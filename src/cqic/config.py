@@ -1,4 +1,4 @@
-"""Numeric tolerances, global budget caps and the integer input rule.
+"""Numeric tolerances, global budget caps and the integer and seed input rules.
 
 Everything downstream reads one tolerance record, which
 :func:`tolerance_scope` sets for a block in its own context only (other
@@ -30,6 +30,14 @@ def _integer(x, what, error=ConfigMismatch) -> int:
             or isinstance(x, (float, np.floating)) and float(x).is_integer()):
         return int(x)
     raise error(f"{what} must be an integer, got {x!r}")
+
+
+def _seed(x, what="seed") -> int:
+    """``x`` as a random seed: a non-negative int by the integer rule."""
+    x = _integer(x, what, DomainError)
+    if x < 0:
+        raise DomainError(f"{what} must be non-negative, got {x}")
+    return x
 
 
 @dataclass(frozen=True)

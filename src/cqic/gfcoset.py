@@ -8,11 +8,16 @@ fact the decoding construction rides on.
 
 Randomness comes from numpy's PCG64 (``numpy.random.default_rng``),
 seeded explicitly everywhere, so every experiment replays bit-for-bit.
+For binary draws of many streams at once, ``pcg64_streams`` and
+``pcg64_words`` reproduce ``PCG64(SeedSequence(entropy))`` as array code,
+one row per stream, and ``half_bits`` and ``uniforms`` apply numpy's
+draw rules to its words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,10 +173,11 @@ def draw_rows(n: int, k: int, l: int, biases: int, modulus: int,
     """Rows g_I (k), g_{O/I} (l) and `biases` bias vectors, stacked in that
     order, with entries i.i.d. uniform over F_v from PCG64(seed).
 
-    This is the one source of the draw order of random codes.  The whole
-    stack is a single fill: numpy draws each entry of a bounded int64 fill
-    from the generator's 32-bit stream in turn, so the entries equal those
-    of separate fills for g_I, g_{O/I} and each bias.
+    This is the one source of the draw order of random codes, and
+    ``draw_bit_rows`` its binary array form.  The whole stack is a single
+    fill: numpy draws each entry of a bounded int64 fill from the
+    generator's 32-bit stream in turn, so the entries equal those of
+    separate fills for g_I, g_{O/I} and each bias.
     """
     v = _check_modulus(modulus)
     return np.random.default_rng(rng_seed).integers(
@@ -195,3 +201,131 @@ def random_code_pair(n: int, k2: int, l2: int, k3: int, l3: int,
     code2 = NestedCosetCode(n, k2, l2, g_i[:k2], g_oi[:l2], rows[-2], modulus)
     code3 = NestedCosetCode(n, k3, l3, g_i[:k3], g_oi[:l3], rows[-1], modulus)
     return CodePair(code2, code3)
+
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL = 4
+_M32 = 0xFFFFFFFF
+
+
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    # the hash constant runs through init * mult^i whatever the data
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _xorshift(x: np.ndarray) -> np.ndarray:
+    return x ^ (x >> 16)
+
+
+def pcg64_streams(prefix: int | None, counters) -> np.ndarray | None:
+    """``PCG64(SeedSequence([prefix, c]))`` (``[c]`` without a prefix) for
+    each counter c < 2^64, one row per counter; None when some entropy
+    outgrows SeedSequence's 4-word pool.
+
+    SeedSequence reads a non-negative int as its 32-bit words, low first
+    (0 as one zero word), and hashes zeros into the pool past a short
+    entropy, so zero padding is exact while the entropy fits in 4 words.
+    Mixing and ``generate_state(4, uint64)`` follow it word for word, as
+    uint32 array expressions.  Each row holds, as uint64 (hi, lo) halves,
+    x = seed + inc and inc: PCG64's set-seed steps the zero state to inc,
+    adds the seed and steps again, so the state behind output k is
+    mult^(k+2) x + G_(k+2) inc with G_j = sum_(i<j) mult^i
+    (``pcg64_words``).
+    """
+    words = [] if prefix is None else [
+        prefix >> s & _M32 for s in range(0, max(prefix.bit_length(), 1), 32)]
+    c = np.asarray(counters, dtype=np.uint64).reshape(-1)
+    width = len(words) + (1 if len(c) == 0 or c.max() <= _M32 else 2)
+    if width > _POOL:
+        return None
+    e = np.zeros((len(c), _POOL), dtype=np.uint32)
+    e[:, :len(words)] = words
+    e[:, len(words)] = c & _M32
+    e[:, len(words) + 1:width] = (c >> 32)[:, None]
+    ha = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+    pool = _xorshift((e ^ ha[:_POOL]) * ha[1:_POOL + 1])
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        h = ha[_POOL + 3 * src:]
+        mixed = _xorshift((pool[:, src, None] ^ h[:3]) * h[1:4])
+        pool[:, dst] = _xorshift(pool[:, dst] * _MIX_L - mixed * _MIX_R)
+    hb = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    out = _xorshift((np.tile(pool, 2) ^ hb[:-1]) * hb[1:]).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = (out[:, 0::2] | out[:, 1::2] << 32).T
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    x_lo = seed_lo + inc_lo
+    x_hi = seed_hi + inc_hi + (x_lo < inc_lo)
+    return np.stack([x_hi, x_lo, inc_hi, inc_lo], axis=1)
+
+
+@lru_cache(maxsize=None)
+def _jump_table(size: int) -> np.ndarray:
+    """(4, size) uint64: hi and lo halves of mult^j, then of G_j, j < size.
+
+    Callers ask for powers of two, so the cache holds a few tables.
+    """
+    mask = (1 << 128) - 1
+    a, g, cols = 1, 0, []
+    for _ in range(size):
+        cols.append((a >> 64, a & (1 << 64) - 1, g >> 64, g & (1 << 64) - 1))
+        a, g = a * _PCG_MULT & mask, (g + a) & mask
+    table = np.array(cols, dtype=np.uint64).T.copy()
+    table.setflags(write=False)
+    return table
+
+
+def _mul_wide(x: np.ndarray, y: np.ndarray):
+    # (lo, hi) 64-bit halves of the 128-bit products x y, from 32-bit halves
+    x0, x1, y0, y1 = x & _M32, x >> 32, y & _M32, y >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return x * y, x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def pcg64_words(streams: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Outputs start..stop-1 of each stream, as ``PCG64.random_raw`` gives
+    them: (rows, stop - start) uint64, each reached in one jump-ahead step
+    (Brown 1994) and mapped by PCG64's XSL-RR output function."""
+    x_hi, x_lo, i_hi, i_lo = streams.T[:, :, None]
+    size = 1 << max(6, (stop + 1).bit_length())
+    a_hi, a_lo, g_hi, g_lo = _jump_table(size)[:, start + 2:stop + 2]
+    lo_a, hi_a = _mul_wide(a_lo, x_lo)
+    lo_g, hi_g = _mul_wide(g_lo, i_lo)
+    lo = lo_a + lo_g
+    hi = (hi_a + hi_g + (lo < lo_g) + a_lo * x_hi + a_hi * x_lo
+          + g_lo * i_hi + g_hi * i_lo)
+    out = hi ^ lo
+    rot = hi >> 58
+    return out >> rot | out << (64 - rot & 63)
+
+
+def half_bits(words: np.ndarray, count: int) -> np.ndarray:
+    """An ``integers(0, 2, size=count)`` fill from consecutive words.
+
+    Numpy takes one 32-bit output per entry, the low half of a word before
+    its high half, and keeps Lemire's product's top bit: bit 31 of the half
+    (the threshold is 0 at range 2).  An odd count leaves the last high
+    half buffered for the generator's next 32-bit draw.
+    """
+    return np.stack([words >> 31 & 1, words >> 63], axis=-1).reshape(
+        len(words), -1)[:, :count]
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """``random()`` of each word: its top 53 bits over 2^53."""
+    return (words >> 11) * (1.0 / 9007199254740992.0)
+
+
+def draw_bit_rows(streams: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """``draw_rows``' binary (rows, n) stack for each of ``pcg64_streams``:
+    the same single fill, from each stream's first words, as uint8."""
+    words = pcg64_words(streams, 0, -(-rows * n // 2))
+    return half_bits(words, rows * n).reshape(-1, rows, n).astype(np.uint8)

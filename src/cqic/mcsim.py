@@ -11,15 +11,18 @@ Three layers of evidence, all at desk scale:
   employ cosets of one shared linear code so that receiver 1 can hunt for
   the interference X2 + X3 inside a single coset of the same code.
 
-All simulation randomness is counter-derived: trial t uses the stream
-seeded by (rng_seed, t), so results are bit-identical across runs and
-across worker counts.  Trials run in blocks: each trial is drawn in
-Python from its own stream, then everything that depends only on the
-draws (rank checks, codebooks, the sum-coset check, decoding, codeword
-types) runs as one numpy pass over the block.  A block holds at most
-``_BLOCK_TABLE`` hypothesis-table entries, so heavy points run one trial
-per block.  ``threads`` spreads the blocks over a pool; a run of one block
-stays in the caller's thread.
+All simulation randomness is counter-derived: trial t uses numpy's
+stream ``default_rng([rng_seed, t])``, so results are bit-identical across
+runs and across worker counts.  Trials run in blocks.  A block of several
+trials takes every trial's draws at once from array-built copies of those
+streams (``cqic.gfcoset.pcg64_streams``), bit for bit numpy's, as if no
+code were redrawn; the few trials whose codes fail a check are drawn
+again through numpy's ``Generator``, as is a block of one trial.  Then
+everything that depends only on the draws (rank checks, codebooks, the
+sum-coset check, decoding, codeword types) runs as one numpy pass over
+the block.  A block holds at most ``_BLOCK_TABLE`` hypothesis-table
+entries, so heavy points run one trial per block.  ``threads`` spreads the
+blocks over a pool; a run of one block stays in the caller's thread.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ENUMERATION_CAP, _integer, active_tolerances
+from .config import ENUMERATION_CAP, _integer, _seed, active_tolerances
 from .errors import (BudgetExceeded, DomainError, NumericalFailure, TooLarge,
                      ZeroMassCoset)
-from .gfcoset import (NestedCosetCode, _check_modulus, draw_rows,
-                      enumerate_coset, index_tuples, random_nested_code)
+from .gfcoset import (NestedCosetCode, _check_modulus, draw_bit_rows,
+                      draw_rows, enumerate_coset, half_bits, index_tuples,
+                      pcg64_streams, pcg64_words, random_nested_code,
+                      uniforms)
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _SOFT_COVER_CAP = 100_000
@@ -46,6 +51,9 @@ _MAX_BIAS_RETRIES = 100
 #: hypothesis-table entries (codewords, joint (own, sum) pairs, shaped-dither
 #: coset bits) one block of trials may hold; a trial above it runs alone
 _BLOCK_TABLE = 1 << 16
+#: stream words one array draw of a block handles at once; more trials go
+#: in chunks, so the (trials, words) temporaries stay small
+_DRAW_WORDS = 1 << 15
 
 
 @lru_cache(maxsize=64)
@@ -192,6 +200,7 @@ def soft_covering_tv(n: int, k: int, modulus: int, p, rng_seed,
     """
     n, k = _integer(n, "n", DomainError), _integer(k, "k", DomainError)
     num_codes = _integer(num_codes, "num_codes", DomainError)
+    rng_seed = _seed(rng_seed, "rng_seed")
     modulus = _check_modulus(modulus)
     if n < 1 or not 0 <= k <= n:
         raise DomainError(f"need 1 <= n and 0 <= k <= n, got n={n} k={k}")
@@ -256,6 +265,7 @@ class SimConfig:
         for name in ("n", "trials"):
             object.__setattr__(self, name,
                                _integer(getattr(self, name), name, DomainError))
+        object.__setattr__(self, "rng_seed", _seed(self.rng_seed, "rng_seed"))
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
         if self.n < 1:
             raise DomainError(f"blocklength must be positive, got {self.n}")
@@ -327,6 +337,17 @@ class _Draws(NamedTuple):
     u: np.ndarray        # (B,) uniform that picks a shaped dither
     noise: np.ndarray    # (B, 3 n) uniforms of channels 1, 2, 3
     retries: np.ndarray  # (B,) bias retries of the shaped dither
+
+    @classmethod
+    def empty(cls, cfg: SimConfig, size: int) -> _Draws:
+        """Rows for size trials; the rows every draw fills start empty."""
+        k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+        n = cfg.n
+        return cls(np.empty((size, ks + ls + 2, n), np.uint8),
+                   np.empty((size, k1 + l1 + 1, n), np.uint8),
+                   np.zeros((size, l1 + k1 + k2 + l2 + k3 + l3), np.int64),
+                   np.zeros(size), np.empty((size, 3 * n)),
+                   np.zeros(size, np.int64))
 
 
 def _dims(cfg: SimConfig):
@@ -485,12 +506,12 @@ def _nearest_pair(cb_own: np.ndarray, cb_sum: np.ndarray, y: np.ndarray):
     return np.divmod(dist.reshape(len(dist), -1).argmin(axis=1), cb_sum.shape[1])
 
 
-def _draw_trial(cfg: SimConfig, t: int, d: _Draws, b: int, checked: bool):
-    """Trial t's draws, from its own stream in its own order, into row b.
+def _draw_trial(cfg: SimConfig, t: int, d: _Draws, b: int):
+    """Trial t's draws, from numpy's Generator on its own stream, into row b.
 
-    Unchecked, the trial is drawn as if no code were redrawn and no bias
-    retried.  Checked, it is the one-trial case: each code is redrawn until
-    it passes its rank checks and user 1's bias until its coset has mass.
+    Each code is redrawn until it passes its rank checks and user 1's bias
+    until its coset has mass.  A trial that needs neither draws what
+    ``_draw_block`` gives it.
     """
     n = cfg.n
     k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
@@ -498,13 +519,13 @@ def _draw_trial(cfg: SimConfig, t: int, d: _Draws, b: int, checked: bool):
     pair, code1 = d.pair[b:b + 1], d.code1[b:b + 1]
     for _ in range(_MAX_CODE_RETRIES):
         pair[0] = draw_rows(n, ks, ls, 2, 2, int(rng.integers(0, 2 ** 63)))
-        if not checked or _injective(_pair_stacks(cfg, pair))[0]:
+        if _injective(_pair_stacks(cfg, pair))[0]:
             break
     else:
         raise NumericalFailure("could not draw an injective code pair")
     for _ in range(_MAX_CODE_RETRIES):
         code1[0] = draw_rows(n, k1, l1, 1, 2, int(rng.integers(0, 2 ** 63)))
-        if not checked or _injective(_code1_stacks(cfg, pair, code1))[0]:
+        if _injective(_code1_stacks(cfg, pair, code1))[0]:
             break
     else:
         raise NumericalFailure("could not draw an injective code")
@@ -515,7 +536,7 @@ def _draw_trial(cfg: SimConfig, t: int, d: _Draws, b: int, checked: bool):
     else:
         d.msg[b, :l1] = rng.integers(0, 2, size=l1)
         retries = 0
-        while checked and not _coset_weights(
+        while not _coset_weights(
                 cfg, _book(code1), _index(d.msg[b:b + 1, :l1])).sum() > 0.0:
             retries += 1
             if retries > _MAX_BIAS_RETRIES:
@@ -525,6 +546,50 @@ def _draw_trial(cfg: SimConfig, t: int, d: _Draws, b: int, checked: bool):
         d.u[b] = rng.random()
         d.msg[b, l1 + k1:] = rng.integers(0, 2, size=d.msg.shape[1] - l1 - k1)
     d.noise[b] = rng.random(3 * n)
+
+
+def _draw_block(cfg: SimConfig, trials: range, d: _Draws) -> bool:
+    """Every trial's draws, as ``_draw_trial`` would make them if no code
+    were redrawn and no bias retried, from array-built streams.
+
+    Trial t's stream takes the pair's and user 1's code seeds from its
+    words 0 and 1 (``integers(0, 2**63)`` keeps a word's top 63 bits),
+    then the message and dither bits, shaped user 1's uniform after its
+    message, and the channel uniforms.  False, with nothing drawn, when
+    the entropy [rng_seed, t] outgrows the 4-word pool.
+    """
+    n = cfg.n
+    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+    main = pcg64_streams(cfg.rng_seed, np.arange(trials.start, trials.stop,
+                                                 dtype=np.uint64))
+    if main is None:
+        return False
+    # rows 2b and 2b + 1: trial b's pair and user-1 code streams
+    codes = pcg64_streams(None, pcg64_words(main, 0, 2) >> 1)
+    shaped = cfg.tau1 is not None
+    fill = d.msg.shape[1] - k1 * shaped
+    bit_words, u_word = -(-fill // 2), -(-l1 // 2)
+    stop = 2 + bit_words + shaped + 3 * n
+    step = max(1, _DRAW_WORDS // max(stop, d.pair[0].size, d.code1[0].size))
+    for lo in range(0, len(trials), step):
+        rows = slice(lo, lo + step)
+        d.pair[rows] = draw_bit_rows(codes[2 * lo:2 * (lo + step):2],
+                                     *d.pair.shape[1:])
+        d.code1[rows] = draw_bit_rows(codes[2 * lo + 1:2 * (lo + step):2],
+                                      *d.code1.shape[1:])
+        words = pcg64_words(main[rows], 2, stop)
+        if shaped:
+            # the uniform's word sits between the message bits and the
+            # rest; an odd l1 leaves a half buffered across it
+            d.u[rows] = uniforms(words[:, u_word])
+            words = np.delete(words, u_word, axis=1)
+        bits = half_bits(words[:, :bit_words], fill)
+        if shaped:
+            d.msg[rows, :l1], d.msg[rows, l1 + k1:] = bits[:, :l1], bits[:, l1:]
+        else:
+            d.msg[rows] = bits
+        d.noise[rows] = uniforms(words[:, bit_words:])
+    return True
 
 
 def _decode(cfg: SimConfig, d: _Draws):
@@ -571,27 +636,24 @@ def _decode(cfg: SimConfig, d: _Draws):
 def _run_block(cfg: SimConfig, trials: range):
     """Error flags, codeword types and bias retries of a block of trials.
 
-    Every trial of a block of several is drawn as if no code were redrawn;
-    the few whose codes fail a check are drawn again, checked, before the
-    block decodes.  A block of one trial is drawn checked straight away.
+    Every trial of a block of several is drawn at once by ``_draw_block``;
+    the few whose codes fail a check are drawn again by ``_draw_trial``
+    before the block decodes.  A block of one trial, or one whose seed
+    outgrows the array streams, is drawn by ``_draw_trial`` throughout.
     """
-    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
-    size, n = len(trials), cfg.n
-    d = _Draws(np.empty((size, ks + ls + 2, n), np.uint8),
-               np.empty((size, k1 + l1 + 1, n), np.uint8),
-               np.zeros((size, l1 + k1 + k2 + l2 + k3 + l3), np.int64),
-               np.zeros(size), np.empty((size, 3 * n)),
-               np.zeros(size, np.int64))
-    for b, t in enumerate(trials):
-        _draw_trial(cfg, t, d, b, checked=size == 1)
-    if size > 1:
+    l1, size = cfg.message_dims[0], len(trials)
+    d = _Draws.empty(cfg, size)
+    if size == 1 or not _draw_block(cfg, trials, d):
+        for b, t in enumerate(trials):
+            _draw_trial(cfg, t, d, b)
+    else:
         ok = _injective(_pair_stacks(cfg, d.pair)
                         + _code1_stacks(cfg, d.pair, d.code1))
         if cfg.tau1 is not None:
             ok &= _coset_weights(cfg, _book(d.code1),
                                  _index(d.msg[:, :l1])).sum(axis=-1) > 0.0
         for b in np.flatnonzero(~ok):
-            _draw_trial(cfg, trials[b], d, b, checked=True)
+            _draw_trial(cfg, trials[b], d, b)
     return (*_decode(cfg, d), d.retries)
 
 

@@ -7,6 +7,8 @@ trials in order.  ``cqic.mcsim.run_ex1_sim`` must give its error counts,
 codeword types and bias retries bit for bit; nothing here calls the
 block engine.  ``selection_probabilities`` and ``_draw_index`` are the
 scalar likelihood law and pick the engine's array forms must match.
+``draw_unchecked`` is trial t's first attempt drawn through numpy's
+``Generator``, which ``cqic.mcsim._draw_block`` must give bit for bit.
 """
 
 from dataclasses import replace
@@ -14,11 +16,12 @@ from dataclasses import replace
 import numpy as np
 
 from cqic.errors import NumericalFailure, ZeroMassCoset
-from cqic.gfcoset import (CodePair, NestedCosetCode, codeword,
+from cqic.gfcoset import (CodePair, NestedCosetCode, codeword, draw_rows,
                           enumerate_coset, random_code_pair,
                           random_nested_code, sum_code, sum_codeword)
 from cqic.mcsim import (_MAX_BIAS_RETRIES, _MAX_CODE_RETRIES, SimConfig,
-                        _gf_rank, _hamming, _lex_tuples, _pack, _target_pmf)
+                        _dims, _Draws, _gf_rank, _hamming, _lex_tuples, _pack,
+                        _target_pmf)
 
 
 def selection_probabilities(code: NestedCosetCode, m, p) -> np.ndarray:
@@ -181,3 +184,20 @@ def oracle_sim(cfg: SimConfig):
     counts = tuple(sum(out[0][j] for out in outs) for j in range(3))
     types = tuple(float(np.mean([out[1][j] for out in outs])) for j in range(3))
     return counts, types, sum(out[2] for out in outs)
+
+
+def draw_unchecked(cfg: SimConfig, t: int, d: _Draws, b: int):
+    """Trial t's draws into row b of d, from its own stream in its own
+    order, as if no code were redrawn and no bias retried."""
+    n = cfg.n
+    k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)
+    rng = np.random.default_rng([cfg.rng_seed, t])
+    d.pair[b] = draw_rows(n, ks, ls, 2, 2, int(rng.integers(0, 2 ** 63)))
+    d.code1[b] = draw_rows(n, k1, l1, 1, 2, int(rng.integers(0, 2 ** 63)))
+    if cfg.tau1 is None:
+        d.msg[b] = rng.integers(0, 2, size=d.msg.shape[1])
+    else:
+        d.msg[b, :l1] = rng.integers(0, 2, size=l1)
+        d.u[b] = rng.random()
+        d.msg[b, l1 + k1:] = rng.integers(0, 2, size=d.msg.shape[1] - l1 - k1)
+    d.noise[b] = rng.random(3 * n)

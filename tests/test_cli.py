@@ -477,6 +477,13 @@ class TestSim:
                      "--trials", "10", "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        argv = self.ARGS[:-1] + ["-1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: rng_seed")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 class TestTiltlab:
     def test_report_and_determinism(self, tmp_path, capsys):
@@ -497,6 +504,13 @@ class TestTiltlab:
     def test_missing_seed_exits_2(self, tmp_path):
         assert main(["tiltlab", "--cases", "2",
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        assert main(["tiltlab", "--cases", "2", "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: seed")
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 class TestVerify:

@@ -5,9 +5,10 @@ import pytest
 
 from cqic.errors import (DomainError, IncompatiblePair, LengthMismatch,
                          NotPrime, TooLarge)
-from cqic.gfcoset import (CodePair, NestedCosetCode, codeword, enumerate_coset,
-                          index_tuples, random_code_pair, random_nested_code,
-                          sum_code, sum_codeword, sum_message)
+from cqic.gfcoset import (CodePair, NestedCosetCode, codeword, draw_bit_rows,
+                          draw_rows, enumerate_coset, half_bits, index_tuples,
+                          pcg64_streams, pcg64_words, random_code_pair, random_nested_code, sum_code,
+                          sum_codeword, sum_message, uniforms)
 
 # chi-square upper critical values at the 1% level, by degrees of freedom
 CHI2_CRIT = {3: 11.345, 8: 20.090, 2: 9.210}
@@ -287,3 +288,66 @@ def test_index_for_an_empty_generator_must_be_empty():
     with pytest.raises(LengthMismatch):
         sum_message(pair, [1], [1])
     assert sum_message(pair, [], [1]).tolist() == [1]
+
+
+_SEEDS = [0, 1, 7, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 9, 2 ** 62 + 3,
+          2 ** 63 - 1]
+
+
+class TestArrayStreams:
+    """The array PCG64 against numpy's own ``Generator(PCG64(entropy))``."""
+
+    @pytest.mark.parametrize("prefix, counters", [
+        (None, _SEEDS),                         # one int, up to 2^63
+        (0, [0, 1, 5]),                         # seed 0
+        (2 ** 31 - 1, [0, 1, 5, 2 ** 32 - 1]),  # [seed, t]
+        (2 ** 32 + 11, [0, 3, 2 ** 31]),        # seed of two words
+        (2 ** 64 - 1, [2, 2 ** 32 - 1]),        # seed of two words
+        (5, [2 ** 32, 2 ** 40 + 1, 2 ** 64 - 1]),  # t of two words
+        (2 ** 33, [2 ** 32 + 4, 7]),            # both of two words
+        (2 ** 70 + 3, [0, 9]),                  # three-word seed
+    ])
+    def test_raw_words_match_numpy(self, prefix, counters):
+        got = pcg64_words(pcg64_streams(prefix, counters), 0, 70)
+        for row, c in zip(got, counters):
+            entropy = c if prefix is None else [prefix, c]
+            want = np.random.Generator(
+                np.random.PCG64(entropy)).bit_generator.random_raw(70)
+            assert np.array_equal(row, want), (prefix, c)
+        # a later window is the same words, reached in one jump
+        assert np.array_equal(
+            pcg64_words(pcg64_streams(prefix, counters), 37, 300)[:, :33],
+            got[:, 37:])
+
+    def test_entropy_past_the_pool_is_refused(self):
+        assert pcg64_streams(2 ** 70, [2 ** 32]) is None
+        assert pcg64_streams(2 ** 100, [0]) is None
+        assert pcg64_streams(2 ** 70, [2 ** 32 - 1]) is not None
+
+    def test_draw_rules_match_generator_methods(self):
+        streams = pcg64_streams(None, _SEEDS)
+        words = pcg64_words(streams, 0, 40)
+        for row, seed in zip(words, _SEEDS):
+            g = np.random.default_rng(seed)
+            # integers(0, 2**63): Lemire's threshold is 0, so w >> 1
+            assert [int(g.integers(0, 2 ** 63)) for _ in range(2)] == \
+                [int(w >> 1) for w in row[:2]]
+            # an odd fill leaves a half buffered across random(), which
+            # the next fill takes first
+            assert np.array_equal(g.integers(0, 2, size=5),
+                                  half_bits(row[None, 2:5], 5)[0])
+            assert g.random() == uniforms(row[5])
+            rest = np.concatenate([row[4:5], row[6:9]])
+            assert np.array_equal(g.integers(0, 2, size=7),
+                                  half_bits(rest[None], 8)[0, 1:])
+            # an even fill leaves none
+            assert np.array_equal(g.integers(0, 2, size=6),
+                                  half_bits(row[None, 9:12], 6)[0])
+            assert np.array_equal(g.random(3), uniforms(row[12:15]))
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (3, 5), (4, 16), (2, 70)])
+    def test_bit_rows_match_draw_rows(self, rows, n):
+        got = draw_bit_rows(pcg64_streams(None, _SEEDS), rows, n)
+        for stack, seed in zip(got, _SEEDS):
+            want = draw_rows(n, rows - 1, 0, 1, 2, seed)
+            assert stack.dtype == np.uint8 and np.array_equal(stack, want)

@@ -509,8 +509,7 @@ class TestBlockEngine:
         with mock.patch.object(mcsim, "_draw_trial",
                                wraps=mcsim._draw_trial) as draw:
             run_ex1_sim(cfg)
-        checked = [c for c in draw.call_args_list if c.kwargs["checked"]]
-        assert 0 < len(checked) < cfg.trials
+        assert 0 < draw.call_count < cfg.trials
 
     def test_block_sizes_follow_the_table_cap(self):
         light = SimConfig(20, (0, 0, 0), (5, 5, 5), (0.05, 0.1, 0.1))
@@ -533,3 +532,85 @@ class TestBlockEngine:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
+
+    @pytest.mark.parametrize("n, dims, trials, per_trial_mib", [
+        (256, (1, 1, 1), 4000, 45.1), (64, (2, 2, 2), 4000, 10.9)])
+    def test_wide_light_point_memory_stays_near_the_per_trial_draws(
+            self, n, dims, trials, per_trial_mib):
+        # thousands of trials per block: the array streams go through a
+        # block in chunks, so their (trials, words) temporaries stay small
+        # beside the block's own draws and tables.  per_trial_mib is the
+        # tracemalloc peak when every trial was drawn through its own
+        # Generator.
+        cfg = SimConfig(n, (0, 0, 0), dims, (0.05, 0.1, 0.1), trials=trials,
+                        rng_seed=1)
+        tracemalloc.start()
+        try:
+            run_ex1_sim(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * per_trial_mib * 2 ** 20
+
+
+class TestBlockDraws:
+    """``_draw_block``'s array streams against numpy's Generator per trial."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 5, 12, 33, 70]),
+           coset=st.tuples(*[st.integers(0, 3)] * 3),
+           message=st.tuples(*[st.integers(0, 3)] * 3),
+           decoder=st.sampled_from(["ml_joint", "sum_coset"]),
+           tau1=st.sampled_from([None, 0.2]),
+           seed=st.sampled_from([0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 63 + 5,
+                                 2 ** 64 - 1, 2 ** 70 + 3]),
+           start=st.integers(0, 50), size=st.integers(2, 9),
+           chunk=st.sampled_from([1, 100, mcsim._DRAW_WORDS]))
+    # shaped runs with odd and with even l1, and one where users 2 and 3
+    # send nothing
+    @example(16, (3, 0, 0), (3, 4, 4), "ml_joint", 0.2, 1, 0, 5, 1)
+    @example(16, (2, 0, 0), (2, 4, 4), "sum_coset", 0.2, 1, 0, 5, 100)
+    @example(16, (3, 0, 0), (1, 0, 0), "ml_joint", 0.2, 7, 3, 4, 1)
+    def test_block_draws_match_per_trial_oracle(self, n, coset, message,
+                                                decoder, tau1, seed, start,
+                                                size, chunk):
+        cfg = SimConfig(n, coset, message, (0.05, 0.2, 0.3), trials=1,
+                        rng_seed=seed, decoder=decoder, tau1=tau1)
+        trials = range(start, start + size)
+        got, want = mcsim._Draws.empty(cfg, size), mcsim._Draws.empty(cfg, size)
+        with mock.patch.object(mcsim, "_DRAW_WORDS", chunk):
+            assert mcsim._draw_block(cfg, trials, got)
+        for b, t in enumerate(trials):
+            sim_oracle.draw_unchecked(cfg, t, want, b)
+        for field, a, w in zip(got._fields, got, want):
+            assert a.dtype == w.dtype and np.array_equal(a, w), field
+
+    def test_entropy_past_the_pool_falls_back_to_the_generator(self):
+        # four seed words and a trial index make five: no array streams,
+        # every trial drawn through numpy's Generator, same results
+        cfg = SimConfig(8, (2, 0, 0), (1, 2, 2), (0.05, 0.2, 0.3), trials=12,
+                        rng_seed=2 ** 100 + 5, tau1=0.3)
+        assert not mcsim._draw_block(cfg, range(12), mcsim._Draws.empty(cfg, 12))
+        res = run_ex1_sim(cfg)
+        assert (res.error_counts, res.codeword_types,
+                res.bias_retries) == oracle_sim(cfg)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_sim_config_rejects_bad_seeds(self, seed):
+        with pytest.raises(DomainError, match="rng_seed"):
+            SimConfig(8, (0, 0, 0), (2, 2, 2), (0.0, 0.1, 0.1), rng_seed=seed)
+
+    def test_integral_float_seed_reads_as_int(self):
+        cfg = SimConfig(8, (0, 0, 0), (2, 2, 2), (0.0, 0.1, 0.1), trials=5,
+                        rng_seed=7.0)
+        assert cfg.rng_seed == 7 and type(cfg.rng_seed) is int
+        assert run_ex1_sim(cfg) == run_ex1_sim(
+            SimConfig(8, (0, 0, 0), (2, 2, 2), (0.0, 0.1, 0.1), trials=5,
+                      rng_seed=7))
+
+    @pytest.mark.parametrize("seed", [-5, 2.5, False])
+    def test_soft_covering_rejects_bad_seeds(self, seed):
+        with pytest.raises(DomainError, match="rng_seed"):
+            soft_covering_tv(4, 2, 2, (0.5, 0.5), seed, num_codes=1)
