@@ -49,7 +49,7 @@ from .channels import (ChannelSpec, build_ex1, build_ex2, build_ex3,
 from .config import (ENUMERATION_CAP, _seed, in_tolerance_scope,
                      tolerance_scope)
 from .errors import (BudgetExceeded, ConfigMismatch, CqicError, DimOverflow,
-                     NumericalFailure, ParseError, TooLarge)
+                     DomainError, NumericalFailure, ParseError, TooLarge)
 from .mcsim import SimConfig, run_ex1_sim
 from .regions import (Thm1Config, Thm2Config, Thm3Config, UnstructuredConfig,
                       max_r1_scan, thm1_check, thm2_feasible, thm3_feasible,
@@ -454,6 +454,8 @@ def cmd_sim(args) -> int:
 
 def cmd_tiltlab(args) -> int:
     rng = np.random.default_rng(_seed(args.seed))
+    if args.cases < 0:
+        raise DomainError(f"cases must be non-negative, got {args.cases}")
     tilt_rows, operator_rows = [], []
     for case in range(args.cases):
         eta = float(args.eta[case % len(args.eta)])

@@ -7,8 +7,9 @@ to verify the resulting isometry, trace-norm closeness, smoothing
 decomposition, the Hayashi-Nagaoka operator inequality, and square-root
 measurements by direct eigensolves.
 
-One slot writer builds every tilted vector, and each function validates and
-eigensolves its state once, however many directions it averages over.
+One slot writer builds a state's tilted eigenvectors as one stack, and each
+function validates and eigensolves its state once, however many directions
+it averages over; Hayashi-Nagaoka's range checks share one eigenvalue stack.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .config import TILT_DIM_CAP, active_tolerances
 from .errors import (DegenerateEnsemble, DimensionMismatch, DimOverflow,
                      DomainError, InvalidOperands, LengthMismatch, NotUnit,
                      NumericalFailure)
-from .linalg import eig_hermitian, operator_norm, trace_norm
+from .linalg import eig_hermitian, eigvals_hermitian, operator_norm, trace_norm
 from .states import DensityOperator
 
 
@@ -79,12 +80,16 @@ def embed_vector(h, space: TiltSpace) -> np.ndarray:
     return out
 
 
-def _slot_vector(vec: np.ndarray, space: TiltSpace, slots) -> np.ndarray:
-    """Embed ``vec`` and write ``weight * (vec ⊗ d)`` into each ``(slot, weight, d)``."""
-    out = embed_vector(vec, space)
+def _slot_vectors(vecs: np.ndarray, space: TiltSpace, slots) -> np.ndarray:
+    """Embed each row of ``vecs`` and write ``weight * (row ⊗ d)`` into each
+    ``(slot, weight, d)``: one product per entry, bit for bit ``np.kron``."""
+    k, base = vecs.shape
+    out = np.zeros((k, space.total_dim), dtype=complex)
+    out[:, :base] = vecs
     for s, weight, d in slots:
         off = space.slot_offset(s)
-        out[off:off + vec.size * d.size] = weight * np.kron(vec, d)
+        out[:, off:off + base * d.size] = weight * (
+            vecs[:, :, None] * d[None, None, :]).reshape(k, base * d.size)
     return out
 
 
@@ -92,14 +97,11 @@ def _tilted_mixture(eig, space: TiltSpace, slots, norm_sq: float) -> np.ndarray:
     """Σ λ |t><t|, term by term, with t = slot vector / √norm_sq of each
     eigenpair of ``eig = (w, v)`` above ``eig_floor``."""
     w, v = eig
-    floor = active_tolerances().eig_floor
-    scale = math.sqrt(norm_sq)
+    keep = ~(w < active_tolerances().eig_floor)
+    t = _slot_vectors(v.T[keep], space, slots) / math.sqrt(norm_sq)
     out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for lam, vec in zip(w, v.T):
-        if lam < floor:
-            continue
-        t = _slot_vector(vec, space, slots) / scale
-        out += lam * np.outer(t, t.conj())
+    for lam, row in zip(w[keep], t):
+        out += lam * np.outer(row, row.conj())
     return out
 
 
@@ -114,7 +116,8 @@ def tilt_vector(h, directions, eta: float) -> np.ndarray:
     hv = _unit(h, "input vector")
     dirs = [_unit(d, f"direction {s}") for s, d in enumerate(directions)]
     space = TiltSpace(hv.size, tuple(d.size for d in dirs))
-    out = _slot_vector(hv, space, [(s, eta, d) for s, d in enumerate(dirs)])
+    out = _slot_vectors(hv[None, :], space,
+                        [(s, eta, d) for s, d in enumerate(dirs)])[0]
     return out / math.sqrt(1.0 + len(dirs) * eta * eta)
 
 
@@ -152,7 +155,8 @@ def four_user_tilt_report(h, direction_dim: int, eta: float) -> dict:
     d0 = np.eye(direction_dim, dtype=complex)[0]
     slots = [(s, eta ** size, d0) for s, size in enumerate(sizes)]
     exact_sq = 1.0 + sum(eta ** (2 * size) for size in sizes)
-    scaled = _slot_vector(hv, space, slots) / math.sqrt(printed_omega(eta))
+    scaled = (_slot_vectors(hv[None, :], space, slots)[0]
+              / math.sqrt(printed_omega(eta)))
     return {
         "eta": eta,
         "printed_omega": printed_omega(eta),
@@ -188,7 +192,19 @@ def tilt_state(rho, d1, d2, eta: float) -> TiltedState:
 
 
 def closeness(rho, tilted: TiltedState) -> float:
-    """Trace-norm distance between the embedded original and its tilt."""
+    """Trace-norm distance between the embedded original and its tilt.
+
+    For ``tilted = tilt_state(rho, d1, d2, η)`` this is 2√2·η/√(1+2η²)
+    whatever the state.  Write ρ = Σ λ_i |h_i><h_i| and t_i for the tilt of
+    h_i.  The tilt is an isometry, so the t_i are orthonormal; the h_i sit
+    in the base block, where t_i has only h_i/√(1+2η²), so
+    <h_j|t_i> = δ_ij/√(1+2η²).  The difference Σ λ_i (|h_i><h_i| −
+    |t_i><t_i|) therefore splits into orthogonal 2-D blocks span{h_i, t_i}.
+    Two pure states with overlap c² are 2√(1−c²) apart in trace norm, so
+    block i weighs λ_i·2√2η/√(1+2η²), and the λ_i sum to 1.  An eigenvalue
+    below ``eig_floor`` is not tilted; its block is λ_i|h_i><h_i| and
+    weighs |λ_i| instead.
+    """
     space = tilted.space
     d = space.base_dim
     mat = np.asarray(getattr(rho, "mat", rho), dtype=complex)
@@ -286,6 +302,9 @@ def _hermitian_or_raise(mat, what: str) -> np.ndarray:
     arr = np.asarray(getattr(mat, "mat", mat), dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidOperands(f"{what} must be square, got {arr.shape}")
+    # a NaN deviation would pass the Hermitian test below
+    if not np.isfinite(arr).all():
+        raise InvalidOperands(f"{what} has non-finite entries")
     if float(np.abs(arr - arr.conj().T).max()) > active_tolerances().herm:
         raise InvalidOperands(f"{what} is not Hermitian")
     return arr
@@ -305,17 +324,17 @@ def hayashi_nagaoka_check(s_op, t_op) -> bool:
 
     Π is the support projector of S+T.  Requires 0 ≤ S ≤ I and T ≥ 0;
     the difference operator must come out Hermitian to 1e−12 and its
-    minimum eigenvalue must clear −1e−9.
+    minimum eigenvalue must clear −1e−9.  Only the support root needs
+    eigenvectors; S's and T's range checks share one eigenvalue stack.
     """
     tol = active_tolerances()
     s = _hermitian_or_raise(s_op, "S")
     t = _hermitian_or_raise(t_op, "T")
     if s.shape != t.shape:
         raise InvalidOperands(f"shape mismatch {s.shape} vs {t.shape}")
-    sw, _ = eig_hermitian(s)
+    sw, tw = eigvals_hermitian(np.stack([s, t]))
     if float(sw.min()) < -tol.psd or float(sw.max()) > 1.0 + tol.psd:
         raise InvalidOperands("S must satisfy 0 ≤ S ≤ I")
-    tw, _ = eig_hermitian(t)
     if float(tw.min()) < -tol.psd:
         raise InvalidOperands("T must be positive semidefinite")
 
@@ -325,8 +344,8 @@ def hayashi_nagaoka_check(s_op, t_op) -> bool:
     diff = 2.0 * (eye - s) + 4.0 * t - lhs
     if float(np.abs(diff - diff.conj().T).max()) > 1e-12:
         raise NumericalFailure("difference operator lost Hermiticity")
-    dw, _ = eig_hermitian((diff + diff.conj().T) / 2.0)
-    return bool(float(dw.min()) >= -1e-9)
+    return bool(float(eigvals_hermitian((diff + diff.conj().T) / 2.0).min())
+                >= -1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,20 @@ class TestTiltlab:
         assert err.count("\n") == 1 and err.startswith("error: seed")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    # a negative count made an empty report and exited 0
+    def test_negative_cases_exit_3(self, tmp_path, capsys):
+        assert main(["tiltlab", "--cases", "-1", "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: cases must be non-negative, got -1\n"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_zero_cases_is_valid(self, tmp_path):
+        assert main(["tiltlab", "--cases", "0", "--sizes", "2", "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "tiltlab.json").read_text())
+        assert doc["tilt"] == [] and doc["operator_bound"] == []
+
 
 class TestVerify:
     def test_subset_passes(self, tmp_path, capsys):

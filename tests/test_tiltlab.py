@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,18 @@ class TestHayashiNagaoka:
             hayashi_nagaoka_check(np.diag([0.5, 0.5]), np.diag([-0.1, 0.0]))
         with pytest.raises(InvalidOperands):
             hayashi_nagaoka_check(np.eye(2), np.zeros((3, 3)))
+        # non-finite entries passed the Hermitian test (a NaN deviation
+        # compares false) and reached the eigensolver, which raised another
+        # class, or met the other operand's range check first
+        nan, inf = np.diag([np.nan, 0.5]), np.diag([np.inf, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s_op, t_op, what in ((nan, np.zeros((2, 2)), "S"),
+                                     (0.5 * np.eye(2), inf, "T"),
+                                     (np.diag([2.0, 0.0]), nan, "T")):
+                with pytest.raises(InvalidOperands,
+                                   match=f"{what} has non-finite entries"):
+                    hayashi_nagaoka_check(s_op, t_op)
 
 
 class TestTinySrm:

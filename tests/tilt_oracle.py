@@ -6,9 +6,13 @@ vector with one slot writer.  This module keeps the route it replaced:
 ``smoothing_residual`` calls ``tilt_state`` once per direction of D1,
 re-validating and re-eigensolving its state each time, and writes the
 d2-only tilt by hand; ``four_user_smoothing_report`` eigensolves again in
-each call of its nested ``aggregate``.  The function bodies are unchanged
-apart from the names; the library must give the same bits.  Only the
-unchanged layout and argument helpers come from ``cqic.tiltlab``.
+each call of its nested ``aggregate``; every tilted vector goes through
+``np.kron`` and every rank-one term through ``np.outer``, one eigenpair at
+a time.  ``hayashi_nagaoka_check`` makes four full eigensolves where the
+library makes one and takes the rest from eigenvalue stacks.  The function
+bodies are unchanged apart from the names; the library must give the same
+bits and the same verdicts and errors.  Only the layout, argument and
+operand helpers come from ``cqic.tiltlab``.
 """
 
 import math
@@ -16,10 +20,11 @@ import math
 import numpy as np
 
 from cqic.config import active_tolerances
-from cqic.errors import DomainError
+from cqic.errors import DomainError, InvalidOperands, NumericalFailure
 from cqic.linalg import eig_hermitian, operator_norm
 from cqic.states import DensityOperator
-from cqic.tiltlab import (TiltedState, TiltSpace, _check_eta, _unit,
+from cqic.tiltlab import (TiltedState, TiltSpace, _check_eta,
+                          _hermitian_or_raise, _support_root, _unit,
                           embed_vector, four_user_omega, printed_omega)
 
 
@@ -173,3 +178,26 @@ def four_user_smoothing_report(rho, direction_dim: int, eta: float) -> dict:
         "within_3eta": bool(measured <= 3.0 * eta / root),
         "within_21eta": bool(measured <= 21.0 * eta / root),
     }
+
+
+def hayashi_nagaoka_check(s_op, t_op) -> bool:
+    tol = active_tolerances()
+    s = _hermitian_or_raise(s_op, "S")
+    t = _hermitian_or_raise(t_op, "T")
+    if s.shape != t.shape:
+        raise InvalidOperands(f"shape mismatch {s.shape} vs {t.shape}")
+    sw, _ = eig_hermitian(s)
+    if float(sw.min()) < -tol.psd or float(sw.max()) > 1.0 + tol.psd:
+        raise InvalidOperands("S must satisfy 0 ≤ S ≤ I")
+    tw, _ = eig_hermitian(t)
+    if float(tw.min()) < -tol.psd:
+        raise InvalidOperands("T must be positive semidefinite")
+
+    _, inv_sqrt, proj = _support_root(s + t, tol.eig_floor)
+    lhs = proj - inv_sqrt @ s @ inv_sqrt
+    eye = np.eye(s.shape[0])
+    diff = 2.0 * (eye - s) + 4.0 * t - lhs
+    if float(np.abs(diff - diff.conj().T).max()) > 1e-12:
+        raise NumericalFailure("difference operator lost Hermiticity")
+    dw, _ = eig_hermitian((diff + diff.conj().T) / 2.0)
+    return bool(float(dw.min()) >= -1e-9)
