@@ -20,8 +20,8 @@ from .errors import ConfigMismatch, DomainError
 #: hard cap on coset / grid enumerations (number of points)
 ENUMERATION_CAP = 1 << 20
 
-#: hard cap on the extended tilting-space dimension
-TILT_DIM_CAP = 4096
+#: hard cap on the extended tilting-space dimension (memory grows as D**2)
+TILT_DIM_CAP = 1024
 
 
 def _integer(x, what, error=ConfigMismatch) -> int:

@@ -1,9 +1,14 @@
 """The coset-layered Thm 2/3 inequality system of one config.
 
 :func:`_layered_system` validates a Thm 2/3 config of :mod:`cqic.regions`
-and builds its covering, packing and rate-coupling rows, labelled and as
-a dense system A x <= b; :func:`_cached_system` keeps the most recently
-built ones, keyed on content.  :mod:`cqic.regions` solves them.
+and returns its covering, packing and rate-coupling rows, labelled and as
+a dense system A x <= b.  :func:`_template`, an ``lru_cache`` keyed by
+theorem, flag, fields, input sizes, factor shapes and active layers,
+builds the rows, A, rhs recipes and receiver layouts once; :func:`_fill`
+takes a config's entropies from one ``shannon_entropies`` and one
+``cq_entropies`` call and computes its rhs and b.  :func:`_cached_system`
+keeps the last built systems, keyed on content; :mod:`cqic.regions`
+solves them.
 
 One loop per row family serves both theorems (a Thm 2 factor has size-1
 V axes, so no active V layer).  The theorem decides only: the covering
@@ -14,11 +19,13 @@ Thm 3); the labels' ``thmN`` prefix and Thm 3's ``.C=``/``.D=`` parts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,7 +33,8 @@ from .channels import ChannelSpec
 from .config import _integer, active_tolerances
 from .errors import ConfigMismatch
 from .gfcoset import _check_modulus
-from .states import cq_entropies, receiver_layout, shannon_entropy
+from .states import (cq_entropies, receiver_layout, shannon_entropies,
+                     shannon_entropy)
 
 _OTHERS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
@@ -102,12 +110,12 @@ def _subsets(seq):
         yield from itertools.combinations(seq, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Atom:
     reg: str
     size: int
     charges: tuple       # variable names whose rates this error event pays
-    corr: float          # alphabet/entropy correction term on the rhs
+    corr: int            # position of its rhs correction in the fill's values
     own: bool            # carries this user's own message content
     pair: tuple | None   # (tx, rx) for layer atoms, None for X/sum
     is_sum: bool = False
@@ -115,69 +123,101 @@ class _Atom:
     copies: tuple = ()   # for the sum atom: ((label_suffix, charge names), ...)
 
 
-def _rx_entropies(channel: ChannelSpec, blocks, fields, receivers):
-    """H(S, Y) of each register subset S of each receiver's cq state.
+#: the (user, receiver) layer pairs in activity-pattern order
+_PAIRS = tuple((t, r) for t in range(3) for r in _OTHERS[t])
+#: user t's factor table lies along axis t of the three users' point product
+_AT = tuple((1,) * t + (-1,) + (1,) * (2 - t) for t in range(3))
 
-    ``receivers`` lists ``(j, atoms, subsets)``: receiver j's registers
-    are its decoded-content atoms.  Points run over the product of the
-    three users' factor tables in row-major order, with mass (p1 * p2) *
-    p3 for every receiver, so one kernel call takes them all; zero-mass
-    points are skipped when pooled.  Returns one dict per receiver.
+#: one receiver's decoded-content atoms, register subsets and layout
+_Receiver = namedtuple("_Receiver", "j atoms subsets layout")
+
+#: all a layered system takes from its shape: each row's (label, kind,
+#: coeffs, sense) in ``heads`` and, row by row, its rhs recipe in ``src``
+#: (covering) then ``chnl`` (packing).  A recipe refers to the fill's
+#: values: ``logs``, then H of each ``margs`` entry.
+_Template = namedtuple("_Template", "fields names col heads a idx coef logs "
+                       "margs src chnl receivers inputs")
+
+
+def _rx_entropies(channel: ChannelSpec, blocks, tpl):
+    """H(S, Y) of each laid-out register subset S, one dict per receiver.
+
+    Points run over the product of the three users' factor tables in
+    row-major order, with mass (p1 * p2) * p3 for every receiver, so one
+    :func:`cq_entropies` call takes them all (zero masses are skipped).
     """
-    if not receivers:
+    if not tpl.receivers:
         return []
-    # user t's table coordinates and masses along axis t of the product
-    at = [(1,) * t + (-1,) + (1,) * (2 - t) for t in range(3)]
-    c = [np.indices(b.shape).reshape((5,) + s) for b, s in zip(blocks, at)]
-    w = [b.reshape(s) for b, s in zip(blocks, at)]
-    mass = (w[0] * w[1]) * w[2]
-    layouts = []
-    for j, atoms, subsets in receivers:
-        i, k = _OTHERS[j]
-        key = np.zeros((1, 1, 1), dtype=int)
-        for a in atoms:
-            if a.is_sum:
-                val = (c[i][_u_axis(i, j)] + c[k][_u_axis(k, j)]) % fields[j]
-            elif a.pair is None:  # X_j
-                val = c[j][4]
-            else:
-                t, r = a.pair
-                val = c[t][_u_axis(t, r) if a.reg.startswith("U")
-                           else _v_axis(t, r)]
-            key = key * a.size + val
-        layouts.append(receiver_layout([(a.reg, a.size) for a in atoms],
-                                       np.broadcast_to(key, mass.shape),
-                                       subsets))
-    h = cq_entropies(layouts, [channel.reduced_table(j)
-                               for j, _, _ in receivers],
-                     mass.reshape(1, -1), (c[0][4], c[1][4], c[2][4]))
-    return [{sub: float(h[rx, sub, True][0]) for sub in subsets}
-            for rx, (_, _, subsets) in enumerate(receivers)]
+    w = [b.reshape(s) for b, s in zip(blocks, _AT)]
+    h = cq_entropies([rx.layout for rx in tpl.receivers],
+                     [channel.reduced_table(rx.j) for rx in tpl.receivers],
+                     ((w[0] * w[1]) * w[2]).reshape(1, -1), tpl.inputs)
+    return [{sub: float(h[n, sub, True][0]) for sub in rx.subsets}
+            for n, rx in enumerate(tpl.receivers)]
 
 
 #: a config's rows (label, kind, coeffs, sense, rhs) and their dense
 #: form A x <= b.  Rates enter only the coupling rows, which come last
 #: with rhs None: the last six entries of b are their equality pairs.
 #: ``idx`` and ``coef`` hold each row's lhs terms in coefficient-dict
-#: order, padded with coefficient 1.0 at index ``len(names)``.
+#: order, padded with coefficient 1.0 at index ``len(names)``.  All but
+#: ``rows`` and ``b`` are shared by every config of one template.
 _LayeredSystem = namedtuple("_LayeredSystem", "names col rows a b idx coef")
 
 
 def _layered_system(channel, cfg, theorem, drop_dont_care):
-    """Validate cfg and build its variables and every row."""
+    """Validate cfg, look up its template and fill in its numbers."""
     fields, blocks = _normalized_blocks(channel, cfg, with_v=theorem == 3)
-    u_act, v_act, x_act = {}, {}, {}
-    h_v, h_x = {}, {}
-    for t in range(3):
-        tab = blocks[t]
-        for r in _OTHERS[t]:
-            u_act[(t, r)] = _is_active(_marg(tab, (_u_axis(t, r),)))
-            vm = _marg(tab, (_v_axis(t, r),))
-            v_act[(t, r)] = _is_active(vm)  # Thm 2's V axes have size 1
-            h_v[(t, r)] = shannon_entropy(vm)
-        xm = _marg(tab, (4,))
-        x_act[t] = _is_active(xm)
-        h_x[t] = shannon_entropy(xm)
+    act = tuple(tuple(_is_active(_marg(blocks[t], (ax(t, r),)))
+                      for t, r in _PAIRS)  # Thm 2's V axes have size 1
+                for ax in (_u_axis, _v_axis))
+    act += (tuple(_is_active(_marg(tab, (4,))) for tab in blocks),)
+    tpl = _template(theorem, bool(drop_dont_care), fields,
+                    channel.input_sizes, tuple(b.shape for b in blocks), act)
+    return _fill(tpl, channel, blocks)
+
+
+def _fill(tpl, channel, blocks):
+    """The config's system: its entropies, rhs values and b, on tpl."""
+    tabs = [blocks[t].sum(axis=drop) if drop else blocks[t]
+            for t, drop in tpl.margs]
+    grid = np.zeros((len(tabs), max((m.size for m in tabs), default=0)))
+    for row, m in zip(grid, tabs):
+        row[:m.size] = m.ravel()
+    vals = tpl.logs + tuple(shannon_entropies(grid).tolist())
+    hs = _rx_entropies(channel, blocks, tpl)
+
+    rhs = []
+    for log_sum, hv, hx, m in tpl.src:
+        s = log_sum + sum(vals[i] for i in hv)
+        rhs.append((s if hx is None else s + vals[hx]) - vals[m])
+    for n, refs, full, rest in tpl.chnl:  # H(Z_wrong | Z_rest, Y)
+        rhs.append(sum(vals[i] for i in refs) - (hs[n][full] - hs[n][rest]))
+    rows = tuple(head + (r,) for head, r in zip(tpl.heads, rhs + [None] * 3))
+
+    tol = active_tolerances()
+    # equalities come last, as pairs of closed inequalities; rates go in later
+    b = np.array([r - tol.rate if sense == "<" else -(r + tol.rate)
+                  for _, _, _, sense, r in rows[:-3]] + [0.0] * 6)
+    b.setflags(write=False)
+    return _LayeredSystem(tpl.names, tpl.col, rows, tpl.a, b, tpl.idx,
+                          tpl.coef)
+
+
+@functools.lru_cache(maxsize=32)
+def _template(theorem, drop_dont_care, fields, input_sizes, shapes, act):
+    """Variables, rows, rhs recipes and layouts of every config of one
+    shape and activity ``act`` (U and V layers in ``_PAIRS`` order, then
+    X).  All of it is shared: arrays read-only, coefficients proxies."""
+    u_act, v_act = (dict(zip(_PAIRS, a)) for a in act[:2])
+    x_act = act[2]
+    logs = tuple(math.log2(f) for f in fields)
+    margs = {}
+
+    def ent(t, axes):
+        """Reference to H(user t's marginal on axes)."""
+        drop = tuple(i for i in range(5) if i not in axes)
+        return len(logs) + margs.setdefault((t, drop), len(margs))
 
     names = []
     for t in range(3):
@@ -204,7 +244,7 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
         return "".join(f".{part}={{{_pair_label(pairs)}}}"
                        for part, pairs in zip("CD", pair_sets))
 
-    rows = []  # (label, kind, coeffs, sense, rhs)
+    heads, src, chnl = [], [], []
     # --- source (covering) bounds, one family per user --------------------
     for t in range(3):
         own_u = [(t, r) for r in _OTHERS[t] if u_act[(t, r)]]
@@ -212,7 +252,7 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
         for a_set in _subsets(own_u):
             for c_set in _subsets(own_v):
                 log_sum = sum(math.log2(fields[r]) for _, r in a_set)
-                hv_sum = sum(h_v[p] for p in c_set)
+                hv = tuple(ent(t, (_v_axis(t, r),)) for _, r in c_set)
                 axes = tuple(_u_axis(t, r) for _, r in a_set) + \
                     tuple(_v_axis(t, r) for _, r in c_set)
                 coeffs = {}
@@ -224,46 +264,47 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
                 lbl = (f"{prefix}.src.j={t + 1}.A={{{_pair_label(a_set)}}}"
                        + _v_parts(c_set))
                 if axes:
-                    rows.append((lbl, "source", coeffs, ">", log_sum + hv_sum
-                                 - shannon_entropy(_marg(blocks[t], axes))))
+                    heads.append((lbl, "source", coeffs, ">"))
+                    src.append((log_sum, hv, None, ent(t, axes)))
                 if x_act[t]:
-                    rows.append((lbl + "+K", "source",
-                                 {**coeffs, f"K{t + 1}": 1.0}, ">",
-                                 log_sum + hv_sum + h_x[t] - shannon_entropy(
-                                     _marg(blocks[t], axes + (4,)))))
+                    heads.append((lbl + "+K", "source",
+                                  {**coeffs, f"K{t + 1}": 1.0}, ">"))
+                    src.append((log_sum, hv, ent(t, (4,)),
+                                ent(t, axes + (4,))))
 
     # --- channel (packing) bounds, one family per receiver ----------------
-    packing = []  # per receiver: its H(S, Y) queries and error events
+    coords = [np.indices(s).reshape((5,) + a) for s, a in zip(shapes, _AT)]
+    receivers = []
     for j in range(3):
         i, k = _OTHERS[j]
         atoms = []
         for r in _OTHERS[j]:
             if u_act[(j, r)]:
                 atoms.append(_Atom(f"U{j + 1}{r + 1}", fields[r],
-                                   _u_charges(j, r), math.log2(fields[r]),
-                                   True, (j, r)))
+                                   _u_charges(j, r), r, True, (j, r)))
         for r in _OTHERS[j]:
             if v_act[(j, r)]:
                 atoms.append(_Atom(f"V{j + 1}{r + 1}",
-                                   blocks[j].shape[_v_axis(j, r)],
+                                   shapes[j][_v_axis(j, r)],
                                    (f"B{j + 1}{r + 1}", f"N{j + 1}{r + 1}"),
-                                   h_v[(j, r)], True, (j, r)))
+                                   ent(j, (_v_axis(j, r),)), True, (j, r)))
         if x_act[j]:
-            atoms.append(_Atom(f"X{j + 1}", blocks[j].shape[4],
-                               (f"K{j + 1}", f"L{j + 1}"), h_x[j], True, None))
+            atoms.append(_Atom(f"X{j + 1}", shapes[j][4],
+                               (f"K{j + 1}", f"L{j + 1}"), ent(j, (4,)),
+                               True, None))
         sum_srcs = [t for t in (i, k) if u_act[(t, j)]]
         if sum_srcs:
             copies = tuple(("+ij" if t == i else "+kj", _u_charges(t, j))
                            for t in sum_srcs)
-            atoms.append(_Atom(f"W{j + 1}", fields[j], (),
-                               math.log2(fields[j]), False, None,
+            atoms.append(_Atom(f"W{j + 1}", fields[j], (), j, False, None,
                                is_sum=True, copies=copies))
         for t in (i, k):
             if v_act[(t, j)]:
                 atoms.append(_Atom(f"V{t + 1}{j + 1}",
-                                   blocks[t].shape[_v_axis(t, j)],
+                                   shapes[t][_v_axis(t, j)],
                                    (f"B{t + 1}{j + 1}", f"N{t + 1}{j + 1}"),
-                                   h_v[(t, j)], False, (t, j), is_cross=True))
+                                   ent(t, (_v_axis(t, j),)), False, (t, j),
+                                   is_cross=True))
 
         if not atoms:
             continue
@@ -272,14 +313,7 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
                   or (len(g) == 1 and g[0].is_sum and not drop_dont_care)]
         full = frozenset(a.reg for a in atoms)
         rest = [full - {a.reg for a in g} for g in events]
-        packing.append((j, atoms, dict.fromkeys([full] + rest), full,
-                        events, rest))
-
-    hs = _rx_entropies(channel, blocks, fields, [p[:3] for p in packing])
-    for (j, _, _, full, events, rest), h in zip(packing, hs):
         for g, r in zip(events, rest):
-            # H(Z_wrong | Z_rest, Y)
-            rhs = sum(a.corr for a in g) - (h[full] - h[r])
             base_coeffs = dict.fromkeys((nm for a in g for nm in a.charges),
                                         1.0)
             a_lbl = _pair_label([a.pair for a in g
@@ -291,13 +325,34 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
                 lbl += "+X"
             sum_atom = next((a for a in g if a.is_sum), None)
             if sum_atom is None:
-                rows.append((lbl, "channel", base_coeffs, "<", rhs))
+                heads.append((lbl, "channel", base_coeffs, "<"))
             else:
                 for suffix, charges in sum_atom.copies:
                     coeffs = dict(base_coeffs)
                     for nm in charges:
                         coeffs[nm] = coeffs.get(nm, 0.0) + 1.0
-                    rows.append((lbl + suffix, "channel", coeffs, "<", rhs))
+                    heads.append((lbl + suffix, "channel", coeffs, "<"))
+            # one recipe per row; a sum atom's copies repeat the event's
+            chnl += [(len(receivers), tuple(a.corr for a in g), full, r)] * \
+                (len(heads) - len(src) - len(chnl))
+
+        # each point's register values, flat in row-major order
+        key = np.zeros((1, 1, 1), dtype=int)
+        for a in atoms:
+            if a.is_sum:
+                val = (coords[i][_u_axis(i, j)]
+                       + coords[k][_u_axis(k, j)]) % fields[j]
+            elif a.pair is None:  # X_j
+                val = coords[j][4]
+            else:
+                t, r = a.pair
+                val = coords[t][_u_axis(t, r) if a.reg.startswith("U")
+                                else _v_axis(t, r)]
+            key = key * a.size + val
+        subsets = tuple(dict.fromkeys([full] + rest))
+        receivers.append(_Receiver(j, tuple(atoms), subsets, receiver_layout(
+            [(a.reg, a.size) for a in atoms],
+            np.broadcast_to(key, tuple(map(math.prod, shapes))), subsets)))
 
     # --- rate coupling ------------------------------------------------------
     for t in range(3):
@@ -309,34 +364,30 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
                 coeffs[f"N{t + 1}{r + 1}"] = 1.0
         if x_act[t]:
             coeffs[f"L{t + 1}"] = 1.0
-        rows.append((f"{prefix}.rate.j={t + 1}", "coupling", coeffs, "=",
-                     None))
+        heads.append((f"{prefix}.rate.j={t + 1}", "coupling", coeffs, "="))
 
-    width = max(len(coeffs) for _, _, coeffs, _, _ in rows)
-    idx = np.full((len(rows), width), len(names))
-    coef = np.ones((len(rows), width))
-    for r, (_, _, coeffs, _, _) in enumerate(rows):
+    width = max(len(coeffs) for _, _, coeffs, _ in heads)
+    idx = np.full((len(heads), width), len(names))
+    coef = np.ones((len(heads), width))
+    for r, (_, _, coeffs, _) in enumerate(heads):
         idx[r, :len(coeffs)] = [col[nm] for nm in coeffs]
         coef[r, :len(coeffs)] = list(coeffs.values())
-    dense = np.zeros((len(rows), len(names) + 1))
+    dense = np.zeros((len(heads), len(names) + 1))
     np.put_along_axis(dense, idx, coef, axis=1)
-
-    tol = active_tolerances()
-    a, b = [], []
-    for row, (_, _, _, sense, rhs) in zip(dense[:, :-1], rows):
-        if sense == "<":
-            a.append(row)
-            b.append(rhs - tol.rate)
-        elif sense == ">":
-            a.append(0.0 - row)  # not -row: absent variables stay +0.0
-            b.append(-(rhs + tol.rate))
-        else:  # equality via a pair of closed inequalities; rates go in later
-            a += [row, 0.0 - row]
-            b += [0.0, 0.0]
-    a, b = np.array(a), np.array(b)
-    for arr in (a, b, idx, coef):
+    ineq, eq = dense[:-3, :-1], dense[-3:, :-1]
+    gt = np.array([sense == ">" for *_, sense in heads[:-3]], dtype=bool)
+    # 0.0 - row, not -row: absent variables stay +0.0; each equality is a
+    # pair of closed inequalities
+    a = np.vstack([np.where(gt[:, None], 0.0 - ineq, ineq),
+                   np.stack([eq, 0.0 - eq], axis=1).reshape(6, len(names))])
+    inputs = tuple(c[4] for c in coords)
+    for arr in (a, idx, coef) + inputs:
         arr.setflags(write=False)
-    return _LayeredSystem(tuple(names), col, tuple(rows), a, b, idx, coef)
+    heads = tuple((lbl, kind, MappingProxyType(coeffs), sense)
+                  for lbl, kind, coeffs, sense in heads)
+    return _Template(fields, tuple(names), MappingProxyType(col), heads, a,
+                     idx, coef, logs, tuple(margs), tuple(src), tuple(chnl),
+                     tuple(receivers), inputs)
 
 
 #: built layered systems by content key, least recently used first

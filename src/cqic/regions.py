@@ -403,7 +403,8 @@ def thm2_feasible(channel: ChannelSpec, cfg: Thm2Config, rates,
 
     Repeated calls on one config reuse its built system and re-solve
     only the LP: rates enter just the coupling rows.  The cache is keyed
-    on content, so a factor changed in place is rebuilt.
+    on content, so a factor changed in place is rebuilt.  A build fills
+    only the numbers into a template cached per shape and active layers.
 
     No cost budget is applied: ``channel.budget`` is not read, so a
     config whose input law breaks the budget can be reported feasible.

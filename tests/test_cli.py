@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,6 +519,22 @@ class TestTiltlab:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err == "error: cases must be non-negative, got -1\n"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_space_past_the_dim_cap_exits_4(self, tmp_path, capsys):
+        # 510 smoothing directions make a 1,026-dim space: refused before
+        # any operator is allocated
+        tracemalloc.start()
+        try:
+            code = main(["tiltlab", "--cases", "0", "--sizes", "510",
+                         "--seed", "1", "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert capsys.readouterr().err == \
+            "error: extended dimension 1026 exceeds 1024\n"
+        assert peak < 2**20
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_zero_cases_is_valid(self, tmp_path):

@@ -452,11 +452,11 @@ def oracle_unstructured(channel, cfg):
     }
 
 
-def oracle_rx_entropies(channel, blocks, fields, receivers):
-    """H(S, Y) per register subset of each ``(j, atoms, subsets)``, one
-    receiver at a time, each from one pooled ``CqState``."""
-    return [oracle_one_rx(channel, blocks, fields, j, atoms, subsets)
-            for j, atoms, subsets in receivers]
+def oracle_rx_entropies(channel, blocks, tpl):
+    """H(S, Y) per register subset of each receiver of a layered template,
+    one receiver at a time, each from one pooled ``CqState``."""
+    return [oracle_one_rx(channel, blocks, tpl.fields, rx.j, rx.atoms,
+                          rx.subsets) for rx in tpl.receivers]
 
 
 def oracle_one_rx(channel, blocks, fields, j, atoms, subsets):
@@ -706,7 +706,9 @@ def _layered_vs_oracle(check, channel, cfg, rates, drop):
     got = _layered_outcome(check, channel, cfg, rates, drop)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layered, "_rx_entropies", oracle_rx_entropies)
-        mp.setattr(layered, "_SYSTEMS", {})  # build afresh, through the oracle
+        # build afresh, through the oracle, from an uncached template
+        mp.setattr(layered, "_SYSTEMS", {})
+        mp.setattr(layered, "_template", layered._template.__wrapped__)
         want = _layered_outcome(check, channel, cfg, rates, drop)
     assert got == want
 

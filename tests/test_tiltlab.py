@@ -37,6 +37,13 @@ class TestTiltSpace:
         with pytest.raises(DimOverflow):
             TiltSpace(64, (64, 64))
 
+    def test_dim_cap_is_1024(self):
+        # bookkeeping only: a space is checked before anything is allocated
+        assert TiltSpace(2, (509, 2)).total_dim == 1024
+        for base, aux in ((1, (1024,)), (2, (510, 2))):
+            with pytest.raises(DimOverflow, match=r"\d+ exceeds 1024"):
+                TiltSpace(base, aux)
+
     @pytest.mark.parametrize("base,aux", [(4, (2.9, 3)), (4.5, (2,)),
                                           (4.0, (2,)), (4, (2, 3.0))])
     def test_dims_must_be_integers(self, base, aux):
