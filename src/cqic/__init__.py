@@ -13,7 +13,6 @@ from .config import (DEFAULT_TOL, Tolerances, active_tolerances,
                      tolerance_scope)
 from .gfcoset import (CodePair, NestedCosetCode, enumerate_coset,
                       random_code_pair, random_nested_code, sum_code)
-from .layered import source_divergence_pair
 from .linalg import (eig_hermitian, eigvals_hermitian, operator_norm,
                      partial_trace, tensor, trace_norm)
 from .lp import feasible_point
@@ -56,7 +55,7 @@ __all__ = [
     "Thm1Config", "UnstructuredConfig", "Thm2Config", "Thm3Config",
     "thm1_check", "unstructured_3to1_check", "thm2_feasible", "thm3_feasible",
     "thm2_config_from_thm1", "thm3_config_from_unstructured",
-    "source_divergence_pair", "max_r1_scan", "boundary_slice",
+    "max_r1_scan", "boundary_slice",
     "SimConfig", "SimResult", "run_ex1_sim", "soft_covering_tv",
     "selection_probabilities", "likelihood_encode", "wilson_interval",
     "TiltSpace", "TiltedState", "embed_vector", "tilt_vector", "tilt_state",

@@ -234,7 +234,7 @@ def _grid_size(x_size, n_sym, denominator):
 
 
 def _grid_rows(grid, rows):
-    """The configs of ``grid`` at ``rows`` (a slice or a boolean mask)."""
+    """The configs of ``grid`` at ``rows`` (a slice, mask or index array)."""
     return _UserGrid(*(None if a is None else a[rows] for a in grid))
 
 
@@ -489,15 +489,14 @@ def _grid_bounds(channel, evaluator, p1s, g2, g3):
 
 
 #: where a scan takes its bound values over user grids g2 x g3, whose
-#: configs lie on a stage grid.  ``bounds(p1s)`` gives every rate key
-#: over p1s x the stage grid and ``cell(a2, a3)`` the same function over
-#: p1s x config (a2, a3) alone; ``spread`` takes an array over the stage
-#: grid back to the configs.  The closed forms also hold ``free``, the
-#: rate keys that no p1 enters, over the stage grid, and ``at(flat)``,
-#: ``bounds`` at the stage cells with flat indices ``flat``, one
-#: ``(len(p1s), len(flat))`` array per key.  The engine evaluates every
-#: key per config and p1, so both are None there.
-_Source = namedtuple("_Source", "bounds cell spread free at")
+#: configs lie on a stage grid of ``shape``.  ``at(flat)`` takes the
+#: stage cells with flat indices ``flat`` to a function of p1s that gives
+#: every rate key over p1s x those cells, one array per key that
+#: broadcasts to ``(len(p1s), len(flat))``; ``index(a2, a3)`` is the flat
+#: cell of config (a2, a3) and ``spread`` takes an array over the stage
+#: grid back to the configs.  ``free`` holds the rate keys that no p1
+#: enters, over the stage grid, or None where they are not kept apart.
+_Source = namedtuple("_Source", "shape free at index spread")
 
 
 def grid_source(channel, evaluator, g2, g3):
@@ -511,39 +510,39 @@ def grid_source(channel, evaluator, g2, g3):
     The channel-free frame is built once per user-grid pair and shared
     by every source over the same grids, so a k-ray scan or a loop of
     in-process scans builds it once; a one-shot, one-ray CLI process
-    gains nothing.  Every other channel takes the batched engine over
-    the configs, whose values agree with the closed forms to 1e-12.
+    gains nothing.  Every other channel takes the batched engine on the
+    config grid, ``free`` None, whose values agree with the closed forms
+    to 1e-12: ``at`` evaluates the product of the grid rows the cells
+    touch and takes each cell from it, with that config's bits alone.
     """
     form = channel.verdict(_parity_gamma_form)
     if form is None or (evaluator == "thm1" and g2.p.shape[1] != 2):
-        def engine_cell(a2, a3):
-            one = [_grid_rows(g, slice(a, a + 1)) for g, a in ((g2, a2),
-                                                               (g3, a3))]
-            return lambda p1s: _grid_bounds(channel, evaluator, p1s, *one)
+        n3 = len(g3.p)
 
-        return _Source(lambda p1s: _grid_bounds(channel, evaluator, p1s, g2,
-                                                g3),
-                       engine_cell, lambda values: values, None, None)
+        def engine_at(flat):
+            (u2, i2), (u3, i3) = (np.unique(c, return_inverse=True)
+                                  for c in np.divmod(flat, n3))
+            rows = _grid_rows(g2, u2), _grid_rows(g3, u3)
+            return lambda p1s: {
+                k: v[:, i2, i3] for k, v
+                in _grid_bounds(channel, evaluator, p1s, *rows).items()}
+
+        return _Source((len(g2.p), n3), None, engine_at,
+                       lambda a2, a3: a2 * n3 + a3, lambda values: values)
     stage = _closed_stage(form, evaluator, g2, g3)
 
     def at(flat):
         cells = _closed_cells(stage, flat)
         return lambda p1s: _closed_bounds(stage, cells, p1s[:, 1])
 
-    def bounds(p1s):
-        size = math.prod(stage.shape)
-        return {k: np.broadcast_to(v, (len(p1s), size)).reshape(
-                    (len(p1s),) + stage.shape)
-                for k, v in at(np.arange(size))(p1s).items()}
-
-    def cell(a2, a3):
+    def index(a2, a3):
         if stage.rows2 is not None:
             a2, a3 = stage.rows2[a2], stage.rows3[a3]
-        return at(np.array([a2 * stage.shape[1] + a3]))
+        return a2 * stage.shape[1] + a3
 
     def spread(values):
         if stage.rows2 is None:
             return values
         return values.take(stage.rows2, axis=1).take(stage.rows3, axis=2)
 
-    return _Source(bounds, cell, spread, stage.free, at)
+    return _Source(stage.shape, stage.free, at, index, spread)

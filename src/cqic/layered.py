@@ -33,8 +33,7 @@ from .channels import ChannelSpec
 from .config import _integer, active_tolerances
 from .errors import ConfigMismatch
 from .gfcoset import _check_modulus
-from .states import (cq_entropies, receiver_layout, shannon_entropies,
-                     shannon_entropy)
+from .states import cq_entropies, receiver_layout, shannon_entropies
 
 _OTHERS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
@@ -416,31 +415,3 @@ def _cached_system(channel, cfg, theorem, drop_dont_care):
             del _SYSTEMS[next(iter(_SYSTEMS))]
     return system
 
-
-def source_divergence_pair(channel: ChannelSpec, cfg, t: int):
-    """Two routes to the full-set covering wall at user t of a
-    :class:`~cqic.regions.Thm2Config`.
-
-    Returns ``(divergence, assembled)`` where the first entry is the
-    relative entropy D(p_{U,U,X} || unif x unif x p_X) computed term by
-    term and the second is the wall assembled from alphabet logs and
-    joint entropies.  They agree up to rounding.
-    """
-    fields, blocks = _normalized_blocks(channel, cfg, with_v=False)
-    tab = blocks[t]
-    active = [r for r in _OTHERS[t] if _is_active(_marg(tab, (_u_axis(t, r),)))]
-    axes = tuple(_u_axis(t, r) for r in active) + (4,)
-    joint = _marg(tab, axes)
-    p_x = _marg(tab, (4,))
-    log_sum = sum(math.log2(fields[r]) for r in active)
-
-    div = 0.0
-    for key in np.argwhere(joint > 0.0):
-        p = float(joint[tuple(key)])
-        q = float(p_x[key[-1]])
-        for r in active:
-            q /= fields[r]
-        div += p * math.log2(p / q)
-
-    assembled = log_sum + shannon_entropy(p_x) - shannon_entropy(joint)
-    return div, assembled

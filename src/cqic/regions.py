@@ -198,18 +198,18 @@ def _rows_hold(rows, b, r2, r3, tol):
 def _grid_sup(rows, source, p1s, r2, r3, tol):
     """R1 suprema over ``p1s`` x the configs of a scan's grid source.
 
-    The closed forms test the rows without R1 once over the stage grid
-    and evaluate the p1 terms only at the cells where they hold; every
-    other cell reads ``-inf``, as :func:`_r1_sup` gives there.  The
-    engine evaluates every config.
+    The rows without R1 are tested once over the stage grid where the
+    source keeps the p1-free keys apart (``free``), and the p1 terms
+    evaluated only at the cells where they hold; every other cell reads
+    ``-inf``, as :func:`_r1_sup` gives there.  Without ``free`` every
+    cell is evaluated.
     """
-    if source.free is None:
-        return source.spread(_r1_sup(rows, source.bounds(p1s), r2, r3, tol))
-    ok = _rows_hold(rows, source.free, r2, r3, tol)
-    flat = np.flatnonzero(ok)
-    sup = np.full((len(p1s), ok.size), -np.inf)
+    ok = (True if source.free is None
+          else _rows_hold(rows, source.free, r2, r3, tol))
+    flat = np.flatnonzero(np.broadcast_to(ok, source.shape))
+    sup = np.full((len(p1s), math.prod(source.shape)), -np.inf)
     sup[:, flat] = _r1_sup(rows, source.at(flat)(p1s), r2, r3, tol)
-    return source.spread(sup.reshape((len(p1s),) + ok.shape))
+    return source.spread(sup.reshape((len(p1s),) + source.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +486,12 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     :func:`cqic.direct.grid_source`: vectorized closed forms for
     channels in the plane-rotation/flip family, evaluated once per
     distinct argument, and the batched engine of :mod:`cqic.direct`,
-    bit for bit the checkers' values, for everything else.  On the
-    closed forms the rows without R1 are tested once over the stage
-    grid and the user-1 terms evaluated only at the configs that pass
-    (:func:`_grid_sup`); the zoom reads the winning config's cell of
-    the same stage.  ``evaluations`` counts the whole grid either way.
+    bit for bit the checkers' values, for everything else.  Both are
+    read one way: the grid supremum (:func:`_grid_sup`) asks the source
+    for stage cells, and the zoom for the winning config's cell alone.
+    On the closed forms the rows without R1 are first tested once over
+    the stage grid, and the user-1 terms evaluated only at the configs
+    that pass.  ``evaluations`` counts the whole grid either way.
     The grid is sized against ``scan_cap`` before it is enumerated.
     """
     tol = active_tolerances()
@@ -545,7 +546,7 @@ def max_r1_scan(channel: ChannelSpec, r2: float, r3: float,
     if best_val > -math.inf:
         best_p1 = p1_ok[i1]
         if refine and sizes[0] == 2:
-            cell = source.cell(a2, a3)
+            cell = source.at([source.index(a2, a3)])
             # zoom the user-1 'on' probability around the grid argmax:
             # eight levels of 17 points, the window shrinking eightfold
             center, width = float(best_p1[1]), 1.0 / denominator

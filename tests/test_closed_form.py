@@ -136,7 +136,8 @@ def test_cell_values_match_oracle(evaluator):
     for a2, a3 in ((0, 0), (5, 17), (len(o2) - 1, 3), (len(o2) - 1,
                                                        len(o3) - 1)):
         old = co.closed_bounds(form, evaluator, p1v, [o2[a2]], [o3[a3]])
-        new = source.cell(a2, a3)(np.stack([1.0 - p1v, p1v], axis=1))
+        new = source.at([source.index(a2, a3)])(
+            np.stack([1.0 - p1v, p1v], axis=1))
         assert sorted(new) == sorted(old)
         for key, val in old.items():
             assert _same_bits(np.broadcast_to(new[key], (17, 1)),
@@ -339,8 +340,8 @@ def test_scan_builds_the_thm1_frame_once_and_cells_stay_out(tmp_path,
     # frames are keyed by content: same shape, other rows, another frame
     g2, g3 = (direct._binary_user_grid(spec, j, 2, 16) for j in (1, 2))
     flipped = direct._grid_rows(g2, slice(None, None, -1))
-    direct.grid_source(spec, "thm1", flipped, g3).bounds(
-        direct._lattice_pmfs(2, 16))
+    source = direct.grid_source(spec, "thm1", flipped, g3)
+    source.at(np.arange(math.prod(source.shape)))(direct._lattice_pmfs(2, 16))
     assert direct._closed_frame.cache_info().misses == 2
 
 
@@ -377,13 +378,59 @@ def test_grid_source_takes_closed_forms_on_the_family_only(
     g2, g3 = (direct._binary_user_grid(spec, j, n_sym, 2) for j in (1, 2))
     source = direct.grid_source(spec, evaluator, g2, g3)
     p1s = direct._lattice_pmfs(2, 2)
-    values = source.bounds(p1s)
+    values = source.at(np.arange(math.prod(source.shape)))(p1s)
     assert calls == ["_closed_stage" if closed else "_grid_bounds"]
     assert (source.free is not None) == closed
     rows = rg._THM1_ROWS if evaluator == "thm1" else rg._UNSTR_ROWS
-    sup = source.spread(rg._r1_sup(rows, values, 0.0, 0.0, 1e-9))
+    sup = source.spread(rg._r1_sup(rows, values, 0.0, 0.0, 1e-9).reshape(
+        (len(p1s),) + source.shape))
     assert sup.shape == (len(p1s), len(g2.p), len(g3.p))
     assert _same_bits(rg._grid_sup(rows, source, p1s, 0.0, 0.0, 1e-9), sup)
+
+
+@pytest.mark.parametrize("build,evaluator,n_sym", [
+    (lambda: build_ex1(0.1, 0.1, 0.2, 0.3), "unstructured", 2),
+    (lambda: build_ex3(0.1, 0.2, 0.3, 0.4, 0.4, 0.4), "thm1", 2),
+    (lambda: _channel("ex2", 0.3), "thm1", 3),
+])
+def test_engine_cells_have_the_all_cell_bits(build, evaluator, n_sym):
+    # the engine evaluates the grid rows a cell subset touches: each cell
+    # must read what the all-cell evaluation gives there, whatever cells
+    # come with it, in whatever order and however often
+    spec = build()
+    g2, g3 = (direct._binary_user_grid(spec, j, n_sym, 2) for j in (1, 2))
+    source = direct.grid_source(spec, evaluator, g2, g3)
+    assert source.free is None and source.shape == (len(g2.p), len(g3.p))
+    size = math.prod(source.shape)
+    p1s = direct._lattice_pmfs(2, 2)
+    every = source.at(np.arange(size))(p1s)
+    rng = np.random.default_rng(29)
+    subsets = [[0], [size - 1], np.arange(size)[::-1], [7, 3, 7, 0, 3]]
+    subsets += [rng.integers(0, size, rng.integers(1, 12)) for _ in range(6)]
+    subsets += [rng.permutation(size)[:rng.integers(1, 40)] for _ in range(4)]
+    for flat in subsets:
+        some = source.at(flat)(p1s)
+        assert sorted(some) == sorted(every)
+        for key, val in every.items():
+            assert _same_bits(some[key], val[:, flat]), key
+    for a2, a3 in ((0, 0), (len(g2.p) - 1, 5), (3, len(g3.p) - 1)):
+        assert source.index(a2, a3) == a2 * len(g3.p) + a3
+
+
+def test_unstructured_index_and_spread_reach_each_configs_stage_cell():
+    # the unstructured stage grid is distinct q2 x distinct q3: index and
+    # spread must both take config (a2, a3) to the cell of its (q2, q3)
+    spec = _channel("costed", 2 / 32)
+    _, (g2, g3), _ = _grids(spec, "unstructured", (3, 3), 6)
+    source = direct.grid_source(spec, "unstructured", g2, g3)
+    (k2, c2), (k3, c3) = (np.unique(g.q, return_inverse=True)
+                          for g in (g2, g3))
+    assert source.shape == (len(k2), len(k3)) and len(k2) < len(g2.p)
+    want = c2[:, None] * len(k3) + c3[None, :]
+    cells = np.arange(math.prod(source.shape)).reshape((1,) + source.shape)
+    assert np.array_equal(source.spread(cells)[0], want)
+    assert np.array_equal([[source.index(a2, a3) for a3 in range(len(g3.p))]
+                           for a2 in range(len(g2.p))], want)
 
 
 @pytest.mark.parametrize("build", [

@@ -16,7 +16,6 @@ from cqic.channels import (ChannelSpec, build_ex1, build_ex2,
 from cqic.config import tolerance_scope
 from cqic.errors import (BudgetExceeded, ConfigMismatch, DomainError, Not3to1,
                          NotPrime, Unsupported)
-from cqic.layered import source_divergence_pair
 from cqic.regions import (Thm1Config, Thm2Config, Thm3Config,
                           UnstructuredConfig, boundary_slice, max_r1_scan,
                           thm1_check, thm2_config_from_thm1, thm2_feasible,
@@ -316,16 +315,6 @@ class TestThm2:
         assert abs(parts["T21"] + parts["L2"] - rates[1]) < 1e-7
         assert abs(parts["T31"] + parts["L3"] - rates[2]) < 1e-7
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_source_divergence_two_routes_agree(self, seed):
-        rng = np.random.default_rng(seed)
-        cfg = random_thm2_config(rng)
-        for t in range(3):
-            div, assembled = source_divergence_pair(ex2(), cfg, t)
-            assert div >= -1e-12
-            assert abs(div - assembled) < 1e-9
-
     def test_validation(self):
         spec = ex2()
         good = np.full((2, 2, 2), 1 / 8)
@@ -469,6 +458,79 @@ class TestThm3:
         with pytest.raises(ConfigMismatch, match="no entries"):
             thm3_feasible(ex2(), Thm3Config((2, 2, 2), (empty, quiet, quiet)),
                           (0, 0, 0))
+
+
+#: how a factor axis carries its layer: spread over its symbols (active),
+#: of size 1 or all mass on one symbol (absent)
+_LAYER_MODES = ("present", "size1", "point")
+
+
+@st.composite
+def covering_cases(draw):
+    """(theorem, config, active) with ``active[t]`` the axes of user t's
+    five-axis factor (V, V, U, U, X) that carry a layer."""
+    theorem = draw(st.sampled_from((2, 3)))
+    fields = tuple(draw(st.sampled_from((2, 3) if theorem == 2 else (2,)))
+                   for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    factors, active = [], []
+    for t in range(3):
+        a, b = layered._OTHERS[t]
+        sizes = (2, 2, fields[a], fields[b], 2)
+        modes = [draw(st.sampled_from(_LAYER_MODES)) if theorem == 3 or ax > 1
+                 else "size1" for ax in range(4)]
+        modes.append(draw(st.sampled_from(("present", "point"))))
+        index = [slice(None) if m == "present" else
+                 slice(0, 1) if m == "size1" else
+                 slice(k, k + 1) for m, k in
+                 zip(modes, (draw(st.integers(0, n - 1)) for n in sizes))]
+        tab = np.zeros(tuple(1 if m == "size1" else n
+                             for m, n in zip(modes, sizes)))
+        weights = rng.random(tab[tuple(index)].shape) + 0.05
+        tab[tuple(index)] = weights / weights.sum()
+        factors.append(tab if theorem == 3 else tab.reshape(tab.shape[2:]))
+        active.append([ax for ax, m in enumerate(modes) if m == "present"])
+    cfg = (Thm2Config if theorem == 2 else Thm3Config)(fields, tuple(factors))
+    return theorem, cfg, active
+
+
+@settings(max_examples=150, deadline=None)
+@given(covering_cases(), st.sampled_from((build_ex1(0.1, 0.12, 0.08, 0.5),
+                                          ex2())))
+def test_full_covering_wall_is_the_source_divergence(case, spec):
+    # the covering row over all of user t's active layers (and its input,
+    # when active) is D(p || unif_U x prod p_V x p_X) over those axes; a
+    # point-mass layer drops out, as it does in the checker
+    theorem, cfg, active = case
+    check = thm2_feasible if theorem == 2 else thm3_feasible
+    rep = check(spec, cfg, (0.0, 0.0, 0.0))
+    for t, axes in enumerate(active):
+        if not axes:
+            continue
+        tab = np.asarray(cfg.factors[t])
+        tab = tab.reshape((1,) * (5 - tab.ndim) + tab.shape)  # Thm 2: no V
+        joint = tab.sum(axis=tuple(ax for ax in range(5) if ax not in axes))
+        q = np.ones(joint.shape)
+        for n, ax in enumerate(axes):
+            if ax in (2, 3):  # U: uniform over its field
+                marg = np.full(joint.shape[n], 1.0 / joint.shape[n])
+            else:
+                marg = joint.sum(axis=tuple(m for m in range(len(axes))
+                                            if m != n))
+            q = q * marg.reshape([-1 if m == n else 1
+                                  for m in range(len(axes))])
+        mask = joint > 0.0
+        div = float(np.sum(joint[mask] * np.log2(joint[mask] / q[mask])))
+        others = layered._OTHERS[t]
+        pairs = [",".join(f"{t + 1}{others[ax % 2] + 1}" for ax in axes
+                          if ax in group) for group in ((2, 3), (0, 1))]
+        label = f"thm{theorem}.src.j={t + 1}.A={{{pairs[0]}}}"
+        if theorem == 3:
+            label += f".C={{{pairs[1]}}}"
+        if 4 in axes:
+            label += "+K"
+        assert div >= -1e-12
+        assert abs(rep.record(label).rhs - div) < 1e-9
 
 
 NON_FINITE_RATES = [(0.1, math.nan, 0.1), (math.nan, 0.1, 0.1),
