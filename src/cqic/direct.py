@@ -6,7 +6,9 @@ informations I(A; Y | C) of one receiver's state, over every config of a
 product grid, ``BLOCK`` configs per call of the cq-state kernel
 :func:`~cqic.states.cq_entropies`.  :func:`grid_source` is where a grid
 scan takes its bound values: the closed forms of the plane-rotation/flip
-family, or this engine over the scan's user grids.
+family, one self-contained source per evaluator
+(:func:`_unstructured_source`, :func:`_thm1_source`), or this engine
+over the scan's user grids.
 
 The points are (a2, a3, x1) with mass (w2[a2] * w3[a3]) * p1[x1], where
 a_j is user j's field symbol (Thm 1) or its (cloud, input) pair
@@ -352,52 +354,15 @@ def _closed_frame(evaluator, key2, key3):
     return _ClosedFrame(q2, q3, pu0, pu1, w, hu, hmin)
 
 
-#: the p1-free part of the closed forms over a user-2 x user-3 grid,
-#: laid out on a stage grid of ``shape``.  ``free`` holds the rate keys
-#: that no p1 enters, as arrays that broadcast to the stage grid, and
-#: ``terms`` the operands of the p1 terms: the distinct q2 and q3 along
-#: its axes (unstructured), or arrays over it and the frame's ``w``
-#: (Thm 1).  ``rows2``/``rows3`` take the stage grid back to the
-#: configs; None when it is the config grid.
-_ClosedStage = namedtuple("_ClosedStage",
-                          "phi evaluator shape free terms rows2 rows3")
-
-
-def _closed_stage(form, evaluator, g2, g3):
-    """The p1-free stage of the plane-rotation/flip closed forms.
-
-    ``form`` is ``(phi, (d2, d3))`` from :func:`_parity_gamma_form` and
-    ``g2``/``g3`` are user grids with deterministic maps.  The
-    channel-free part is :func:`_closed_frame`'s, cached once per
-    user-grid pair, so a k-ray scan and later scans of the same grids in
-    the process reuse it.  The terms of q2, q3 and w are evaluated here,
-    once per distinct bit pattern of their argument.  The unstructured
-    bounds depend on a config only through (q2, q3), so their stage grid
-    is distinct q2 x distinct q3; the Thm 1 stage grid is the config
-    grid, whose terms combine in the order of the per-config formulas.
-    A scan reads the stage at some of its cells through
-    :func:`_closed_cells`, so no cell builds a stage or frame of its own.
-    """
-    phi, (d2, d3) = form
-    fr = _closed_frame(evaluator, _grid_key(g2), _grid_key(g3))
-    own2 = _hb_arr(_conv_arr(fr.q2.keys, d2)) - _hb_arr(d2)
-    own3 = _hb_arr(_conv_arr(fr.q3.keys, d3)) - _hb_arr(d3)
-    if evaluator == "unstructured":
-        shape = (len(fr.q2.keys), len(fr.q3.keys))
-        free = {"own2": own2[:, None], "own3": own3[None, :]}
-        terms = {"q2": fr.q2.keys, "q3": fr.q3.keys}
-        return _ClosedStage(phi, evaluator, shape, free, terms, fr.q2.inv,
-                            fr.q3.inv)
-
-    # index, not take: take copies a read-only index array, slowly
-    h0, h1, h_tot = _haf_arr(fr.w.keys, phi)[fr.w.inv]
-    base = fr.pu0 * h0 + fr.pu1 * h1
-    free = {"own2": own2[fr.q2.inv][:, None],
-            "own3": own3[fr.q3.inv][None, :],
-            "cross_rhs": h_tot - base - fr.hu + fr.hmin}
-    terms = {"w": fr.w, "pu0": fr.pu0, "pu1": fr.pu1, "base": base,
-             "hu": fr.hu, "hmin": fr.hmin}
-    return _ClosedStage(phi, evaluator, base.shape, free, terms, None, None)
+#: where a scan takes its bound values over user grids g2 x g3, whose
+#: configs lie on a stage grid of ``shape``.  ``at(flat)`` takes the
+#: stage cells with flat indices ``flat`` to a function of p1s that gives
+#: every rate key over p1s x those cells, one array per key that
+#: broadcasts to ``(len(p1s), len(flat))``; ``index(a2, a3)`` is the flat
+#: cell of config (a2, a3) and ``spread`` takes an array over the stage
+#: grid back to the configs.  ``free`` holds the rate keys that no p1
+#: enters, over the stage grid, or None where they are not kept apart.
+_Source = namedtuple("_Source", "shape free at index spread")
 
 
 def _used_keys(keys, inv):
@@ -408,64 +373,88 @@ def _used_keys(keys, inv):
     return keys[used], (np.cumsum(used) - 1)[inv]
 
 
-def _closed_cells(stage, flat):
-    """``stage`` restricted to the cells with flat indices ``flat``.
+def _unstructured_source(phi, q2, q3, own2, own3):
+    """The closed-form unstructured :data:`_Source` at angle ``phi``.
 
-    The free keys and the Thm 1 operands are taken at the cells, one
-    entry per cell.  The arguments of the p1 terms (each distinct q2 and
-    q3, or w) are kept once per distinct value the cells use, with each
-    cell's index into them.
+    The bounds read a config only through (q2, q3), the frame's
+    :data:`_Distinct` q of either grid, so the stage grid is distinct q2
+    x distinct q3; ``own2``/``own3`` are the own rates at their keys.
     """
-    c2, c3 = np.divmod(flat, stage.shape[1])
+    n3 = len(q3.keys)
 
-    def at(v):  # an (n2, n3) array that broadcasts to the stage grid
-        return v.reshape(-1).take((c2 if v.shape[0] > 1 else 0) * v.shape[1]
-                                  + (c3 if v.shape[1] > 1 else 0))
+    def at(flat):
+        c2, c3 = np.divmod(flat, n3)
+        o2, o3 = own2.take(c2), own3.take(c3)
+        (k2, i2), (k3, i3) = _used_keys(q2.keys, c2), _used_keys(q3.keys, c3)
 
-    t = stage.terms
-    cells = {k: at(v) for k, v in stage.free.items()}
-    if stage.evaluator == "unstructured":
-        (q2, i2), (q3, i3) = _used_keys(t["q2"], c2), _used_keys(t["q3"], c3)
-        cells.update(q2=q2, i2=i2, q3=q3, i3=i3)
-        return cells
-    cells.update((k, at(t[k])) for k in ("pu0", "pu1", "base", "hu", "hmin"))
-    w = t["w"]
-    cells["w"], cells["w_at"] = _used_keys(
-        w.keys, w.inv.reshape(3, -1).take(flat, axis=1))
-    return cells
+        def bounds(p1s):
+            p1 = np.asarray(p1s[:, 1], dtype=float)[:, None]
+            x2, x3 = _conv_arr(p1, k2), _conv_arr(p1, k3)
+            total = _conv_arr(x2.take(i2, axis=1), k3.take(i3))
+            h = _haf_arr(np.concatenate((p1, x2, x3, total), axis=1), phi)
+            e2, e3 = 1 + len(k2), 1 + len(k2) + len(k3)
+            # deterministic maps make the private refinement terms vanish
+            return {"own2": o2, "own3": o3, "r1_rhs": h[:, :1],
+                    "pair2": h[:, 1:e2].take(i2, axis=1),
+                    "pair3": h[:, e2:e3].take(i3, axis=1),
+                    "total1": h[:, e3:], "refine2": 0.0, "refine3": 0.0}
+        return bounds
+
+    free = {"own2": own2[:, None], "own3": own3[None, :]}
+    return _Source((len(q2.keys), n3), free, at,
+                   lambda a2, a3: q2.inv[a2] * n3 + q3.inv[a3],
+                   lambda v: v.take(q2.inv, axis=1).take(q3.inv, axis=2))
 
 
-def _closed_bounds(stage, cells, p1v):
-    """Rate-bound values at user-1 'on' probabilities ``p1v`` x the
-    cells of :func:`_closed_cells`.
+def _thm1_source(phi, frame, own2, own3):
+    """The closed-form Thm 1 :data:`_Source` (binary field) at ``phi``.
 
-    Only the p1 terms are evaluated here, in one :func:`_haf_arr` call
-    over their distinct arguments, with the operations of the
-    per-config formulas.  Returns the rate keys of the evaluator's rate
-    rows as arrays that broadcast to ``(len(p1v), cells)``.
+    The stage grid is the config grid of the :data:`_ClosedFrame`
+    ``frame``; ``own2``/``own3`` are the own rates at its distinct q.
+    Terms combine in the order of the per-config formulas.
     """
-    phi = stage.phi
-    p1 = np.asarray(p1v, dtype=float)[:, None]
-    b = {k: cells[k] for k in stage.free}
-    if stage.evaluator == "unstructured":
-        i2, i3 = cells["i2"], cells["i3"]
-        x2, x3 = _conv_arr(p1, cells["q2"]), _conv_arr(p1, cells["q3"])
-        total = _conv_arr(x2.take(i2, axis=1), cells["q3"].take(i3))
-        h = _haf_arr(np.concatenate((p1, x2, x3, total), axis=1), phi)
-        k2 = 1 + x2.shape[1]
-        k3 = k2 + x3.shape[1]
-        # deterministic maps make the private refinement terms vanish
-        b.update(r1_rhs=h[:, :1], pair2=h[:, 1:k2].take(i2, axis=1),
-                 pair3=h[:, k2:k3].take(i3, axis=1), total1=h[:, k3:],
-                 refine2=0.0, refine3=0.0)
-        return b
+    q2, q3, pu0, pu1, w, hu, hmin = frame
+    # index, not take: take copies a read-only index array, slowly
+    h0, h1, h_tot = _haf_arr(w.keys, phi)[w.inv]
+    base = pu0 * h0 + pu1 * h1
+    free = {"own2": own2[q2.inv][:, None], "own3": own3[q3.inv][None, :],
+            "cross_rhs": h_tot - base - hu + hmin}
+    n3 = base.shape[1]
 
-    h0, h1, h_tot = _haf_arr(_conv_arr(p1, cells["w"]), phi).take(
-        cells["w_at"], axis=1).transpose(1, 0, 2)
-    base = cells["base"]
-    b.update(r1_rhs=cells["pu0"] * h0 + cells["pu1"] * h1 - base,
-             sum_rhs=h_tot - base - cells["hu"] + cells["hmin"])
-    return b
+    def at(flat):
+        c2, c3 = np.divmod(flat, n3)
+        o2, o3 = free["own2"].take(c2), free["own3"].take(c3)
+        cross, pu0_c, pu1_c, base_c, hu_c, hmin_c = (v.take(flat) for v in (
+            free["cross_rhs"], pu0, pu1, base, hu, hmin))
+        keys, at_w = _used_keys(w.keys, w.inv.reshape(3, -1).take(flat, 1))
+
+        def bounds(p1s):
+            p1 = np.asarray(p1s[:, 1], dtype=float)[:, None]
+            h0, h1, h_tot = _haf_arr(_conv_arr(p1, keys), phi).take(
+                at_w, axis=1).transpose(1, 0, 2)
+            return {"own2": o2, "own3": o3, "cross_rhs": cross,
+                    "r1_rhs": pu0_c * h0 + pu1_c * h1 - base_c,
+                    "sum_rhs": h_tot - base_c - hu_c + hmin_c}
+        return bounds
+
+    return _Source(base.shape, free, at, lambda a2, a3: a2 * n3 + a3,
+                   lambda values: values)
+
+
+def _closed_source(form, evaluator, g2, g3):
+    """The closed-form :data:`_Source` of the plane-rotation/flip family.
+
+    ``form`` is ``(phi, (d2, d3))`` from :func:`_parity_gamma_form`;
+    ``g2``/``g3`` are user grids with deterministic maps, whose
+    :func:`_closed_frame` later sources of the same grids share.
+    """
+    phi, (d2, d3) = form
+    fr = _closed_frame(evaluator, _grid_key(g2), _grid_key(g3))
+    own2 = _hb_arr(_conv_arr(fr.q2.keys, d2)) - _hb_arr(d2)
+    own3 = _hb_arr(_conv_arr(fr.q3.keys, d3)) - _hb_arr(d3)
+    if evaluator == "unstructured":
+        return _unstructured_source(phi, fr.q2, fr.q3, own2, own3)
+    return _thm1_source(phi, fr, own2, own3)
 
 
 def _map_tables(p, f, x_size):
@@ -488,32 +477,20 @@ def _grid_bounds(channel, evaluator, p1s, g2, g3):
     return direct_bounds(channel, evaluator, p1s, *users)
 
 
-#: where a scan takes its bound values over user grids g2 x g3, whose
-#: configs lie on a stage grid of ``shape``.  ``at(flat)`` takes the
-#: stage cells with flat indices ``flat`` to a function of p1s that gives
-#: every rate key over p1s x those cells, one array per key that
-#: broadcasts to ``(len(p1s), len(flat))``; ``index(a2, a3)`` is the flat
-#: cell of config (a2, a3) and ``spread`` takes an array over the stage
-#: grid back to the configs.  ``free`` holds the rate keys that no p1
-#: enters, over the stage grid, or None where they are not kept apart.
-_Source = namedtuple("_Source", "shape free at index spread")
-
-
 def grid_source(channel, evaluator, g2, g3):
     """Where a scan takes its bound values over the user grids g2 x g3.
 
     Returns a :data:`_Source`.  The plane-rotation/flip family (Thm 1 on
-    the binary field only) takes the closed forms: their user-1-free
-    terms are evaluated here, once, on :func:`_closed_stage`'s stage,
-    and a scan evaluates the p1 terms only at the stage cells it asks
-    for, so a refinement cell is the stage restricted to one config.
-    The channel-free frame is built once per user-grid pair and shared
-    by every source over the same grids, so a k-ray scan or a loop of
-    in-process scans builds it once; a one-shot, one-ray CLI process
-    gains nothing.  Every other channel takes the batched engine on the
-    config grid, ``free`` None, whose values agree with the closed forms
-    to 1e-12: ``at`` evaluates the product of the grid rows the cells
-    touch and takes each cell from it, with that config's bits alone.
+    the binary field only) takes :func:`_closed_source`, one builder per
+    evaluator: its user-1-free terms are evaluated once, and a scan
+    evaluates the p1 terms only at the stage cells it asks for, once per
+    distinct argument (:func:`_used_keys`).  The channel-free frame is
+    built once per user-grid pair and shared by every source over the
+    same grids, so a k-ray scan or a loop of in-process scans builds it
+    once.  Every other channel takes the batched engine on the config
+    grid, ``free`` None, whose values agree with the closed forms to
+    1e-12: ``at`` evaluates the product of the grid rows the cells touch
+    and takes each cell from it, with that config's bits alone.
     """
     form = channel.verdict(_parity_gamma_form)
     if form is None or (evaluator == "thm1" and g2.p.shape[1] != 2):
@@ -529,20 +506,4 @@ def grid_source(channel, evaluator, g2, g3):
 
         return _Source((len(g2.p), n3), None, engine_at,
                        lambda a2, a3: a2 * n3 + a3, lambda values: values)
-    stage = _closed_stage(form, evaluator, g2, g3)
-
-    def at(flat):
-        cells = _closed_cells(stage, flat)
-        return lambda p1s: _closed_bounds(stage, cells, p1s[:, 1])
-
-    def index(a2, a3):
-        if stage.rows2 is not None:
-            a2, a3 = stage.rows2[a2], stage.rows3[a3]
-        return a2 * stage.shape[1] + a3
-
-    def spread(values):
-        if stage.rows2 is None:
-            return values
-        return values.take(stage.rows2, axis=1).take(stage.rows3, axis=2)
-
-    return _Source(stage.shape, stage.free, at, index, spread)
+    return _closed_source(form, evaluator, g2, g3)

@@ -309,9 +309,9 @@ def _check_unstructured_shapes(channel: ChannelSpec, cfg: UnstructuredConfig):
 def _unstructured_bounds(channel: ChannelSpec, cfg: UnstructuredConfig):
     _check_unstructured_shapes(channel, cfg)
     px1 = Pmf(cfg.p_x1)
-    joints = [cfg.p_u2x2, cfg.p_u3x3]
-    for t in joints:
-        Pmf(t.ravel())  # normalization / positivity check
+    # the checked, clipped tables, as Thm 1 and the Thm 3 embedding use
+    joints = [Pmf(t).probs.reshape(t.shape)
+              for t in (cfg.p_u2x2, cfg.p_u3x3)]
     b = direct_bounds(channel, "unstructured", [px1.probs], joints[:1],
                        joints[1:])
     return {name: float(v[0, 0, 0]) for name, v in b.items()}

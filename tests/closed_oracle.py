@@ -13,8 +13,8 @@ are unchanged apart from the names; ``cqic.direct`` and
 is the per-config loop that ``cqic.direct._map_tables`` vectorizes, and
 ``hb_arr``/``haf_arr`` the masked and clipped entropy terms before
 ``cqic.direct`` dropped the clips and the masked assignment.  Nothing
-here calls the staged code, except ``staged_bounds``, which evaluates
-its stage at every cell and spreads the values back to the full grid
+here calls the staged code, except ``staged_bounds``, which reads its
+source at every stage cell and spreads the values back to the full grid
 for the comparison.
 """
 
@@ -272,19 +272,13 @@ def scan(channel, r2, r3, evaluator="unstructured", u_sizes=(2, 2),
                       float(grid_value))
 
 
-def staged_bounds(form, evaluator, p1v, g2, g3):
-    """``cqic.direct``'s staged bound values, spread to the full grid
-    ``(len(p1v), len(g2.p), len(g3.p))`` of the user grids g2, g3: the
-    free keys of the stage and the p1 terms of every one of its cells."""
-    stage = direct._closed_stage(form, evaluator, g2, g3)
-    cells = direct._closed_cells(stage, np.arange(math.prod(stage.shape)))
-    b = direct._closed_bounds(stage, cells, p1v)
-    size = math.prod(stage.shape)
-    out = {}
-    for key, val in b.items():
-        full = np.broadcast_to(val, (len(p1v), size)).reshape(
-            (len(p1v),) + stage.shape)
-        if stage.rows2 is not None:
-            full = full.take(stage.rows2, axis=1).take(stage.rows3, axis=2)
-        out[key] = full
-    return out
+def staged_bounds(form, evaluator, p1s, g2, g3):
+    """``cqic.direct``'s closed-form bound values, spread to the full
+    grid ``(len(p1s), len(g2.p), len(g3.p))`` of the user grids g2, g3:
+    the source's ``at`` over every stage cell, then its ``spread``."""
+    source = direct._closed_source(form, evaluator, g2, g3)
+    size = math.prod(source.shape)
+    full = (len(p1s),) + source.shape
+    return {key: source.spread(np.broadcast_to(val, (len(p1s), size))
+                               .reshape(full))
+            for key, val in source.at(np.arange(size))(p1s).items()}

@@ -116,9 +116,8 @@ def test_bound_values_match_oracle(evaluator, sizes, denom, kind, tau):
     spec = _channel(kind, tau)
     form = direct._parity_gamma_form(spec)
     p1s, (g2, g3), (o2, o3) = _grids(spec, evaluator, sizes, denom)
-    p1v = [p[1] for p in p1s]
-    old = co.closed_bounds(form, evaluator, p1v, o2, o3)
-    new = co.staged_bounds(form, evaluator, np.array(p1v), g2, g3)
+    old = co.closed_bounds(form, evaluator, [p[1] for p in p1s], o2, o3)
+    new = co.staged_bounds(form, evaluator, np.array(p1s), g2, g3)
     assert sorted(new) == sorted(old)
     shape = (len(p1s), len(o2), len(o3))
     for key, val in old.items():
@@ -370,7 +369,7 @@ def test_grid_source_takes_closed_forms_on_the_family_only(
     # field only), the engine for everything else
     spec = build()
     calls = []
-    for name in ("_closed_stage", "_grid_bounds"):
+    for name in ("_closed_source", "_grid_bounds"):
         def spied(*args, _fn=getattr(direct, name), _name=name):
             calls.append(_name)
             return _fn(*args)
@@ -379,7 +378,7 @@ def test_grid_source_takes_closed_forms_on_the_family_only(
     source = direct.grid_source(spec, evaluator, g2, g3)
     p1s = direct._lattice_pmfs(2, 2)
     values = source.at(np.arange(math.prod(source.shape)))(p1s)
-    assert calls == ["_closed_stage" if closed else "_grid_bounds"]
+    assert calls == ["_closed_source" if closed else "_grid_bounds"]
     assert (source.free is not None) == closed
     rows = rg._THM1_ROWS if evaluator == "thm1" else rg._UNSTR_ROWS
     sup = source.spread(rg._r1_sup(rows, values, 0.0, 0.0, 1e-9).reshape(
@@ -404,17 +403,50 @@ def test_engine_cells_have_the_all_cell_bits(build, evaluator, n_sym):
     size = math.prod(source.shape)
     p1s = direct._lattice_pmfs(2, 2)
     every = source.at(np.arange(size))(p1s)
-    rng = np.random.default_rng(29)
-    subsets = [[0], [size - 1], np.arange(size)[::-1], [7, 3, 7, 0, 3]]
-    subsets += [rng.integers(0, size, rng.integers(1, 12)) for _ in range(6)]
-    subsets += [rng.permutation(size)[:rng.integers(1, 40)] for _ in range(4)]
-    for flat in subsets:
+    for flat in _cell_subsets(size):
         some = source.at(flat)(p1s)
         assert sorted(some) == sorted(every)
         for key, val in every.items():
             assert _same_bits(some[key], val[:, flat]), key
     for a2, a3 in ((0, 0), (len(g2.p) - 1, 5), (3, len(g3.p) - 1)):
         assert source.index(a2, a3) == a2 * len(g3.p) + a3
+
+
+def _cell_subsets(size):
+    """Single, repeated, unordered and random cell subsets of a stage
+    grid of ``size`` cells."""
+    rng = np.random.default_rng(29)
+    subsets = [[0], [size - 1], np.arange(size)[::-1], [7, 3, 7, 0, 3]]
+    subsets += [rng.integers(0, size, rng.integers(1, 12)) for _ in range(6)]
+    subsets += [rng.permutation(size)[:rng.integers(1, 40)] for _ in range(4)]
+    return subsets
+
+
+@pytest.mark.parametrize("kind,evaluator,n_sym,denom", [
+    ("ex2", "unstructured", 2, 4),
+    ("costed", "unstructured", 3, 4),
+    ("ex2", "thm1", 2, 2),
+])
+def test_closed_cells_have_the_all_cell_bits(kind, evaluator, n_sym, denom):
+    # a closed source keeps the p1-term arguments its cells use once each
+    # (_used_keys): each cell must read what the all-cell evaluation gives
+    # there, whatever cells come with it, in whatever order and however
+    # often; values broadcast to (len(p1s), len(flat))
+    spec = _channel(kind, None)
+    g2, g3 = (direct._binary_user_grid(spec, j, n_sym, denom)
+              for j in (1, 2))
+    source = direct.grid_source(spec, evaluator, g2, g3)
+    assert source.free is not None
+    size = math.prod(source.shape)
+    p1s = direct._lattice_pmfs(2, 8)
+    every = source.at(np.arange(size))(p1s)
+    for flat in _cell_subsets(size):
+        some = source.at(flat)(p1s)
+        assert sorted(some) == sorted(every)
+        for key, val in every.items():
+            want = np.broadcast_to(val, (len(p1s), size))[:, flat]
+            assert _same_bits(np.broadcast_to(some[key], want.shape),
+                              want), key
 
 
 def test_unstructured_index_and_spread_reach_each_configs_stage_cell():

@@ -194,6 +194,23 @@ class TestUnstructured:
                                          self.deterministic_cloud(0.5)),
                 (0, 0, 0))
 
+    def test_bounds_read_the_clipped_tables(self):
+        # Pmf accepts a mass down to -tol.prob and clips it: the bounds
+        # must be those of the clipped tables, bit for bit
+        spec = build_ex2(1.0, 0.1, 0.1, 0.5)
+        p_x1 = np.array([0.6, 0.4])
+        raw = UnstructuredConfig(p_x1,
+                                 np.array([[0.5, 0.3], [0.2 + 1e-10, -1e-10]]),
+                                 np.array([[0.5, 0.5], [0.0, 0.0]]))
+        clipped = UnstructuredConfig(p_x1, np.clip(raw.p_u2x2, 0.0, None),
+                                     raw.p_u3x3)
+        got = rg._unstructured_bounds(spec, raw)
+        want = rg._unstructured_bounds(spec, clipped)
+        assert got.keys() == want.keys()
+        for key, val in want.items():
+            assert np.float64(got[key]).tobytes() == \
+                np.float64(val).tobytes(), key
+
 
 def random_thm2_config(rng, fields=(2, 2, 2)):
     factors = []
@@ -634,7 +651,7 @@ class TestScan:
         g3 = direct._binary_user_grid(spec, 2, 2, 8)
         shape = (len(p1s), len(g2.p), len(g3.p))
         for evaluator in ("unstructured", "thm1"):
-            closed = staged_bounds(form, evaluator, p1s[:, 1], g2, g3)
+            closed = staged_bounds(form, evaluator, p1s, g2, g3)
             engine = direct._grid_bounds(spec, evaluator, p1s, g2, g3)
             for key, val in closed.items():
                 diff = np.abs(np.broadcast_to(val, shape) - engine[key])
