@@ -27,7 +27,8 @@ from collections import namedtuple
 import numpy as np
 
 from .channels import ChannelSpec, gamma_state, sigma_state
-from .states import cq_entropies, receiver_layout, shannon_entropies
+from .states import (cq_entropies, entropy_plan, receiver_layout,
+                     shannon_entropies)
 
 #: configs per pass; bounds the working arrays whatever the grid size
 BLOCK = 64
@@ -50,13 +51,15 @@ _UNSTR_TERMS = (("r1_rhs", 0, ("X1",), ("U2", "U3")),
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(evaluator, alpha2, alpha3, n1):
-    """Receivers of a direct bound, per alphabet shape.
+def _layout(evaluator, alpha2, alpha3, n1, dims):
+    """Entropy plan and bound terms of a direct bound, per alphabet shape
+    and output dimensions ``dims``.
 
     ``alpha_j`` is the field size (Thm 1) or the ``(clouds, inputs)``
     table shape (superposition) of user j.  Points run flat over
     (a2, a3, x1); each receiver gets the :func:`receiver_layout` of the
-    register subsets its bound terms need.
+    register subsets its bound terms need, and the receivers one
+    :func:`entropy_plan`.
     """
     if evaluator == "thm1":
         v = alpha2
@@ -79,10 +82,10 @@ def _layout(evaluator, alpha2, alpha3, n1):
         subsets = dict.fromkeys(frozenset(s) for _, t_rx, a, c in terms
                                 if t_rx == rx for s in (a + c, c))
         receivers.append(receiver_layout(reg, key, subsets))
-    return tuple(receivers), terms
+    return entropy_plan(receivers, dims), terms
 
 
-def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
+def _block_bounds(plan, terms, tables, p1, w2, x2, w3, x3):
     """Bound terms I(A; Y | C) of a block of configs, one entry per config.
 
     ``p1``/``w2``/``w3`` hold the configs' factor pmfs, ``x2``/``x3`` the
@@ -92,8 +95,10 @@ def _block_bounds(receivers, terms, tables, p1, w2, x2, w3, x3):
     g, n1 = p1.shape
     mass = ((w2[:, :, None, None] * w3[:, None, :, None])
             * p1[:, None, None, :]).reshape(g, -1)
-    inputs = (np.arange(n1), x2[:, :, None, None], x3[:, None, :, None])
-    h = cq_entropies(receivers, tables, mass, inputs)
+    inputs = np.ravel_multi_index(
+        (np.arange(n1), x2[:, :, None, None], x3[:, None, :, None]),
+        tables[0].shape[:3]).reshape(g, -1)
+    h = cq_entropies(plan, tables, mass, inputs)
     # I(A; Y | C) = H(A, C) + H(C, Y) - H(A, C, Y) - H(C)
     out = {}
     for name, rx, a, c in terms:
@@ -141,7 +146,7 @@ def direct_bounds(channel, evaluator, p1s, users2, users3):
             cost = [float(t.sum(axis=0) @ kappa) for t in users]
         facs.append((w, x, np.array(cost), alpha))
     (w2, x2, e2, alpha2), (w3, x3, e3, alpha3) = facs
-    receivers, terms = _layout(evaluator, alpha2, alpha3, n1)
+    plan, terms = _layout(evaluator, alpha2, alpha3, n1, channel.output_dims)
     tables = [channel.reduced_table(j) for j in range(3)]
 
     grid = (len(p1s), len(users2), len(users3))
@@ -150,7 +155,7 @@ def direct_bounds(channel, evaluator, p1s, users2, users3):
     for start in range(0, total, BLOCK):
         i1, i2, i3 = np.unravel_index(
             np.arange(start, min(start + BLOCK, total)), grid)
-        vals = _block_bounds(receivers, terms, tables, p1[i1], w2[i2],
+        vals = _block_bounds(plan, terms, tables, p1[i1], w2[i2],
                              x2[i2], w3[i3], x3[i3])
         if evaluator == "thm1":
             # decoding the sum costs H(U2 + U3) and earns min(H(U2), H(U3))

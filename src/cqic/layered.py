@@ -3,12 +3,12 @@
 :func:`_layered_system` validates a Thm 2/3 config of :mod:`cqic.regions`
 and returns its covering, packing and rate-coupling rows, labelled and as
 a dense system A x <= b.  :func:`_template`, an ``lru_cache`` keyed by
-theorem, flag, fields, input sizes, factor shapes and active layers,
-builds the rows, A, rhs recipes and receiver layouts once; :func:`_fill`
-takes a config's entropies from one ``shannon_entropies`` and one
-``cq_entropies`` call and computes its rhs and b.  :func:`_cached_system`
-keeps the last built systems, keyed on content; :mod:`cqic.regions`
-solves them.
+theorem, flag, fields, input sizes, output dimensions, factor shapes and
+active layers, builds the rows, A, rhs recipes, receiver layouts and
+their entropy plan once; :func:`_fill` takes a config's entropies from
+one ``shannon_entropies`` and one ``cq_entropies`` call and computes its
+rhs and b.  :func:`_cached_system` keeps the last built systems, keyed
+on content; :mod:`cqic.regions` solves them.
 
 One loop per row family serves both theorems (a Thm 2 factor has size-1
 V axes, so no active V layer).  The theorem decides only: the covering
@@ -33,7 +33,8 @@ from .channels import ChannelSpec
 from .config import _integer, active_tolerances
 from .errors import ConfigMismatch
 from .gfcoset import _check_modulus
-from .states import cq_entropies, receiver_layout, shannon_entropies
+from .states import (cq_entropies, entropy_plan, receiver_layout,
+                     shannon_entropies)
 
 _OTHERS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
@@ -133,9 +134,11 @@ _Receiver = namedtuple("_Receiver", "j atoms subsets layout")
 #: all a layered system takes from its shape: each row's (label, kind,
 #: coeffs, sense) in ``heads`` and, row by row, its rhs recipe in ``src``
 #: (covering) then ``chnl`` (packing).  A recipe refers to the fill's
-#: values: ``logs``, then H of each ``margs`` entry.
+#: values: ``logs``, then H of each ``margs`` entry.  The receivers'
+#: entropies come from one ``cq_entropies`` call on ``plan`` with each
+#: point's flat channel input ``inputs``.
 _Template = namedtuple("_Template", "fields names col heads a idx coef logs "
-                       "margs src chnl receivers inputs")
+                       "margs src chnl receivers plan inputs")
 
 
 def _rx_entropies(channel: ChannelSpec, blocks, tpl):
@@ -148,7 +151,7 @@ def _rx_entropies(channel: ChannelSpec, blocks, tpl):
     if not tpl.receivers:
         return []
     w = [b.reshape(s) for b, s in zip(blocks, _AT)]
-    h = cq_entropies([rx.layout for rx in tpl.receivers],
+    h = cq_entropies(tpl.plan,
                      [channel.reduced_table(rx.j) for rx in tpl.receivers],
                      ((w[0] * w[1]) * w[2]).reshape(1, -1), tpl.inputs)
     return [{sub: float(h[n, sub, True][0]) for sub in rx.subsets}
@@ -172,7 +175,8 @@ def _layered_system(channel, cfg, theorem, drop_dont_care):
                 for ax in (_u_axis, _v_axis))
     act += (tuple(_is_active(_marg(tab, (4,))) for tab in blocks),)
     tpl = _template(theorem, bool(drop_dont_care), fields,
-                    channel.input_sizes, tuple(b.shape for b in blocks), act)
+                    channel.input_sizes, channel.output_dims,
+                    tuple(b.shape for b in blocks), act)
     return _fill(tpl, channel, blocks)
 
 
@@ -204,10 +208,12 @@ def _fill(tpl, channel, blocks):
 
 
 @functools.lru_cache(maxsize=32)
-def _template(theorem, drop_dont_care, fields, input_sizes, shapes, act):
-    """Variables, rows, rhs recipes and layouts of every config of one
-    shape and activity ``act`` (U and V layers in ``_PAIRS`` order, then
-    X).  All of it is shared: arrays read-only, coefficients proxies."""
+def _template(theorem, drop_dont_care, fields, input_sizes, dims, shapes,
+              act):
+    """Variables, rows, rhs recipes, layouts and entropy plan of every
+    config of one shape and activity ``act`` (U and V layers in
+    ``_PAIRS`` order, then X) on a channel of output dimensions ``dims``.
+    All of it is shared: arrays read-only, coefficients proxies."""
     u_act, v_act = (dict(zip(_PAIRS, a)) for a in act[:2])
     x_act = act[2]
     logs = tuple(math.log2(f) for f in fields)
@@ -379,14 +385,17 @@ def _template(theorem, drop_dont_care, fields, input_sizes, shapes, act):
     # pair of closed inequalities
     a = np.vstack([np.where(gt[:, None], 0.0 - ineq, ineq),
                    np.stack([eq, 0.0 - eq], axis=1).reshape(6, len(names))])
-    inputs = tuple(c[4] for c in coords)
-    for arr in (a, idx, coef) + inputs:
+    inputs = np.ravel_multi_index(tuple(c[4] for c in coords),
+                                  input_sizes).reshape(1, -1)
+    plan = entropy_plan([rx.layout for rx in receivers], [
+        dims[rx.j] for rx in receivers]) if receivers else None
+    for arr in (a, idx, coef, inputs):
         arr.setflags(write=False)
     heads = tuple((lbl, kind, MappingProxyType(coeffs), sense)
                   for lbl, kind, coeffs, sense in heads)
     return _Template(fields, tuple(names), MappingProxyType(col), heads, a,
                      idx, coef, logs, tuple(margs), tuple(src), tuple(chnl),
-                     tuple(receivers), inputs)
+                     tuple(receivers), plan, inputs)
 
 
 #: built layered systems by content key, least recently used first

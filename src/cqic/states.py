@@ -8,15 +8,17 @@ register.  All entropies are in bits.
 it pools each receiver's state of an inner bound from a stacked channel
 table, then forms the conditional states of every register subset in
 bulk and takes their entropies in one eigensolve per output dimension.
-A ``CqState`` is its one-config case: :func:`entropy` and
-:func:`conditional_mutual_info` hand the state, already pooled, to the
-second stage.
+What depends only on the receivers' layouts and output dimensions is
+worked out once, by :func:`entropy_plan`.  A ``CqState`` is its
+one-config case: :func:`entropy` and :func:`conditional_mutual_info`
+hand the state, already pooled, to the second stage.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -301,13 +303,24 @@ def _query_entropies(state: CqState, queries) -> list:
     unknown = set().union(*subsets) - set(state.register_names())
     if unknown:
         raise UnknownRegister(f"unknown register(s) {sorted(unknown)}")
+    quantum = frozenset(q.classical_subset for q in queries
+                        if q.include_quantum)
+    plan = _state_plan(state.registers, subsets, quantum, state.quantum_dim)
     p = state.prob_table.reshape(1, -1)
-    # a pooled state: every point is its own register value
-    layout = receiver_layout(state.registers, np.arange(p.size), subsets)
-    h = _subset_entropies([layout],
-                          [(p, state.outputs[None])], _has_subnormal(p))
+    h = _subset_entropies(plan, [(p, state.outputs[None])],
+                          _has_subnormal(p))
     return [float(h[0, q.classical_subset, q.include_quantum][0])
             for q in queries]
+
+
+@functools.lru_cache(maxsize=64)
+def _state_plan(regs, subsets, quantum, dim):
+    """Plan of a pooled ``CqState``, whose every point is its own register
+    value, per content: H(S, Y) is laid out for the ``quantum`` subsets
+    only."""
+    layout = receiver_layout(regs, np.arange(math.prod(a for _, a in regs)),
+                             subsets)
+    return entropy_plan([layout], (dim,), (quantum,))
 
 
 def entropy(state: CqState, q: EntropyQuery) -> float:
@@ -368,7 +381,7 @@ def _grouped(keys, n_keys):
 
 
 def receiver_layout(regs, key, subsets):
-    """Layout of one receiver's cq state, for :func:`cq_entropies`.
+    """Layout of one receiver's cq state, for :func:`entropy_plan`.
 
     ``regs`` lists the classical registers as ``(name, size)``; ``key``
     gives each point's register value, flat in row-major order over
@@ -401,105 +414,193 @@ def _layout(regs, key, subsets):
     return shape, _grouped(key, n), table
 
 
-def cq_entropies(receivers, tables, mass, inputs):
+#: one output dimension's receivers in a plan.  Stage 1 pools them in
+#: ``stacks`` of one pool width, ``(rxs, pool, rx_of_value)``, and lays
+#: their ``n`` register values end to end in stack order.  Stage 2 takes
+#: H(S, Y) of ``keys``: one ``(take, at)`` pair per group width, ``take``
+#: indexing the values behind each subset value and ``at`` giving their
+#: positions in receiver order, by which the terms are ordered; ``rows``
+#: are the keys' H(S) rows, ``slots`` each conditional state's place
+#: among its subset's terms and ``order`` the terms' initial sort keys.
+_Group = namedtuple("_Group", "dim stacks n keys widths rows slots order")
+
+#: what :func:`cq_entropies` does that depends only on its receivers'
+#: layouts and output dimensions: the ``groups`` by output dimension,
+#: then the H(S) block, ``margs`` (per receiver its group, value span,
+#: shape and each subset's summed axes), ``keys``, row ``width`` and
+#: each marginal entry's ``slots`` in the zero-padded rows.
+_Plan = namedtuple("_Plan", "groups margs keys width slots")
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)  # plans are cached and shared
+    return arrays
+
+
+def entropy_plan(receivers, dims, quantum=None):
+    """Plan of :func:`cq_entropies` for a receiver set, built once.
+
+    ``receivers`` holds :func:`receiver_layout` results, ``dims`` each
+    one's output dimension and ``quantum`` each one's subsets whose
+    H(S, Y) is wanted (None: all).  The plan is read-only; holders keep
+    it with the layouts it was built from.
+    """
+    if quantum is None:
+        quantum = [subsets for _, _, subsets in receivers]
+    keys = [(rx, sub, False) for rx, (_, _, subsets) in enumerate(receivers)
+            for sub in subsets]
+    row = {key[:2]: r for r, key in enumerate(keys)}
+    by_dim, groups, place = {}, [], {}
+    for rx, d in enumerate(dims):
+        by_dim.setdefault(d, []).append(rx)
+    for d, rxs in by_dim.items():
+        grp, spans = _group_plan(receivers, rxs, d, quantum, row)
+        place.update((rx, (len(groups),) + span)
+                     for rx, span in spans.items())
+        groups.append(grp)
+    margs = tuple(place[rx] + (shape, tuple(
+        dropped for dropped, _ in subsets.values()))
+        for rx, (shape, _, subsets) in enumerate(receivers))
+    # H(S) of every laid-out subset, one zero-padded row each
+    sizes = [len(groups_of) for _, _, subsets in receivers
+             for _, groups_of in subsets.values()]
+    width = max(sizes)
+    slots = np.concatenate([r * width + np.arange(size)
+                            for r, size in enumerate(sizes)])
+    return _Plan(tuple(groups), margs, tuple(keys), width, *_frozen(slots))
+
+
+def _group_plan(receivers, rxs, dim, quantum, row):
+    """Plan of the receivers ``rxs`` of output dimension ``dim``, and each
+    one's span of the group's values; ``row`` gives each H(S) row."""
+    by_k = {}
+    for rx in rxs:
+        by_k.setdefault(receivers[rx][1].shape[1], []).append(rx)
+    stacks, spans, n = [], {}, 0
+    for stack in by_k.values():
+        sizes = [len(receivers[rx][1]) for rx in stack]
+        for rx, size in zip(stack, sizes):
+            spans[rx] = (n, n + size)
+            n += size
+        stacks.append((tuple(stack), *_frozen(
+            np.concatenate([receivers[rx][1] for rx in stack]),
+            np.repeat(np.arange(len(stack)), sizes)[:, None])))
+    # H(S, Y) of the quantum subsets, stacked by group width
+    keys, by_width, first = [], {}, 0
+    for rx in rxs:
+        lo, hi = spans[rx]
+        for sub, (_, groups_of) in receivers[rx][2].items():
+            if sub in quantum[rx]:
+                by_width.setdefault(groups_of.shape[1], []).append(
+                    (len(keys), lo + groups_of, first + groups_of))
+                keys.append((rx, sub, True))
+        first += hi - lo
+    if not keys:
+        return _Group(dim, tuple(stacks), n, (), (), None, None, None), spans
+    widths, which, pos = [], [], []
+    for stack in by_width.values():
+        rows, take, at = zip(*stack)
+        widths.append(_frozen(np.concatenate(take), np.concatenate(at)))
+        # each value's subset row and position among its values
+        counts = [len(part) for part in take]
+        which.append(np.repeat(rows, counts))
+        pos.append(np.arange(sum(counts))
+                   - np.repeat(np.cumsum([0] + counts[:-1]), counts))
+    which, pos = np.concatenate(which), np.concatenate(pos)
+    # per subset: H(S) first, then its terms, padding last
+    order = np.full((len(keys), int(pos.max()) + 2), n)
+    order[:, 0] = -1
+    return _Group(dim, tuple(stacks), n, tuple(keys), tuple(widths),
+                  *_frozen(np.array([row[key[:2]] for key in keys]),
+                           which * order.shape[1] + pos + 1, order)), spans
+
+
+def cq_entropies(plan, tables, mass, inputs):
     """H(S) and H(S, Y) of every laid-out register subset S, per config.
 
-    ``receivers`` holds :func:`receiver_layout` results and ``tables``
+    ``plan`` is the :func:`entropy_plan` of the receivers and ``tables``
     each one's stacked channel outputs (``ChannelSpec.reduced_table``).
     ``mass`` holds the point masses of a block of configs, ``(g,
-    points)``; ``inputs`` indexes the tables with each point's channel
-    inputs and broadcasts to ``(g, ...)``, points flat over the rest.
+    points)``; ``inputs`` each point's channel input, a flat index over
+    the tables' input axes, ``(g, points)`` or ``(1, points)`` for all.
     Returns ``{(rx, S, with_y): (g,) array}``, ``rx`` the receiver's
-    position in ``receivers``.
+    position in the plan.
 
     Stage 1 pools each receiver's pmf ``p``, ``(g, n)`` over its n
     register values, and their conditional states ``smap``, ``(g, n, d,
-    d)``; stage 2, :func:`_subset_entropies`, takes it from there.
+    d)``, the receivers of one output dimension and pool width in one
+    stack; stage 2, :func:`_subset_entropies`, takes it from there.
     """
-    g = mass.shape[0]
     lift = _has_subnormal(mass)
     pooled = []
-    for rx, (_, pool, _) in enumerate(receivers):
-        outs = tables[rx][inputs]
-        outs = outs.reshape((g, -1) + outs.shape[-2:])
-        mk = np.take(mass, pool, axis=1)
-        probs = 0.0 + _seq_sum(mk)
-        p = np.clip(probs, 0.0, None)  # as Pmf clips the joint pmf
-        m = np.where(p > 0.0, probs, 1.0)
-        if lift:
-            mk = mk * mass_scale(m)[..., None]
-        parts = mk[..., None, None] * np.take(outs, pool, axis=1)
-        parts[mk == 0.0] = _SKIP
-        pooled.append((p, mass_quotient(_seq_sum(parts), m)))
-    return _subset_entropies(receivers, pooled, lift)
+    for grp in plan.groups:
+        ps, smaps = [], []
+        for rxs, pool, rx_of in grp.stacks:
+            outs = np.concatenate([tables[rx] for rx in rxs]).reshape(
+                len(rxs), -1, grp.dim, grp.dim)
+            mk = mass.take(pool, axis=1)
+            probs = 0.0 + _seq_sum(mk)
+            p = np.clip(probs, 0.0, None)  # as Pmf clips the joint pmf
+            m = np.where(p > 0.0, probs, 1.0)
+            if lift:  # as mass_quotient divides
+                scale = mass_scale(m)
+                mk, m = mk * scale[..., None], m * scale
+            parts = mk[..., None, None] * outs[rx_of,
+                                               inputs.take(pool, axis=1)]
+            parts[mk == 0.0] = _SKIP
+            ps.append(p)
+            smaps.append(_seq_sum(parts) / m[..., None, None])
+        pooled.append((np.concatenate(ps, axis=1),
+                       np.concatenate(smaps, axis=1)))
+    return _subset_entropies(plan, pooled, lift)
 
 
-def _subset_entropies(receivers, pooled, lift):
+def _subset_entropies(plan, pooled, lift):
     """Stage 2: H(S) and H(S, Y) of every laid-out subset of pooled states.
 
-    ``pooled`` holds one ``(p, smap)`` per receiver, as stage 1 of
-    :func:`cq_entropies` makes it; the result is keyed as there.
-    ``lift`` is :func:`_has_subnormal` of the point masses behind ``p``.
+    ``pooled`` holds one ``(p, smap)`` per group of ``plan``, its
+    receivers' values end to end, as stage 1 of :func:`cq_entropies`
+    makes it; the result is keyed as there.  ``lift`` is
+    :func:`_has_subnormal` of the point masses behind ``p``.
 
-    Receivers of one output dimension are pooled together: their pmfs
-    and states are laid end to end, and the subsets of one group width
-    (of any of them) form one rectangular stack ``(values, width)``.
+    The subsets of one group width (of any receiver of the group) form
+    one rectangular stack ``(values, width)``.
     """
     g = pooled[0][0].shape[0]
-    margs = {}
-    for rx, ((shape, _, subsets), (p, _)) in enumerate(zip(receivers,
-                                                           pooled)):
+    margs = []
+    for at, lo, hi, shape, drops in plan.margs:
         # numpy orders a multi-axis sum by memory layout: sum C-ordered
         # tables, as the scalar marginal does
-        p_table = np.ascontiguousarray(p).reshape((g,) + shape)
-        for sub, (dropped, _) in subsets.items():
-            marg = p_table.sum(axis=dropped) if dropped else p_table
-            margs[rx, sub, False] = marg.reshape(g, -1)
+        p_table = np.ascontiguousarray(pooled[at][0][:, lo:hi]).reshape(
+            (g,) + shape)
+        margs += [(np.add.reduce(p_table, dropped) if dropped else p_table)
+                  .reshape(g, -1) for dropped in drops]
 
     # H(S) of every subset in one pass; the zero padding is not summed
-    width = max(m.shape[1] for m in margs.values())
-    rows = np.zeros((len(margs), g, width))
-    for row, m in zip(rows, margs.values()):
-        row[:, :m.shape[1]] = m
-    h = dict(zip(margs, shannon_entropies(rows.reshape(-1, width))
-                 .reshape(len(margs), g)))
+    rows = np.zeros((g, len(plan.keys) * plan.width))
+    rows[:, plan.slots] = np.concatenate(margs, axis=1)
+    hs = shannon_entropies(rows.reshape(-1, plan.width)).reshape(g, -1)
+    h = dict(zip(plan.keys, hs.T))
 
     # H(S, Y) = H(S) + sum_s p(s) S(rho_s): one eigensolve per output
     # dimension over every conditional state of the block
-    by_dim = {}
-    for rx, (_, smap) in enumerate(pooled):
-        by_dim.setdefault(smap.shape[-1], []).append(rx)
-    for rxs in by_dim.values():
-        p = np.concatenate([pooled[rx][0] for rx in rxs], axis=1)
-        smap = np.concatenate([pooled[rx][1] for rx in rxs], axis=1)
-        n = p.shape[1]  # after every point: a zero-mass value sorts last
-        keys, by_width, start = [], {}, 0
-        for rx in rxs:
-            for sub, (_, groups) in receivers[rx][2].items():
-                by_width.setdefault(groups.shape[1], []).append(
-                    (len(keys), start + groups))
-                keys.append((rx, sub, True))
-            start += pooled[rx][0].shape[1]
-        wts, acc, first, which, pos = [], [], [], [], []
-        for stack in by_width.values():
-            at, parts_of = zip(*stack)
-            groups = np.concatenate(parts_of)
-            pk = np.take(p, groups, axis=1)
+    for grp, (p, smap) in zip(plan.groups, pooled):
+        if not grp.keys:
+            continue
+        wts, acc, first = [], [], []
+        for take, at in grp.widths:
+            pk = p.take(take, axis=1)
             live = pk > 0.0
             wts.append(0.0 + _seq_sum(pk))
             if lift:
                 pk = pk * mass_scale(wts[-1])[..., None]
-            parts = pk[..., None, None] * np.take(smap, groups, axis=1)
+            parts = pk[..., None, None] * smap.take(take, axis=1)
             parts[~live] = _SKIP
             acc.append(0.0 + _seq_sum(parts))
-            first.append(np.where(live, groups, n).min(axis=2))
-            # each value's subset row and position among its values
-            counts = [len(part) for part in parts_of]
-            which.append(np.repeat(at, counts))
-            pos.append(np.arange(len(groups))
-                       - np.repeat(np.cumsum([0] + counts[:-1]), counts))
+            # after every value: a zero-mass value sorts last
+            first.append(np.where(live, at, grp.n).min(axis=2))
         wts, acc = np.concatenate(wts, axis=1), np.concatenate(acc, axis=1)
-        which, pos = np.concatenate(which), np.concatenate(pos)
         present = wts > 0.0
         ws = np.zeros_like(wts)
         ws[present] = wts[present] * von_neumann_entropies(
@@ -507,14 +608,12 @@ def _subset_entropies(receivers, pooled, lift):
         # per subset: H(S), then each p(s) S(rho_s) in order of first
         # occurrence; zero-mass values go last, in value order, as +0.0,
         # and the -0.0 that pads short rows adds exactly nothing
-        shape = (g, len(keys), int(pos.max()) + 1)
-        order = np.full(shape, n)
-        order[:, which, pos] = np.concatenate(first, axis=1)
-        terms = np.full(shape, -0.0)
-        terms[:, which, pos] = ws
+        order = np.repeat(grp.order[None], g, axis=0)
+        order.reshape(g, -1)[:, grp.slots] = np.concatenate(first, axis=1)
+        terms = np.full(order.shape, -0.0)
+        terms[:, :, 0] = hs[:, grp.rows]
+        terms.reshape(g, -1)[:, grp.slots] = ws
         terms = np.take_along_axis(
             terms, np.argsort(order, axis=2, kind="stable"), axis=2)
-        hs = np.stack([h[rx, sub, False] for rx, sub, _ in keys], axis=1)
-        total = _seq_sum(np.concatenate([hs[..., None], terms], axis=2))
-        h.update(zip(keys, total.T))
+        h.update(zip(grp.keys, _seq_sum(terms).T))
     return h

@@ -26,7 +26,8 @@ from cqic.config import active_tolerances
 from cqic.layered import (_OTHERS, _is_active, _LayeredSystem, _marg,
                           _normalized_blocks, _pair_label, _subsets, _u_axis,
                           _v_axis)
-from cqic.states import cq_entropies, receiver_layout, shannon_entropy
+from cqic.states import (cq_entropies, entropy_plan, receiver_layout,
+                         shannon_entropy)
 
 
 def layered_rows(channel, cfg, theorem, drop_dont_care):
@@ -248,9 +249,13 @@ def rx_entropies(channel: ChannelSpec, blocks, fields, receivers):
         layouts.append(receiver_layout([(a.reg, a.size) for a in atoms],
                                        np.broadcast_to(key, mass.shape),
                                        subsets))
-    h = cq_entropies(layouts, [channel.reduced_table(j)
-                               for j, _, _ in receivers],
-                     mass.reshape(1, -1), (c[0][4], c[1][4], c[2][4]))
+    plan = entropy_plan(layouts, [channel.output_dims[j]
+                                  for j, _, _ in receivers])
+    inputs = np.ravel_multi_index((c[0][4], c[1][4], c[2][4]),
+                                  channel.input_sizes).reshape(1, -1)
+    h = cq_entropies(plan, [channel.reduced_table(j)
+                            for j, _, _ in receivers],
+                     mass.reshape(1, -1), inputs)
     return [{sub: float(h[rx, sub, True][0]) for sub in subsets}
             for rx, (_, _, subsets) in enumerate(receivers)]
 

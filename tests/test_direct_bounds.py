@@ -778,3 +778,42 @@ def test_subnormal_group_matches_oracle():
     cfg = Thm2Config((2, 2, 2), (f1, point, point))
     assert thm2_feasible(spec, cfg, (0.05, 0.0, 0.0)).feasible
     _layered_vs_oracle(thm2_feasible, spec, cfg, (0.05, 0.0, 0.0), False)
+
+
+def test_entropy_plans_built_once_per_template_and_layout():
+    # the direct and layered checks of a job list, twice over with fresh
+    # numbers: one plan per layered template and per direct layout
+    spec, rng, builds = ex2(), np.random.default_rng(1), []
+
+    def counted(build):
+        def plan(*args):
+            builds.append(args)
+            return build(*args)
+        return plan
+
+    def checks():
+        for _ in range(4):
+            p1 = rng.dirichlet((1.0, 1.0))
+            rates = tuple(rng.uniform(0.0, 0.1, 3))
+            cfg = UnstructuredConfig(p1, rng.dirichlet(np.ones(4)).reshape(
+                2, 2), rng.dirichlet(np.ones(4)).reshape(2, 2))
+            unstructured_3to1_check(spec, cfg, rates)
+            thm3_feasible(spec, thm3_config_from_unstructured(spec, cfg),
+                          rates)
+            cfg = Thm1Config(2, tuple(p1), tuple(rng.dirichlet((2.0, 2.0))),
+                             tuple(rng.dirichlet((2.0, 2.0))), (0, 1), (0, 1))
+            thm1_check(spec, cfg, rates)
+            thm2_feasible(spec, rg.thm2_config_from_thm1(spec, cfg), rates)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layered, "_SYSTEMS", {})
+        mp.setattr(layered, "entropy_plan", counted(layered.entropy_plan))
+        mp.setattr(direct, "entropy_plan", counted(direct.entropy_plan))
+        layered._template.cache_clear()
+        direct._layout.cache_clear()
+        checks()
+        built = len(builds)
+        checks()
+    assert len(builds) == built == 4
+    assert layered._template.cache_info().misses == 2
+    assert direct._layout.cache_info().misses == 2

@@ -224,8 +224,12 @@ def test_shared_parts_are_read_only():
     assert one.col is two.col and one.a is two.a and one.idx is two.idx
     assert one.rows[0][2] is two.rows[0][2]
     assert one.b.tobytes() != two.b.tobytes()
-    arrays = [one.a, one.b, one.idx, one.coef, *tpl.inputs]
+    arrays = [one.a, one.b, one.idx, one.coef, tpl.inputs, tpl.plan.slots]
     arrays += [rx.layout[1] for rx in tpl.receivers]
+    for grp in tpl.plan.groups:  # the entropy plan
+        arrays += [grp.rows, grp.slots, grp.order]
+        arrays += [arr for _, *pair in grp.stacks for arr in pair]
+        arrays += [arr for pair in grp.widths for arr in pair]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

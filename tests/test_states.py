@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cq_oracle
+from cqic import states
 from cqic.config import DEFAULT_TOL
 from cqic.errors import (DomainError, InvalidState, OverlappingQueries,
                          UnknownRegister)
 from cqic.linalg import eig_hermitian
 from cqic.states import (CqState, DensityOperator, EntropyQuery, Pmf,
                          _subset_entropies, binary_convolve, binary_entropy,
-                         conditional_mutual_info, entropy, fact1_f,
-                         receiver_layout, shannon_entropies, shannon_entropy,
-                         von_neumann_entropies,
+                         conditional_mutual_info, entropy, entropy_plan,
+                         fact1_f, receiver_layout, shannon_entropies,
+                         shannon_entropy, von_neumann_entropies,
                          von_neumann_entropy)
 
 HB_01 = 0.4689955935892812  # -0.1 log2 0.1 - 0.9 log2 0.9, frozen by hand
@@ -502,22 +503,39 @@ def pooled_blocks(draw):
         receivers.append(receiver_layout(list(zip(names, sizes)),
                                          np.arange(n), subsets))
         kinds = np.array(draw(st.lists(
-            st.sampled_from(("zero", "subnormal", "normal")),
-            min_size=g * n, max_size=g * n))).reshape(g, n)
-        p = np.where(kinds == "normal", rng.uniform(0.01, 1.0, (g, n)), 0.0)
-        tiny = kinds == "subnormal"
-        p[tiny] = rng.integers(1, 1 << 20, int(tiny.sum())) * 5e-324
-        subnormal |= bool(tiny.any())
-        d = draw(st.integers(1, 3))
-        a = rng.normal(size=(g, n, d, d)) + 1j * rng.normal(size=(g, n, d, d))
-        rho = a @ a.conj().swapaxes(-1, -2)
-        smap = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-        pooled.append((p, smap))
+            st.sampled_from(_KINDS), min_size=g * n,
+            max_size=g * n))).reshape(g, n)
+        pooled.append(_pooled_state(rng, kinds, draw(st.integers(1, 3))))
+        subnormal |= bool((kinds == "subnormal").any())
     return receivers, pooled, draw(st.booleans()) or subnormal
+
+
+_KINDS = ("zero", "subnormal", "normal")
+
+
+def _pooled_state(rng, kinds, d):
+    """``(p, smap)`` of one receiver: masses of the given kinds, ``(g,
+    n)``, and random states of dimension ``d``."""
+    g, n = kinds.shape
+    p = np.where(kinds == "normal", rng.uniform(0.01, 1.0, (g, n)), 0.0)
+    tiny = kinds == "subnormal"
+    p[tiny] = rng.integers(1, 1 << 20, int(tiny.sum())) * 5e-324
+    a = rng.normal(size=(g, n, d, d)) + 1j * rng.normal(size=(g, n, d, d))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return p, rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _bits(h):
     return {key: np.asarray(v).tobytes() for key, v in h.items()}
+
+
+def _planned_stage2(plan, pooled, lift):
+    """Stage 2 on per-receiver pooled states, laid end to end in each
+    group of the plan as stage 1 lays them."""
+    laid = [tuple(np.concatenate([pooled[rx][i] for rxs, _, _ in grp.stacks
+                                  for rx in rxs], axis=1) for i in (0, 1))
+            for grp in plan.groups]
+    return _subset_entropies(plan, laid, lift)
 
 
 @settings(max_examples=150, deadline=None)
@@ -525,8 +543,73 @@ def _bits(h):
 def test_stacked_stage2_matches_per_subset_oracle(block):
     # the subsets of one group width pooled as one stack against the
     # per-subset stage, key for key and bit for bit
-    assert _bits(_subset_entropies(*block)) == \
+    receivers, pooled, lift = block
+    plan = entropy_plan(receivers, [smap.shape[-1] for _, smap in pooled])
+    assert _bits(_planned_stage2(plan, pooled, lift)) == \
         _bits(cq_oracle.subset_entropies(*block))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pooled_blocks(), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_plans_reused_across_blocks_match_oracle(block, seed, dim):
+    # one plan per output dimensions, built once and reused on blocks of
+    # 1, 3 and 64 configs with zero and subnormal masses, also after the
+    # layouts it came from have left their cache and been rebuilt
+    receivers, pooled, _ = block
+    rng = np.random.default_rng(seed)
+    dim_sets = {tuple(smap.shape[-1] for _, smap in pooled),
+                (dim,) * len(receivers)}
+    plans = {dims: entropy_plan(receivers, dims) for dims in dim_sets}
+    for rebuilt in (False, True):
+        if rebuilt:
+            states._layout.cache_clear()
+            receivers = [receiver_layout(
+                [(f"R{i}", a) for i, a in enumerate(shape)],
+                np.arange(len(pool)), subsets)
+                for shape, pool, subsets in receivers]
+            assert receivers[0] is not block[0][0]
+        for g in (1, 3, 64):
+            for dims, plan in plans.items():
+                lift = bool(rng.integers(2))
+                pooled = []
+                for (_, pool, _), d in zip(receivers, dims):
+                    kinds = rng.choice(_KINDS, size=(g, len(pool)))
+                    lift |= bool((kinds == "subnormal").any())
+                    pooled.append(_pooled_state(rng, kinds, d))
+                assert _bits(_planned_stage2(plan, pooled, lift)) == \
+                    _bits(cq_oracle.subset_entropies(receivers, pooled, lift))
+
+
+def test_classical_queries_make_no_eigensolve(monkeypatch):
+    # H(S) alone lays out no Y stage: no eigensolve, and the same bits
+    s = random_cq_state(5)
+    classical = [EntropyQuery(sub) for sub in (("R0",), ("R1",),
+                                               ("R0", "R1"), ())]
+    with_y = EntropyQuery(("R0",), True)
+    want = [repr(cq_oracle.entropy(s, q)) for q in classical + [with_y]]
+    want_cmi = repr(cq_oracle.conditional_mutual_info(
+        s, _q("R0"), _q("R1")))
+    solves = []
+    solve = states.eigvals_hermitian
+    monkeypatch.setattr(states, "eigvals_hermitian",
+                        lambda m: solves.append(len(m)) or solve(m))
+    assert [repr(entropy(s, q)) for q in classical] == want[:-1]
+    assert repr(conditional_mutual_info(s, _q("R0"), _q("R1"))) == want_cmi
+    assert solves == []
+    assert repr(entropy(s, with_y)) == want[-1]
+    assert len(solves) == 1
+
+
+def test_state_plans_keyed_by_content():
+    # equal registers and queries at other output dimensions, and again
+    # once the layouts have left their cache
+    queries = [EntropyQuery(("R0",), True), EntropyQuery(("R0", "R1")),
+               EntropyQuery((), True)]
+    for d in (2, 3, 2):
+        s = random_cq_state(11, d=d)
+        for q in queries:
+            assert repr(entropy(s, q)) == repr(cq_oracle.entropy(s, q))
+        states._layout.cache_clear()
 
 
 def test_layouts_built_once_per_content():
