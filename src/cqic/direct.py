@@ -27,8 +27,8 @@ from collections import namedtuple
 import numpy as np
 
 from .channels import ChannelSpec, gamma_state, sigma_state
-from .states import (cq_entropies, entropy_plan, receiver_layout,
-                     shannon_entropies)
+from .states import (_conv_arr, _f_arr, _hb_arr, cq_entropies, entropy_plan,
+                     receiver_layout, shannon_entropies)
 
 #: configs per pass; bounds the working arrays whatever the grid size
 BLOCK = 64
@@ -245,23 +245,8 @@ def _grid_rows(grid, rows):
     return _UserGrid(*(None if a is None else a[rows] for a in grid))
 
 
-def _hb_arr(t):
-    t = np.asarray(t, dtype=float)
-    inner = (t > 0.0) & (t < 1.0)  # h is 0 on and beyond the end points
-    ti = np.where(inner, t, 0.5)
-    return np.where(inner, -ti * np.log2(ti) - (1.0 - ti) * np.log2(1.0 - ti),
-                    0.0)
-
-
 def _haf_arr(t, phi):
-    t = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), 1.0)
-    f = (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * t * (1.0 - t)
-                                  * math.sin(phi) ** 2, 0.0))) / 2.0
-    return _hb_arr(f)
-
-
-def _conv_arr(p, q):
-    return p + q - 2.0 * p * q
+    return _hb_arr(_f_arr(t, phi))
 
 
 def _parity_gamma_form(channel: ChannelSpec):

@@ -227,6 +227,8 @@ def soft_covering_tv(n: int, k: int, modulus: int, p, rng_seed,
 
 def wilson_interval(count: int, trials: int):
     """Wilson score interval (95 %) for a binomial proportion."""
+    count = _integer(count, "count", DomainError)
+    trials = _integer(trials, "trials", DomainError)
     if trials < 1 or not 0 <= count <= trials:
         raise DomainError(f"bad count/trials pair ({count}, {trials})")
     phat = count / trials
@@ -267,6 +269,9 @@ class SimConfig:
                                _integer(getattr(self, name), name, DomainError))
         object.__setattr__(self, "rng_seed", _seed(self.rng_seed, "rng_seed"))
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
+        if len(self.delta) != 3:
+            raise DomainError(f"need a crossover probability for all three "
+                              f"users, got {len(self.delta)}")
         if self.n < 1:
             raise DomainError(f"blocklength must be positive, got {self.n}")
         if len(self.coset_dims) != 3 or len(self.message_dims) != 3:
@@ -668,6 +673,7 @@ def run_ex1_sim(cfg: SimConfig, threads: int = 1) -> SimResult:
     coset first, then own code).  Receiver 1 errs when its message or the
     decoded interference codeword is wrong.
     """
+    threads = _integer(threads, "threads", DomainError)
     if threads < 1:
         raise DomainError("threads must be at least 1")
     k1, l1, k2, l2, k3, l3, ks, ls = _dims(cfg)

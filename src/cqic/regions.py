@@ -593,8 +593,9 @@ def boundary_slice(feasible_fn, r2_values, r3: float = 0.0,
     ``feasible_fn`` takes a rate triple and must be monotone in R1
     (feasible below the boundary, infeasible above).  Returns a list of
     (r2, r1_boundary) rows; ``-inf`` marks rays that are infeasible
-    even at R1 = 0.  ``r1_hi`` must be finite and at least 0, ``tol``
-    finite and above 0.  A predicate over :func:`thm2_feasible` or
+    even at R1 = 0.  ``r3`` and every entry of ``r2_values`` must be
+    finite and at least 0, as must ``r1_hi``; ``tol`` must be finite and
+    above 0.  A predicate over :func:`thm2_feasible` or
     :func:`thm3_feasible` at one config builds its system once: the
     layered checkers cache built systems, keyed on content.
     """
@@ -605,21 +606,23 @@ def boundary_slice(feasible_fn, r2_values, r3: float = 0.0,
     if not (math.isfinite(r1_hi) and r1_hi >= 0.0):
         raise DomainError(f"bisection bracket r1_hi must be finite and at "
                           f"least 0, got {r1_hi!r}")
+    r3, r2_values = float(r3), [float(r2) for r2 in r2_values]
+    if not all(math.isfinite(r) and r >= 0.0 for r in r2_values + [r3]):
+        raise DomainError("fixed rates must be finite and nonnegative")
     rows = []
     for r2 in r2_values:
-        r2 = float(r2)
-        if not feasible_fn((0.0, r2, float(r3))):
+        if not feasible_fn((0.0, r2, r3)):
             rows.append((r2, -math.inf))
             continue
         lo, hi = 0.0, r1_hi
-        if feasible_fn((hi, r2, float(r3))):
+        if feasible_fn((hi, r2, r3)):
             lo = hi
         else:
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
                 if mid in (lo, hi):  # adjacent floats: tol is below an ulp
                     break
-                if feasible_fn((mid, r2, float(r3))):
+                if feasible_fn((mid, r2, r3)):
                     lo = mid
                 else:
                     hi = mid

@@ -34,24 +34,45 @@ _TINY = np.finfo(float).tiny  # smallest normal float
 _SCALE = 2.0 ** 64            # lifts every subnormal to a normal float
 
 
+def _check_unit_interval(what: str, *values) -> None:
+    """Raise DomainError unless each value is in [0, 1] within ``prob``."""
+    tol = active_tolerances()
+    for v in values:
+        if not -tol.prob <= v <= 1.0 + tol.prob:  # NaN fails too
+            raise DomainError(f"{what} argument {v} outside [0,1]")
+
+
+def _hb_arr(t):
+    """h_b of each entry of ``t``; 0 on and beyond the end points."""
+    t = np.asarray(t, dtype=float)
+    inner = (t > 0.0) & (t < 1.0)
+    ti = np.where(inner, t, 0.5)
+    return np.where(inner, -ti * np.log2(ti) - (1.0 - ti) * np.log2(1.0 - ti),
+                    0.0)
+
+
+def _f_arr(t, phi):
+    """Fact 1's f of each entry of ``t``, clipped to [0, 1], at ``phi``."""
+    t = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), 1.0)
+    return (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * t * (1.0 - t)
+                                     * math.sin(phi) ** 2, 0.0))) / 2.0
+
+
+def _conv_arr(p, q):
+    """p * q of each pair of entries."""
+    return p + q - 2.0 * p * q
+
+
 def binary_entropy(p: float) -> float:
     """h_b(p) = -p log2 p - (1-p) log2 (1-p)."""
-    tol = active_tolerances()
-    if not -tol.prob <= p <= 1.0 + tol.prob:
-        raise DomainError(f"binary_entropy argument {p} outside [0,1]")
-    p = min(1.0, max(0.0, p))
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+    _check_unit_interval("binary_entropy", p)
+    return float(_hb_arr(p))
 
 
 def binary_convolve(p: float, q: float) -> float:
-    """p * q = p(1-q) + (1-p)q, the crossover of cascaded symmetric flips."""
-    tol = active_tolerances()
-    for v in (p, q):
-        if not -tol.prob <= v <= 1.0 + tol.prob:
-            raise DomainError(f"binary_convolve argument {v} outside [0,1]")
-    return float(p * (1.0 - q) + (1.0 - p) * q)
+    """p * q = p + q - 2pq, the crossover of cascaded symmetric flips."""
+    _check_unit_interval("binary_convolve", p, q)
+    return float(_conv_arr(p, q))
 
 
 def fact1_f(t: float, phi: float) -> float:
@@ -60,20 +81,16 @@ def fact1_f(t: float, phi: float) -> float:
     Largest eigenvalue of the mixture t|v_phi><v_phi| + (1-t)|0><0|;
     symmetric under t <-> 1-t and decreasing on (0, 1/2).
     """
-    tol = active_tolerances()
-    if not -tol.prob <= t <= 1.0 + tol.prob:
-        raise DomainError(f"fact1_f argument {t} outside [0,1]")
-    t = min(1.0, max(0.0, t))
-    disc = 1.0 - 4.0 * t * (1.0 - t) * np.sin(phi) ** 2
-    return float((1.0 + np.sqrt(max(0.0, disc))) / 2.0)
+    _check_unit_interval("fact1_f", t)
+    if not math.isfinite(phi):
+        raise DomainError(f"fact1_f angle {phi} is not finite")
+    return float(_f_arr(t, phi))
 
 
 def shannon_entropy(probs: np.ndarray) -> float:
     """-sum p log2 p over the positive entries; a point mass gives 0.0."""
-    p = np.asarray(probs, dtype=float).ravel()
-    p = p[p > 0.0]
-    # 0.0 - s, not -s: a sum of zeros must not come out as -0.0
-    return float(0.0 - np.sum(p * np.log2(p)))
+    return float(shannon_entropies(np.asarray(probs, dtype=float)
+                                   .reshape(1, -1))[0])
 
 
 def validate_densities(arr: np.ndarray) -> None:
@@ -125,12 +142,12 @@ class DensityOperator:
 
 
 def shannon_entropies(rows) -> np.ndarray:
-    """:func:`shannon_entropy` of each row of a 2-D array, bit for bit.
+    """-sum p log2 p over the positive entries of each row of a 2-D array.
 
     The positive entries of all rows are logged in one call.  numpy sums
     eight or more terms pairwise, so the order depends on how many terms
     a row has: rows are summed in groups of equal support size, each row
-    over its positive entries only.
+    over its positive entries only, so no row's value depends on another.
     """
     p = np.asarray(rows, dtype=float)
     live = p > 0.0
@@ -142,6 +159,7 @@ def shannon_entropies(rows) -> np.ndarray:
     for n in set(counts.tolist()) - {0}:
         sel = counts == n
         sums[sel] = terms[ends[sel, None] - np.arange(n, 0, -1)].sum(axis=1)
+    # 0.0 - s, not -s: a sum of zeros must not come out as -0.0
     return 0.0 - sums
 
 
@@ -170,9 +188,9 @@ def von_neumann_entropies(rhos) -> np.ndarray:
 
     Eigenvalues in [-psd_tol, eig_floor] are treated as exact zeros
     (numerical drift from tensor / partial-trace chains); anything more
-    negative raises InvalidState.  Each row is summed as
-    :func:`shannon_entropy` sums its positive eigenvalues in descending
-    order, so it is bit for bit the single-state value.
+    negative raises InvalidState.  Each state's positive eigenvalues are
+    summed in descending order as one row of :func:`shannon_entropies`,
+    so its value does not depend on the rest of the stack.
     """
     w = _entropy_eigvals(getattr(rhos, "mat", rhos))
     rows = w.reshape(-1, w.shape[-1])
@@ -184,7 +202,7 @@ def von_neumann_entropy(rho) -> float:
     arr = np.asarray(getattr(rho, "mat", rho), dtype=complex)
     if arr.ndim != 2:
         raise NotHermitian(f"expected a square matrix, got shape {arr.shape}")
-    return shannon_entropy(_entropy_eigvals(arr))
+    return float(von_neumann_entropies(arr))
 
 
 def _entropy_eigvals(rhos) -> np.ndarray:
@@ -376,7 +394,7 @@ def _grouped(keys, n_keys):
     """Positions of each value of ``keys``: row k lists, ascending, where
     ``keys`` equals k.  Every value must occur equally often."""
     groups = np.argsort(keys.ravel(), kind="stable").reshape(n_keys, -1)
-    groups.setflags(write=False)  # layouts are cached and shared
+    groups.setflags(write=False)  # layouts are held with cached plans
     return groups
 
 
@@ -389,16 +407,10 @@ def receiver_layout(regs, key, subsets):
     ``(shape, pool, subsets)``: ``pool`` lists the points behind each
     register value, and ``subsets`` maps every register subset (a
     frozenset of names) to its summed axes and to the register values
-    behind each of its values.  Layouts are built once per content
-    (registers, key values and subsets in order) and shared.
+    behind each of its values.  Its arrays are read-only: callers keep
+    a layout with the plan built from it.
     """
-    return _layout(tuple(map(tuple, regs)),
-                   np.asarray(key, dtype=np.int64).tobytes(), tuple(subsets))
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(regs, key, subsets):
-    key = np.frombuffer(key, dtype=np.int64)
+    key = np.asarray(key, dtype=np.int64)
     names = [nm for nm, _ in regs]
     shape = tuple(size for _, size in regs)
     n = math.prod(shape)

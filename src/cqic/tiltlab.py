@@ -54,7 +54,7 @@ class TiltSpace:
 
 def _unit(vec, what: str) -> np.ndarray:
     v = np.asarray(vec, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # NaN and inf fail too
         raise NotUnit(f"{what} must be a unit vector")
     return v
 

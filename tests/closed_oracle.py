@@ -12,10 +12,16 @@ are unchanged apart from the names; ``cqic.direct`` and
 ``max_r1_scan`` must give the same values bit for bit.  ``map_table``
 is the per-config loop that ``cqic.direct._map_tables`` vectorizes, and
 ``hb_arr``/``haf_arr`` the masked and clipped entropy terms before
-``cqic.direct`` dropped the clips and the masked assignment.  Nothing
+the array forms (now in ``cqic.states``) dropped the clips and the
+masked assignment.  Nothing
 here calls the staged code, except ``staged_bounds``, which reads its
 source at every stage cell and spreads the values back to the full grid
 for the comparison.
+
+``binary_entropy``, ``fact1_f``, ``shannon_entropy`` and
+``von_neumann_entropy`` are the scalar formulas of ``cqic.states``
+before each became the checked one-element call of its array form;
+the array forms must give their bits.
 """
 
 import itertools
@@ -26,9 +32,41 @@ import numpy as np
 from cqic import direct
 from cqic import regions as rg
 from cqic.channels import gamma_state, sigma_state
-from cqic.direct import _conv_arr
-from cqic.errors import DomainError
+from cqic.config import active_tolerances
+from cqic.errors import DomainError, InvalidState
+from cqic.linalg import eigvals_hermitian
 from cqic.regions import ScanResult, Thm1Config, UnstructuredConfig
+
+
+def binary_entropy(p):
+    p = min(1.0, max(0.0, p))
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+
+
+def fact1_f(t, phi):
+    t = min(1.0, max(0.0, t))
+    disc = 1.0 - 4.0 * t * (1.0 - t) * np.sin(phi) ** 2
+    return float((1.0 + np.sqrt(max(0.0, disc))) / 2.0)
+
+
+def shannon_entropy(probs):
+    p = np.asarray(probs, dtype=float).ravel()
+    p = p[p > 0.0]
+    return float(0.0 - np.sum(p * np.log2(p)))
+
+
+def von_neumann_entropy(rho):
+    tol = active_tolerances()
+    w = eigvals_hermitian(rho)
+    if w.size and float(w.min()) < -tol.psd:
+        raise InvalidState(f"eigenvalue {w.min()} below -{tol.psd}")
+    return shannon_entropy(np.where(w < tol.eig_floor, 0.0, w))
+
+
+def _conv_arr(p, q):
+    return p + q - 2.0 * p * q
 
 
 def hb_arr(t):

@@ -281,6 +281,11 @@ class TestThreshold:
         v = coset_sufficiency_threshold(np.pi / 3, 0.2, 0.15, 0.1)
         assert np.isfinite(v)
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf])
+    def test_non_finite_angle(self, phi):
+        with pytest.raises(DomainError, match="angle"):
+            coset_sufficiency_threshold(phi, 0.1, 0.1, 0.1)
+
 
 def test_interference_at_budget_matches_or_convolution():
     phi, t1, t2, t3 = np.pi / 3, 0.2, 0.15, 0.1

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closed_oracle as co
-from cqic import cli, direct
+from cqic import cli, direct, states
 from cqic import regions as rg
 from cqic.channels import ChannelSpec, CostVector, build_ex1, build_ex2, \
-    build_ex3
+    build_ex3, gamma_state, sigma_state
 
 PHI = 0.9
 #: (user-symbol counts, denominator) of the unstructured scans of
@@ -87,9 +87,9 @@ _any_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
        st.floats(0.01, 1.56))
 def test_entropy_terms_match_oracle(values, scalar, phi):
     t = np.array(values[0]) if scalar else np.array(values)
-    assert _same_bits(direct._hb_arr(t), co.hb_arr(t))
+    assert _same_bits(states._hb_arr(t), co.hb_arr(t))
     assert _same_bits(direct._haf_arr(t, phi), co.haf_arr(t, phi))
-    assert np.shape(direct._hb_arr(t)) == np.shape(t)
+    assert np.shape(states._hb_arr(t)) == np.shape(t)
 
 
 @pytest.mark.parametrize("n_sym,denom", [(2, 32), (3, 6), (4, 3)])
@@ -476,3 +476,30 @@ def test_unstructured_index_and_spread_reach_each_configs_stage_cell():
 def test_family_verdicts_match_oracle(build):
     spec = build()
     assert direct._parity_gamma_form(spec) == co.parity_gamma_form(spec)
+
+
+def _off_family(input_sizes, own2):
+    """A product channel off the family: receiver 1 sees gamma(x1 + x2 +
+    x3 mod 2), receiver 2 ``own2(x2)`` and receiver 3 a flip of x3."""
+    states_ = {x: np.kron(np.kron(gamma_state(PHI, sum(x) % 2), own2(x[1])),
+                          sigma_state(0.15, x[2]))
+               for x in np.ndindex(*input_sizes)}
+    return ChannelSpec(input_sizes, (2, 2, 2), states_,
+                       [np.zeros(n) for n in input_sizes])
+
+
+@pytest.mark.parametrize("evaluator", ["unstructured", "thm1"])
+@pytest.mark.parametrize("build", [
+    # a ternary user 1: not the (2, 2, 2) family
+    lambda: _off_family((3, 2, 2), lambda x2: sigma_state(0.1, x2)),
+    # a noiseless receiver 2 (delta = 0, which sigma_state refuses): its
+    # flip lies outside (0, 1/2)
+    lambda: _off_family((2, 2, 2), lambda x2: np.diag(
+        [float(x2), 1.0 - x2]).astype(complex)),
+])
+def test_off_family_channels_take_the_engine(build, evaluator):
+    spec = build()
+    assert direct._parity_gamma_form(spec) is None
+    assert co.parity_gamma_form(spec) is None
+    g2, g3 = (direct._binary_user_grid(spec, j, 2, 2) for j in (1, 2))
+    assert direct.grid_source(spec, evaluator, g2, g3).free is None

@@ -330,6 +330,15 @@ class TestWilsonInterval:
         with pytest.raises(DomainError):
             wilson_interval(5, 3)
 
+    @pytest.mark.parametrize("count, trials", [(1.5, 3), (True, 3), (1, 3.5),
+                                               (1, True), ("1", 3)])
+    def test_non_integral_arguments_rejected(self, count, trials):
+        with pytest.raises(DomainError, match="must be an integer"):
+            wilson_interval(count, trials)
+
+    def test_integral_floats_read_as_ints(self):
+        assert wilson_interval(3.0, np.int64(10)) == wilson_interval(3, 10)
+
 
 class TestSimConfig:
     def test_rates(self):
@@ -359,6 +368,11 @@ class TestSimConfig:
             SimConfig(**good, decoder="belief_prop")
         with pytest.raises(DomainError):
             SimConfig(**good, tau1=0.9)
+
+    @pytest.mark.parametrize("delta", [(0.1, 0.1), (0.0, 0.1, 0.1, 0.1), ()])
+    def test_delta_needs_three_entries(self, delta):
+        with pytest.raises(DomainError, match="all three users"):
+            SimConfig(8, (0, 0, 0), (1, 1, 1), delta)
 
     @pytest.mark.parametrize("change", [
         {"message_dims": (2.5, 2, 2)}, {"coset_dims": (0, 0.5, 0)},
@@ -458,6 +472,14 @@ class TestRunEx1:
                         delta=(0.0, 0.0, 0.0), trials=1)
         with pytest.raises(DomainError):
             run_ex1_sim(cfg, threads=0)
+
+    @pytest.mark.parametrize("threads", [1.5, True, "2", None])
+    def test_non_integral_threads_rejected(self, threads):
+        cfg = SimConfig(n=6, coset_dims=(0, 0, 0), message_dims=(1, 1, 1),
+                        delta=(0.0, 0.0, 0.0), trials=1)
+        with pytest.raises(DomainError, match="must be an integer"):
+            run_ex1_sim(cfg, threads=threads)
+        assert run_ex1_sim(cfg, threads=2.0) == run_ex1_sim(cfg)
 
 
 def _oracle_or_error(cfg):

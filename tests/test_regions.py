@@ -735,6 +735,18 @@ class TestScan:
         with pytest.raises(DomainError, match="u_sizes"):
             max_r1_scan(ex2(), 0.1, 0.1, u_sizes=u_sizes, denominator=4)
 
+    @pytest.mark.parametrize("r2_values, r3", [
+        ([0.1], math.nan), ([0.1], math.inf), ([0.1], -0.1),
+        ([0.1, math.nan], 0.0), ([math.inf], 0.0), ([-math.inf], 0.0),
+        ([0.0, -0.1], 0.0)])
+    def test_boundary_slice_rejects_bad_rays(self, r2_values, r3):
+        # checked before any ray: an opaque predicate never sees them
+        calls = []
+        with pytest.raises(DomainError, match="fixed rates"):
+            boundary_slice(lambda r: calls.append(r) or True, r2_values,
+                           r3=r3)
+        assert calls == []
+
     def test_boundary_slice_stops_at_adjacent_floats(self):
         # a tol below one ulp of the boundary would never be met
         (_, r1), = boundary_slice(lambda r: r[0] < 0.3, [0.1], tol=1e-300)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_oracle as co
 import cq_oracle
 from cqic import states
 from cqic.config import DEFAULT_TOL
@@ -19,6 +20,15 @@ from cqic.states import (CqState, DensityOperator, EntropyQuery, Pmf,
                          von_neumann_entropy)
 
 HB_01 = 0.4689955935892812  # -0.1 log2 0.1 - 0.9 log2 0.9, frozen by hand
+
+#: [0, 1] within the prob tolerance, end points, signed zeros, subnormals
+_unit_floats = st.one_of(st.floats(-DEFAULT_TOL.prob, 1.0 + DEFAULT_TOL.prob),
+                         st.sampled_from((0.0, -0.0, 1.0, 5e-324, 1e-310,
+                                          0.5)))
+
+
+def _float_bits(x):
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def gamma_pair(phi):
@@ -65,6 +75,27 @@ class TestScalars:
     def test_fact1_f_nan(self):
         with pytest.raises(DomainError):
             fact1_f(math.nan, 1.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_fact1_f_non_finite_angle(self, phi):
+        with pytest.raises(DomainError, match="angle"):
+            fact1_f(0.3, phi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_unit_floats, _unit_floats, st.floats(allow_nan=False,
+                                                 allow_infinity=False))
+    def test_scalars_have_the_old_formulas_bits(self, p, q, phi):
+        # each scalar is its array form's one-element call, and keeps the
+        # bits of the scalar formula it replaced; p * q rounds as the scan's
+        # p + q - 2pq
+        h, f = binary_entropy(p), fact1_f(p, phi)
+        assert type(h) is type(f) is float
+        assert _float_bits(h) == _float_bits(co.binary_entropy(p))
+        assert _float_bits(f) == _float_bits(co.fact1_f(p, phi))
+        assert _float_bits(binary_convolve(p, q)) == \
+            _float_bits(p + q - 2.0 * p * q)
+        assert _float_bits(states._hb_arr([p, q])) == \
+            _float_bits([h, binary_entropy(q)])
 
     def test_convolve_identity(self):
         assert binary_convolve(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
@@ -150,7 +181,7 @@ def single_state_entropy(rho):
     # the per-matrix formula the batched entropies must reproduce bit for bit
     w, _ = eig_hermitian(rho)
     assert float(w.min()) >= -DEFAULT_TOL.psd
-    return shannon_entropy(np.where(w < DEFAULT_TOL.eig_floor, 0.0, w))
+    return co.shannon_entropy(np.where(w < DEFAULT_TOL.eig_floor, 0.0, w))
 
 
 class TestVonNeumannEntropies:
@@ -165,6 +196,8 @@ class TestVonNeumannEntropies:
         assert got.shape == lead[:-1] + (len(stack),)
         assert got.ravel().tobytes() == want.tobytes()
         assert np.array([von_neumann_entropy(m) for m in stack]).tobytes() \
+            == want.tobytes()
+        assert np.array([co.von_neumann_entropy(m) for m in stack]).tobytes() \
             == want.tobytes()
 
     def test_empty_stack(self):
@@ -553,8 +586,8 @@ def test_stacked_stage2_matches_per_subset_oracle(block):
 @given(pooled_blocks(), st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_plans_reused_across_blocks_match_oracle(block, seed, dim):
     # one plan per output dimensions, built once and reused on blocks of
-    # 1, 3 and 64 configs with zero and subnormal masses, also after the
-    # layouts it came from have left their cache and been rebuilt
+    # 1, 3 and 64 configs with zero and subnormal masses, also against
+    # layouts rebuilt from the same content
     receivers, pooled, _ = block
     rng = np.random.default_rng(seed)
     dim_sets = {tuple(smap.shape[-1] for _, smap in pooled),
@@ -562,7 +595,6 @@ def test_plans_reused_across_blocks_match_oracle(block, seed, dim):
     plans = {dims: entropy_plan(receivers, dims) for dims in dim_sets}
     for rebuilt in (False, True):
         if rebuilt:
-            states._layout.cache_clear()
             receivers = [receiver_layout(
                 [(f"R{i}", a) for i, a in enumerate(shape)],
                 np.arange(len(pool)), subsets)
@@ -601,31 +633,40 @@ def test_classical_queries_make_no_eigensolve(monkeypatch):
 
 
 def test_state_plans_keyed_by_content():
-    # equal registers and queries at other output dimensions, and again
-    # once the layouts have left their cache
+    # equal registers and queries at other output dimensions
     queries = [EntropyQuery(("R0",), True), EntropyQuery(("R0", "R1")),
                EntropyQuery((), True)]
     for d in (2, 3, 2):
         s = random_cq_state(11, d=d)
         for q in queries:
             assert repr(entropy(s, q)) == repr(cq_oracle.entropy(s, q))
-        states._layout.cache_clear()
 
 
-def test_layouts_built_once_per_content():
+def _same_layout(a, b):
+    (shape_a, pool_a, subs_a), (shape_b, pool_b, subs_b) = a, b
+    return (shape_a == shape_b and np.array_equal(pool_a, pool_b)
+            and list(subs_a) == list(subs_b)
+            and all(subs_a[k][0] == subs_b[k][0]
+                    and np.array_equal(subs_a[k][1], subs_b[k][1])
+                    for k in subs_a))
+
+
+def test_layouts_depend_only_on_content():
     subsets = {frozenset(): None, frozenset({"A"}): None}
     one = receiver_layout([("A", 2), ("B", 2)], np.array([3, 1, 2, 0]),
                           subsets)
-    # equal content in other containers and dtypes: the same layout
-    assert receiver_layout((("A", 2), ("B", 2)),
-                           np.array([[3, 1], [2, 0]], dtype=np.int32),
-                           list(subsets)) is one
-    # other key values, or the same subsets in another order: rebuilt
+    assert one[1].tolist() == [[3], [1], [2], [0]]
+    assert not any(a.flags.writeable for a in
+                   [one[1]] + [groups for _, groups in one[2].values()])
+    # equal content in other containers, shapes and dtypes: equal layouts
+    assert _same_layout(receiver_layout(
+        (("A", 2), ("B", 2)), np.array([[3, 1], [2, 0]], dtype=np.int32),
+        list(subsets)), one)
+    # other key values: another pool, the same subset groups
     other = receiver_layout([("A", 2), ("B", 2)], np.arange(4), subsets)
-    assert other is not one
     assert other[1].tolist() == [[0], [1], [2], [3]]
-    assert receiver_layout([("A", 2), ("B", 2)], np.array([3, 1, 2, 0]),
-                           list(subsets)[::-1]) is not one
+    assert not _same_layout(other, one)
+    assert all(np.array_equal(other[2][k][1], one[2][k][1]) for k in subsets)
 
 
 def test_shannon_entropy_ignores_zeros():
@@ -640,8 +681,10 @@ def test_shannon_entropies_bit_equal_per_row(rows):
     # rows of mixed support sizes, empty ones too, on both sides of the
     # eight terms where numpy starts summing pairwise
     p = np.array(rows, dtype=float).reshape(len(rows), -1)
-    want = np.array([shannon_entropy(r) for r in p])
+    want = np.array([co.shannon_entropy(r) for r in p])
     assert shannon_entropies(p).tobytes() == want.tobytes()
+    assert np.array([shannon_entropy(r) for r in p]).tobytes() \
+        == want.tobytes()
 
 
 def test_point_mass_entropies_are_positive_zero():

@@ -92,6 +92,21 @@ class TestTiltVector:
         with pytest.raises(DomainError):
             tilt_vector([1.0, 0.0], (), 1.5)
 
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0], [math.inf, 0.0],
+                                     [1.0, -math.inf], [math.nan, math.inf]])
+    def test_rejects_non_finite_vectors(self, bad):
+        # a NaN norm compares False against any bound: it must still fail
+        with pytest.raises(NotUnit):
+            tilt_vector(bad, [[1.0]], 0.1)
+        with pytest.raises(NotUnit):
+            tilt_vector([1.0, 0.0], [bad], 0.1)
+        with pytest.raises(NotUnit):
+            tilt_state(np.eye(2) / 2, bad, [1.0], 0.1)
+        with pytest.raises(NotUnit):
+            tilt_state(np.eye(2) / 2, [1.0], bad, 0.1)
+        with pytest.raises(NotUnit):
+            four_user_tilt_report(bad, 2, 0.1)
+
 
 class TestFourUserVariant:
     def test_per_subset_normalizer(self):
