@@ -273,7 +273,7 @@ def _parity_gamma_form(channel: ChannelSpec):
                 [sig[1][x[2]] for x in xs])
     for j, want in enumerate(expected):
         if not np.allclose(channel.reduced_table(j).reshape(8, 2, 2),
-                           np.array(want), atol=1e-12):
+                           np.array(want), rtol=0.0, atol=1e-12):
             return None
     return phi, deltas
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from typing import NamedTuple
 
@@ -45,6 +45,7 @@ from .gfcoset import (NestedCosetCode, _check_modulus, draw_bit_rows,
                       uniforms)
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+#: dual words v^(n - k) one code of ``soft_covering_tv`` may have
 _SOFT_COVER_CAP = 100_000
 _MAX_CODE_RETRIES = 200
 _MAX_BIAS_RETRIES = 100
@@ -54,6 +55,9 @@ _BLOCK_TABLE = 1 << 16
 #: stream words one array draw of a block handles at once; more trials go
 #: in chunks, so the (trials, words) temporaries stay small
 _DRAW_WORDS = 1 << 15
+#: transform entries (codes times dual words) of one ``soft_covering_tv``
+#: chunk, and dual-word symbols formed at once
+_DUAL_TABLE = 1 << 20
 
 
 @lru_cache(maxsize=64)
@@ -153,40 +157,86 @@ def _gf_rank(mat: np.ndarray, v: int) -> int:
     return len(pivots)
 
 
-def _coset_labels(g_i: np.ndarray, seqs: np.ndarray, v: int):
-    """Coset of rowspace(g_i) holding each row of the lex-ordered seqs.
+def _parity_checks(g: np.ndarray, v: int) -> np.ndarray:
+    """Parity checks (B, n - k, n) of full-rank generators g (B, k, n) over F_v.
 
-    A coset is numbered by its reduced form read at the non-pivot columns;
-    returns (labels, number of cosets).
+    Each generator is brought to reduced echelon form one row at a time:
+    row r, already cleared at the earlier pivots and nonzero by full rank,
+    takes its first nonzero column as pivot, is scaled to 1 there and
+    cleared from every other row.  With the pivot columns first the code
+    is [I | A], A the reduced rows at the non-pivot columns, so [-A^T | I]
+    checks it; the columns stay in that order, which no coset mass sees.
     """
-    n = seqs.shape[1]
-    rref, piv = _gf_rref(g_i, v)
-    rank = len(piv)
-    free = [c for c in range(n) if c not in set(piv)]
-    powers = v ** np.arange(len(free) - 1, -1, -1)
-
-    def label(x):
-        return ((x - x[:, piv] @ rref[:rank]) % v)[:, free] @ powers
-
-    if v != 2:
-        return label(seqs), v ** (n - rank)
-    # over F_2 the label is linear and seqs runs through F_2^n in lex
-    # order, so fold in one digit per step from the unit-vector labels
-    labels = np.zeros(1, dtype=np.int64)
-    for col in label(np.eye(n, dtype=np.int64)):
-        labels = (labels[:, None] ^ np.array([0, col])).reshape(-1)
-    return labels, 2 ** (n - rank)
+    g = np.array(g, dtype=np.int64) % v
+    b, k, n = g.shape
+    inverse = np.array([pow(a, v - 2, v) for a in range(v)])
+    at = np.arange(b)
+    free = np.ones((b, n), dtype=bool)
+    for r in range(k):
+        c = (g[:, r] != 0).argmax(axis=1)
+        free[at, c] = False
+        g[:, r] = g[:, r] * inverse[g[at, r, c]][:, None] % v
+        col = g[at, :, c]
+        col[:, r] = 0
+        g = (g - col[:, :, None] * g[:, r, None, :]) % v
+    a_t = g.transpose(0, 2, 1)[free].reshape(b, n - k, k)
+    eye = np.broadcast_to(np.eye(n - k, dtype=np.int64), (b, n - k, n - k))
+    return np.concatenate([-a_t % v, eye], axis=2)
 
 
-def _partition_tv(g_i: np.ndarray, seqs: np.ndarray, pn: np.ndarray, v: int) -> float:
-    # Dither-averaged selected-codeword law: p^n conditioned on each coset
-    # of rowspace(g_i), mixed uniformly over the positive-mass cosets (a
-    # zero-mass coset triggers a dither resample, hence never appears).
-    labels, cosets = _coset_labels(g_i, seqs, v)
-    masses = np.bincount(labels, weights=pn, minlength=cosets)
-    shares = masses / masses.sum()
-    pos = masses > 0.0
-    return 0.5 * float(np.abs(shares[pos] - 1.0 / int(pos.sum())).sum())
+def _coset_masses(h: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p^n-mass of every coset, (B, v^m) by lex syndrome, for parity checks
+    h = [X | I] (B, m, n) from ``_parity_checks``: the inverse DFT over
+    F_v^m of z -> prod_t phat((zh)_t), phat the DFT of p.
+
+    The identity columns give the factor prod_j phat(z_j), one outer
+    product for every code.  The dual words' symbols at the other columns
+    are formed _DUAL_TABLE at a time, unreduced: phat repeats cyclically
+    up to their largest value m (v - 1)^2.  The transform runs one digit
+    per step, a v-point DFT matrix on the leading axis whose product has
+    that axis last and contiguous, so m steps leave (B, z).
+    """
+    b, m, n = h.shape
+    v = len(p)
+    phat, dft = np.fft.fft(p), np.fft.ifft(np.eye(v), axis=0)
+    if v == 2:
+        # the characters are +-1: the whole transform stays real
+        phat, dft = phat.real, dft.real
+    z = _lex_tuples(v, m).astype(float)
+    f = reduce(np.multiply.outer, [phat] * m, np.ones(1, phat.dtype)).reshape(-1, 1)
+    f = f.repeat(b, axis=1)
+    cyclic = np.resize(phat, m * (v - 1) ** 2 + 1)
+    width = max(1, _DUAL_TABLE // f.size)
+    for lo in range(0, n - m, width):
+        cols = h[:, :, lo:min(lo + width, n - m)].transpose(1, 2, 0)
+        w = cols.shape[1]
+        words = (z @ cols.reshape(m, w * b)).astype(np.intp)
+        f *= cyclic[words].reshape(v ** m, w, b).prod(axis=1)
+    for _ in range(m):
+        # the DFT matrix is symmetric; the product leaves its axis last
+        f = f.reshape(v, -1).T @ dft
+    return f.reshape(b, v ** m).real
+
+
+def _reachable(h: np.ndarray, support: np.ndarray, v: int) -> np.ndarray:
+    """Which syndromes h x an x in support^n reaches, (B, v^m) booleans by
+    lex syndrome: from {0}, column t ORs the shifts by s h_t, s in support."""
+    b, m, n = h.shape
+    z = _lex_tuples(v, m)
+    place = v ** np.arange(m - 1, -1, -1)
+    reach = np.zeros((b, v ** m), dtype=bool)
+    reach[:, 0] = True
+    for t in range(n):
+        steps = []
+        for s in support:
+            # y is reached through column t when y - s h_t was reached
+            # before it; its lex index is built one digit at a time
+            back = np.zeros(reach.shape, dtype=np.intp)
+            for j in range(m):
+                back += (z[:, j] - s * h[:, j, t, None]) % v * place[j]
+            steps.append(np.take_along_axis(reach, back, axis=1))
+        reach = np.logical_or.reduce(steps)
+    return reach
 
 
 def soft_covering_tv(n: int, k: int, modulus: int, p, rng_seed,
@@ -197,6 +247,35 @@ def soft_covering_tv(n: int, k: int, modulus: int, p, rng_seed,
     encoding inside the coset, exact expectation over the uniform bias —
     is compared with the i.i.d. target in total variation.  Generators are
     redrawn until full rank so that k = n yields the whole space.
+
+    Derivation.  Let C = rowspace(G), m = n − k and H an m × n parity
+    check of C (``_parity_checks``), so the coset b + C is the syndrome
+    s = Hb and carries mass M(s) = Σ_{Hx = s} pⁿ(x).  A uniform dither
+    picks each positive-mass coset alike (a zero-mass one is redrawn) and
+    likelihood encoding then draws pⁿ conditioned on it, so with N₊
+    positive-mass cosets TV = ½·Σ_{M(s) > 0} |M(s)/ΣM − 1/N₊|.  Poisson
+    summation over the code gives every M(s) at once: with ω = e^(2πi/v)
+    and p̂(a) = Σ_j p_j·ω^(−aj),
+
+        Σ_s M(s)·ω^(−z·s) = Σ_x pⁿ(x)·ω^(−(zH)·x) = Π_t p̂((zH)_t),
+
+    a product over the coordinates of the dual word zH ∈ C⊥, so M is the
+    inverse DFT over F_v^m of z ↦ Π_t p̂((zH)_t): a v-point DFT per axis
+    (``_coset_masses``).  Over F₂, p̂(1) = θ = p₀ − p₁ and the transform
+    is the Walsh–Hadamard one, P(b + C) = 2^(k−n)·Σ_{y ∈ C⊥}
+    (−1)^(y·b)·θ^wt(y).  A code costs v^m·(n + m) operations in place of
+    the vⁿ of an enumeration, so ``_SOFT_COVER_CAP`` bounds v^m, and all
+    codes of a call share one transform, ``_DUAL_TABLE`` entries at a
+    time.
+
+    Which cosets count is decided exactly, never by the sign of a
+    transformed mass, which cancellation can push to 0 or below when p is
+    near degenerate (p₁ = 10⁻¹²).  When p has full support every coset
+    counts, since H maps F_vⁿ onto F_v^m; otherwise the cosets that
+    supp(p)ⁿ meets (``_reachable``).  Where an enumeration of pⁿ
+    underflows (p₁ = 10⁻³⁰⁰ zeroes every word of weight 2 or more), it
+    drops cosets whose true mass is positive; the transform keeps them,
+    so there the two differ and the transform is the exact one.
     """
     n, k = _integer(n, "n", DomainError), _integer(k, "k", DomainError)
     num_codes = _integer(num_codes, "num_codes", DomainError)
@@ -206,13 +285,11 @@ def soft_covering_tv(n: int, k: int, modulus: int, p, rng_seed,
         raise DomainError(f"need 1 <= n and 0 <= k <= n, got n={n} k={k}")
     if num_codes < 1:
         raise DomainError("num_codes must be at least 1")
-    if float(modulus) ** n > _SOFT_COVER_CAP:
-        raise TooLarge(f"{modulus}^{n} sequences exceed the exact-enumeration cap")
+    if float(modulus) ** (n - k) > _SOFT_COVER_CAP:
+        raise TooLarge(f"{modulus}^{n - k} dual words exceed the exact-transform cap")
     parr = _target_pmf(p, modulus)
-    seqs = _lex_tuples(modulus, n)
-    pn = parr[seqs].prod(axis=1)
     master = np.random.default_rng(rng_seed)
-    total = 0.0
+    gens = []
     for _ in range(num_codes):
         for _ in range(_MAX_CODE_RETRIES):
             code = random_nested_code(n, k, 0, modulus,
@@ -221,8 +298,19 @@ def soft_covering_tv(n: int, k: int, modulus: int, p, rng_seed,
                 break
         else:
             raise NumericalFailure("could not draw a full-rank generator")
-        total += _partition_tv(np.asarray(code.g_i), seqs, pn, modulus)
-    return total / num_codes
+        gens.append(code.g_i)
+    checks = _parity_checks(np.stack(gens), modulus)
+    step = max(1, _DUAL_TABLE // modulus ** (n - k))
+    tvs = []
+    for h in (checks[lo:lo + step] for lo in range(0, num_codes, step)):
+        masses = _coset_masses(h, parr)
+        counts = (np.ones(masses.shape, dtype=bool) if parr.all()
+                  else _reachable(h, np.flatnonzero(parr), modulus))
+        shares = np.where(counts, masses, 0.0)
+        shares /= shares.sum(axis=1, keepdims=True)
+        gap = np.abs(shares - 1.0 / counts.sum(axis=1, keepdims=True))
+        tvs.append(0.5 * np.where(counts, gap, 0.0).sum(axis=1))
+    return float(np.concatenate(tvs).sum()) / num_codes
 
 
 def wilson_interval(count: int, trials: int):

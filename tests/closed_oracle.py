@@ -126,11 +126,11 @@ def parity_gamma_form(channel):
         return None
     for x in itertools.product((0, 1), repeat=3):
         par = (x[0] + x[1] + x[2]) % 2
-        if not np.allclose(channel.reduced(0, x), g[par], atol=atol):
+        if not np.allclose(channel.reduced(0, x), g[par], rtol=0.0, atol=atol):
             return None
         for j in (1, 2):
             if not np.allclose(channel.reduced(j, x), sig[j - 1][x[j]],
-                               atol=atol):
+                               rtol=0.0, atol=atol):
                 return None
     return phi, tuple(deltas)
 

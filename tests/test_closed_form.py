@@ -344,10 +344,9 @@ def test_scan_builds_the_thm1_frame_once_and_cells_stay_out(tmp_path,
     assert direct._closed_frame.cache_info().misses == 2
 
 
-def _mixed(spec, j_state, eps):
-    """spec with the state at input (1, 0, 1) moved toward I/8 by eps."""
+def _mixed(spec, j_state, eps, x=(1, 0, 1)):
+    """spec with the state at input x moved toward I/8 by eps."""
     states = dict(spec.states)
-    x = (1, 0, 1)
     states[x] = (1.0 - eps) * states[x] + eps * np.eye(8) / 8.0
     return ChannelSpec(spec.input_sizes, spec.output_dims, states,
                        spec.costs, spec.budget)
@@ -362,6 +361,10 @@ def _mixed(spec, j_state, eps):
     (lambda: build_ex3(0.1, 0.2, 0.3, 0.4, 0.4, 0.4), "thm1", 2, False),
     (lambda: _mixed(build_ex2(PHI, 0.1, 0.15, 0.3), 0, 1e-6), "thm1", 2,
      False),
+    # receiver 1's state at (1, 0, 0) has no zero entry, so only an
+    # absolute tolerance catches the move
+    (lambda: _mixed(build_ex2(1.0, 0.1, 0.1, 0.25), 0, 1e-7, (1, 0, 0)),
+     "thm1", 2, False),
 ])
 def test_grid_source_takes_closed_forms_on_the_family_only(
         monkeypatch, build, evaluator, n_sym, closed):
@@ -472,6 +475,7 @@ def test_unstructured_index_and_spread_reach_each_configs_stage_cell():
     lambda: build_ex3(0.1, 0.2, 0.3, 0.4, 0.4, 0.4),
     lambda: _mixed(build_ex2(PHI, 0.1, 0.15, 0.3), 0, 1e-13),
     lambda: _mixed(build_ex2(PHI, 0.1, 0.15, 0.3), 0, 1e-6),
+    lambda: _mixed(build_ex2(1.0, 0.1, 0.1, 0.25), 0, 1e-7, (1, 0, 0)),
 ])
 def test_family_verdicts_match_oracle(build):
     spec = build()

@@ -12,11 +12,12 @@ from cqic.errors import (BudgetExceeded, DomainError, NotPrime,
                          NumericalFailure, TooLarge, ZeroMassCoset)
 from cqic.gfcoset import (NestedCosetCode, enumerate_coset, index_tuples,
                           random_nested_code)
-from cqic.mcsim import (SimConfig, SimResult, _book, _coset_labels,
-                        _coset_weights, _gf2_ranks, _gf_rank, _gf_rref, _index,
-                        _nearest, _nearest_pair, _pack, _pick, _selection_law,
-                        likelihood_encode, run_ex1_sim, selection_probabilities,
-                        soft_covering_tv, wilson_interval)
+from cqic.mcsim import (SimConfig, SimResult, _book, _coset_weights, _gf2_ranks,
+                        _gf_rank, _gf_rref, _index, _nearest, _nearest_pair,
+                        _pack, _pick, _selection_law, likelihood_encode,
+                        run_ex1_sim, selection_probabilities, soft_covering_tv,
+                        wilson_interval)
+import cover_oracle
 import sim_oracle
 from sim_oracle import oracle_sim
 
@@ -175,8 +176,72 @@ class TestSoftCovering:
                 assert abs(got - total / 50) <= 1e-12, (v, k)
 
     def test_enumeration_guard(self):
+        # the cap bounds the v^(n - k) dual words a code's transform runs
+        # over: 2^17 is past it, the 2^14 of (18, 4) no longer is
         with pytest.raises(TooLarge):
-            soft_covering_tv(18, 4, 2, (0.5, 0.5), 0)
+            soft_covering_tv(18, 1, 2, (0.5, 0.5), 0)
+
+    def test_past_the_old_enumeration_cap_matches_oracle(self):
+        # 2^17 sequences were beyond the enumeration's cap; 2^4 dual words
+        # are a small transform
+        got = soft_covering_tv(17, 13, 2, (0.8, 0.2), 3, num_codes=4)
+        want = cover_oracle.soft_covering_tv(17, 13, 2, (0.8, 0.2), 3,
+                                             num_codes=4)
+        assert abs(got - want) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(2, 10), (3, 6), (5, 4)]), st.integers(1, 10),
+           st.integers(0, 10), st.sampled_from(["full", "zero", "near"]),
+           st.sampled_from([1, 7, 64, mcsim._DUAL_TABLE]),
+           st.integers(0, 2 ** 31 - 1))
+    @example((2, 10), 10, 3, "near", mcsim._DUAL_TABLE, 0)
+    @example((3, 6), 6, 0, "zero", 7, 1)
+    @example((5, 4), 4, 2, "near", 64, 2)
+    def test_transform_matches_enumeration(self, size, n, k, kind, table,
+                                           seed):
+        # the dual-code transform against the tests-only enumeration, the
+        # codes split into chunks of every size; near-degenerate p sends
+        # transformed masses to zero or below, so a sign test would miss
+        # cosets that the enumeration counts
+        v, top = size
+        n = min(n, top)
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(v))
+        if kind == "zero":
+            p[rng.integers(v)] = 0.0
+        elif kind == "near":
+            p = np.full(v, 1e-12)
+            p[rng.integers(v)] = 1.0 - (v - 1) * 1e-12
+        p = tuple(p / p.sum())
+        with mock.patch.object(mcsim, "_DUAL_TABLE", table):
+            got = soft_covering_tv(n, k, v, p, seed, num_codes=6)
+        want = cover_oracle.soft_covering_tv(n, k, v, p, seed, num_codes=6)
+        assert abs(got - want) <= 1e-12, (v, n, k, p)
+
+    @pytest.mark.parametrize("v, n, p", [
+        (2, 9, (0.7, 0.3)), (2, 9, (0.0, 1.0)), (2, 9, (1 - 1e-12, 1e-12)),
+        (3, 5, (0.5, 0.3, 0.2)), (3, 5, (0.6, 0.0, 0.4)),
+        (5, 3, (0.5, 0.2, 0.1, 0.1, 0.1)), (5, 3, (1e-12, 0, 1 - 1e-12, 0, 0))])
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_transform_matches_enumeration_at_the_rate_ends(self, v, n, p,
+                                                             whole):
+        k = n if whole else 0
+        got = soft_covering_tv(n, k, v, p, 11, num_codes=5)
+        assert abs(got - cover_oracle.soft_covering_tv(n, k, v, p, 11,
+                                                       num_codes=5)) <= 1e-12
+
+    def test_chunked_transform_memory(self):
+        # n = 16, k = 0: the 50 codes' 2^16 dual words each would hold
+        # 103 MiB under tracemalloc as one transform; chunks of 2^20
+        # entries peaked at 49 MiB here
+        tracemalloc.start()
+        try:
+            soft_covering_tv(16, 0, 2, (0.8, 0.2), 42, num_codes=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -309,7 +374,7 @@ class TestPackedKernels:
         free = [c for c in range(n) if c not in piv]
         red = (seqs - seqs[:, piv] @ rref[:len(piv)]) % 2
         want = red[:, free] @ 2 ** np.arange(len(free) - 1, -1, -1)
-        labels, cosets = _coset_labels(g, seqs, 2)
+        labels, cosets = cover_oracle._coset_labels(g, seqs, 2)
         assert np.array_equal(labels, want)
         assert cosets == 2 ** len(free)
 
